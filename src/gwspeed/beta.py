@@ -11,10 +11,17 @@ B(x) = S/(lam+S)^2, the bias derivative obeys
 
     -beta_n'(x) = A(x) * sum_i(-beta_n'(child_i)) + B(x),
 
-with derivative 0 on the boundary. ``beta_derivative_path_sum`` re-derives the
-root derivative by unrolling that recursion into a sum over vertices of B
-times the product of A along the ancestor path; it is kept deliberately naive
-(per-vertex parent climbing) to serve as an independent check of the
+with derivative 0 on the boundary. Equivalently
+
+    beta_n'(x) = (lam * S' - S) / (lam + S)^2,   S' = sum of the children's beta_n',
+
+and one level step evaluates (beta_n, beta_n') this way for every bottom-up
+pass: ``compute_beta`` runs it over the level slices of a breadth-first tree,
+the tree-method pools over the levels of a sampled forest, the population
+method over resampled pool members. ``beta_derivative_path_sum`` re-derives
+the root derivative by unrolling the A/B recursion into a sum over vertices
+of B times the product of A along the ancestor path; it is kept deliberately
+naive (per-vertex parent climbing) to serve as an independent check of the
 recursion.
 
 Sample pools of iid root pairs (beta, beta') come in two flavors: ``tree``
@@ -30,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStateError, UnsupportedRegimeError
+from .errors import UnsupportedRegimeError
 from .offspring import OffspringDistribution
 from .rng import D_POOL, D_POOL_POP, substream
-from .tree import QuenchedTree
+from .tree import QuenchedTree, _sample_offspring_layers
 
 # Chunking keeps peak forest memory near this many vertices on one level.
 _CHUNK_LEVEL_BUDGET = 6_000_000
@@ -49,9 +56,9 @@ class BetaTable:
     level: int
     lam: float
     beta: np.ndarray
+    dbeta: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    dbeta: np.ndarray | None = None
 
     @property
     def root_beta(self) -> float:
@@ -59,70 +66,64 @@ class BetaTable:
 
     @property
     def root_dbeta(self) -> float:
-        if self.dbeta is None:
-            raise InvalidStateError("derivative not computed for this table")
         return float(self.dbeta[self.tree.root])
 
 
-def _level_children(tree: QuenchedTree, ids: np.ndarray,
-                    nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat child ids, exclusive offsets) for one level of parents."""
-    counts = nu[ids]
-    starts = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    fc = np.asarray(tree.first_child, dtype=np.int64)[ids]
-    flat = np.repeat(fc, counts) + (np.arange(total, dtype=np.int64)
-                                    - np.repeat(starts, counts))
-    return flat, starts
+def _level_step(counts: np.ndarray, b: np.ndarray | None, db: np.ndarray | None,
+                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One level of the bottom-up recursion.
+
+    The children's (beta, beta') values ``b`` and ``db`` come in consecutive
+    blocks of ``counts``, one block per parent. ``b is None`` stands for
+    children on the boundary level (beta 1, beta' 0), whose sum is the count.
+    Returns (beta, beta', S, lam + S) for the parents.
+    """
+    if b is None:
+        s = counts.astype(np.float64)
+        sp = 0.0
+    else:
+        off = np.cumsum(counts, dtype=np.int64) - counts
+        s = np.add.reduceat(b, off)
+        sp = np.add.reduceat(db, off)
+    denom = lam + s
+    return s / denom, (lam * sp - s) / (denom * denom), s, denom
 
 
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
-    """Exact bottom-up evaluation of beta_n on a tree materialized to depth n."""
+    """Exact bottom-up evaluation of beta_n, its bias derivative and the A/B
+    factors on a tree sampled to depth n, in one pass over its levels."""
     if lam < 0:
         raise ValueError(f"bias must be >= 0, got {lam:.9g}")
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     if not tree.is_materialized_to(n):
         raise ValueError(f"tree is not materialized to depth {n}")
-    nu = np.asarray(tree.nu, dtype=np.int64)
-    levels = tree.level_ids(n)
-    for k, ids in enumerate(levels):
-        if ids.size == 0:
+    start = tree.level_start
+    nu = np.asarray(tree.nu[:start[n]], dtype=np.int64)
+    for k in range(n + 1):
+        if start[k] == start[k + 1]:
             raise ValueError(f"no vertices at depth {k}; tree too shallow for level {n}")
-        if k < n and (nu[ids] < 1).any():
+        if k < n and (nu[start[k]:start[k + 1]] < 1).any():
             raise ValueError("tree has an internal vertex without children; "
                              "a leafless offspring law is required")
 
     size = len(tree)
-    beta = np.full(size, np.nan)
-    a = np.full(size, np.nan)
-    b = np.full(size, np.nan)
-    beta[levels[n]] = 1.0
+    beta, dbeta, a, b = (np.full(size, np.nan) for _ in range(4))
+    beta[start[n]:start[n + 1]] = 1.0
+    dbeta[start[n]:start[n + 1]] = 0.0
+    level_b = level_db = None
     for k in range(n - 1, -1, -1):
-        ids = levels[k]
-        kids, off = _level_children(tree, ids, nu)
-        s = np.add.reduceat(beta[kids], off)
-        denom = lam + s
-        beta[ids] = s / denom
-        a[ids] = lam / (denom * denom)
-        b[ids] = s / (denom * denom)
-    return BetaTable(tree=tree, level=n, lam=lam, beta=beta, a=a, b=b)
+        lo, hi = start[k], start[k + 1]
+        level_b, level_db, s, denom = _level_step(nu[lo:hi], level_b, level_db, lam)
+        beta[lo:hi] = level_b
+        dbeta[lo:hi] = level_db
+        a[lo:hi] = lam / (denom * denom)
+        b[lo:hi] = s / (denom * denom)
+    return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta, a=a, b=b)
 
 
 def compute_beta_derivative(table: BetaTable) -> BetaTable:
-    """Fill the bias derivative on an existing table, bottom-up."""
-    tree = table.tree
-    n = table.level
-    nu = np.asarray(tree.nu, dtype=np.int64)
-    levels = tree.level_ids(n)
-    dbeta = np.full(len(tree), np.nan)
-    dbeta[levels[n]] = 0.0
-    for k in range(n - 1, -1, -1):
-        ids = levels[k]
-        kids, off = _level_children(tree, ids, nu)
-        sp = np.add.reduceat(dbeta[kids], off)
-        dbeta[ids] = table.a[ids] * sp - table.b[ids]
-    table.dbeta = dbeta
+    """The table itself: ``compute_beta`` already fills the derivative."""
     return table
 
 
@@ -172,35 +173,14 @@ class BetaPool:
                 fh.write(f"{bv:.9g},{dv:.9g}\n")
 
 
-def _sample_offspring_layers(dist: OffspringDistribution, depth: int,
-                             n_trees: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Offspring counts for a forest of independent trees, one array per
-    level 0..depth-1, laid out so consecutive blocks are whole subtrees."""
-    layers = []
-    width = n_trees
-    for _ in range(depth):
-        counts = dist.draw_counts(rng, width)
-        layers.append(counts)
-        width = int(counts.sum(dtype=np.int64))
-    return layers
-
-
 def _forest_root_values(layers: list[np.ndarray], lam: float,
                         n_trees: int) -> tuple[np.ndarray, np.ndarray]:
     """Root (beta, beta') for every tree of a sampled forest."""
     if not layers:
         return np.ones(n_trees), np.zeros(n_trees)
-    width = int(layers[-1].sum(dtype=np.int64))
-    b = np.ones(width)
-    db = np.zeros(width)
+    b = db = None
     for counts in reversed(layers):
-        counts64 = counts.astype(np.int64)
-        off = np.cumsum(counts64) - counts64
-        s = np.add.reduceat(b, off)
-        sp = np.add.reduceat(db, off)
-        denom = lam + s
-        b = s / denom
-        db = (lam * sp - s) / (denom * denom)
+        b, db = _level_step(counts, b, db, lam)[:2]
     return b, db
 
 
@@ -260,14 +240,9 @@ def sample_pool(dist: OffspringDistribution, lam: float, n: int, count: int,
     b = np.ones(count)
     db = np.zeros(count)
     for _ in range(n):
-        counts = dist.draw_counts(rng, count).astype(np.int64)
-        idx = rng.integers(0, count, size=int(counts.sum()))
-        off = np.cumsum(counts) - counts
-        s = np.add.reduceat(b[idx], off)
-        sp = np.add.reduceat(db[idx], off)
-        denom = lam + s
-        b = s / denom
-        db = (lam * sp - s) / (denom * denom)
+        counts = dist.draw_counts(rng, count)
+        idx = rng.integers(0, count, size=int(counts.sum(dtype=np.int64)))
+        b, db = _level_step(counts, b[idx], db[idx], lam)[:2]
     return BetaPool(beta=b, dbeta=db, level=n, lam=lam, method="population")
 
 
@@ -316,8 +291,7 @@ def check_bounds(pool_or_table, m1: int, m2: int, lam: float) -> BoundReport:
     """
     if isinstance(pool_or_table, BetaTable):
         beta = np.array([pool_or_table.root_beta])
-        dbeta = (np.array([pool_or_table.root_dbeta])
-                 if pool_or_table.dbeta is not None else None)
+        dbeta = np.array([pool_or_table.root_dbeta])
     elif isinstance(pool_or_table, BetaPool):
         beta = pool_or_table.beta
         dbeta = pool_or_table.dbeta
@@ -337,12 +311,9 @@ def check_bounds(pool_or_table, m1: int, m2: int, lam: float) -> BoundReport:
             f"bias {lam:.9g} not below minimum branching {m1}")
         report.skipped["denominator"] = report.skipped["derivative"]
     else:
-        if dbeta is None:
-            report.skipped["derivative"] = "derivative values not available"
-        else:
-            neg = -dbeta
-            cap = beta / (m1 - lam)
-            report.derivative_violations = int(((neg <= 0.0) | (neg > cap)).sum())
+        neg = -dbeta
+        cap = beta / (m1 - lam)
+        report.derivative_violations = int(((neg <= 0.0) | (neg > cap)).sum())
         floor = lam - 1.0 + (m1 + 1) * float(beta.min())
         threshold = m1 - lam / m1
         report.denominator_floor = floor

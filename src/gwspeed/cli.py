@@ -92,10 +92,16 @@ def _resolve(args, cfg: dict, key: str, default, cast=None):
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
-    if key in cfg:
-        value = cfg[key]
-        return cast(value) if cast else value
-    return default
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise _CliError(f"config value {value!r} for {key!r} is not "
+                        f"a valid {cast.__name__}") from None
 
 
 def _resolve_dist(args, cfg: dict) -> OffspringDistribution:
@@ -289,7 +295,7 @@ def cmd_speed_curve(args, cfg) -> int:
     depth = _resolve(args, cfg, "depth", 10, int)
     samples = _resolve(args, cfg, "samples", 2000, int)
     tuples = _resolve(args, cfg, "tuples", 50000, int)
-    grid_text = args.lambda_grid or cfg.get("lambda_grid")
+    grid_text = _resolve(args, cfg, "lambda_grid", None, str)
     if grid_text:
         grid = _parse_grid(grid_text)
     else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UnsupportedRegimeError
 from .offspring import make_distribution
-from .tree import QuenchedTree, attach_star_root, sample_truncated_tree
+from .tree import QuenchedTree, sample_truncated_tree
 
 SMALL_LAMBDA = 0.1
 
@@ -80,44 +80,37 @@ def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
                                parent_edge_conductance=cond, pi=pi)
 
 
-def _ragged_children(first_child: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Flat child ids for a level, parents taken in the given order."""
-    total = int(nu.sum())
-    starts = np.cumsum(nu) - nu
-    return np.repeat(first_child, nu) + (np.arange(total, dtype=np.int64)
-                                         - np.repeat(starts, nu))
-
-
 def effective_conductance_to_level(net: WeightedTreeNetwork, n: int) -> float:
     """Exact series-parallel conductance between the artificial root and the
     set of depth-n vertices. Equals the probability of hitting depth n before
     the artificial root when starting there."""
-    tree = net.tree
+    return _conductance_to_level(net.tree, net.lam, n)
+
+
+def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
+    """The reduction behind ``effective_conductance_to_level``. It needs no
+    artificial root in the arena: the unit edge above the root is added last."""
     if not tree.is_materialized_to(n):
         raise ValueError(f"tree is not materialized to depth {n}")
-    lam = net.lam
-    levels = tree.level_ids(n)
+    start = tree.level_start
     for k in range(n + 1):
-        if levels[k].size == 0:
+        if start[k] == start[k + 1]:
             raise ValueError(f"no vertices at depth {k}; tree too shallow")
-    fc = np.asarray(tree.first_child, dtype=np.int64)
-    nu_all = np.asarray(tree.nu, dtype=np.int64)
+    nu = np.asarray(tree.nu[:start[n]], dtype=np.int64)
 
-    # subtree resistance below each vertex, indexed by vertex id
-    resist = np.zeros(len(tree))
+    # subtree resistance below each vertex of the current level
+    resist = np.zeros(start[n + 1] - start[n])
     scaled = lam < SMALL_LAMBDA
     for k in range(n - 1, -1, -1):
-        ids = levels[k]
-        kids = _ragged_children(fc[ids], nu_all[ids])
         if scaled:
             # resistances carried in units of lam**(depth+1):
             # rho(x) = 1 / sum_i 1/(1 + lam*rho(child_i))
-            inv = 1.0 / (1.0 + lam * resist[kids])
+            inv = 1.0 / (1.0 + lam * resist)
         else:
-            inv = 1.0 / (lam ** (k + 1.0) + resist[kids])
-        off = np.cumsum(nu_all[ids]) - nu_all[ids]
-        resist[ids] = 1.0 / np.add.reduceat(inv, off)
-    root_r = float(resist[tree.root])
+            inv = 1.0 / (lam ** (k + 1.0) + resist)
+        counts = nu[start[k]:start[k + 1]]
+        resist = 1.0 / np.add.reduceat(inv, np.cumsum(counts) - counts)
+    root_r = float(resist[0])
     if scaled:
         return 1.0 / (1.0 + lam * root_r)
     return 1.0 / (1.0 + root_r)
@@ -154,10 +147,8 @@ def regular_escape_probability(d: int, lam: float) -> float:
 
 @lru_cache(maxsize=128)
 def _regular_conductance(d: int, lam: float, n: int) -> float:
-    dist = make_distribution({d: 1.0})
-    tree = sample_truncated_tree(dist, n, seed=0)
-    attach_star_root(tree)
-    return effective_conductance_to_level(build_conductances(tree, lam), n)
+    tree = sample_truncated_tree(make_distribution({d: 1.0}), n, seed=0)
+    return _conductance_to_level(tree, lam, n)
 
 
 def conductance_sandwich(tree: QuenchedTree, lam: float,
@@ -171,9 +162,7 @@ def conductance_sandwich(tree: QuenchedTree, lam: float,
     """
     if lam <= 0.0:
         raise UnsupportedRegimeError(f"sandwich needs bias > 0, got {lam:.9g}")
-    if tree.star_root is None:
-        attach_star_root(tree)
-    c_mid = effective_conductance_to_level(build_conductances(tree, lam), n)
+    c_mid = _conductance_to_level(tree, lam, n)
     m1, m2 = tree.dist.m1, tree.dist.m2
     if m1 < 1:
         raise UnsupportedRegimeError("sandwich needs a leafless offspring law")

@@ -164,10 +164,13 @@ def make_distribution(entries) -> OffspringDistribution:
         entries = list(entries.items())
     normalized = []
     for k, p in entries:
-        ik = int(k)
+        try:
+            ik, fp = int(k), float(p)
+        except (TypeError, ValueError):
+            raise ValueError(f"cannot read pmf entry {k!r}: {p!r}") from None
         if ik != float(k):
             raise ValueError(f"offspring count {k!r} is not an integer")
-        normalized.append((ik, float(p)))
+        normalized.append((ik, fp))
     return OffspringDistribution(tuple(normalized))
 
 
@@ -193,4 +196,4 @@ def parse_pmf_json(text: str) -> OffspringDistribution:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "pmf" not in obj or not isinstance(obj["pmf"], dict):
         raise ValueError('pmf JSON must be an object {"pmf": {"k": p, ...}}')
-    return make_distribution({int(k): float(p) for k, p in obj["pmf"].items()})
+    return make_distribution(obj["pmf"])

@@ -1,11 +1,16 @@
 """Arena storage for one quenched tree realization.
 
-Vertices are integer ids into parallel arrays. Children of a vertex are always
-a contiguous id block ``[first_child, first_child + nu)``, both for eager
-breadth-first materialization and for lazy growth during walk simulation, so
-vectorized passes never need per-vertex indirection. Once a vertex's children
-have been generated they are fixed for the lifetime of the tree (quenched
-environment): revisits see the same branching.
+Vertices are integer ids into parallel arrays. ``sample_truncated_tree`` lays
+a tree out breadth first, one level after another: level k occupies the ids
+``[level_start[k], level_start[k + 1])`` and its children, taken in parent
+order, are exactly level k + 1. So the children of a vertex are always a
+contiguous id block ``[first_child, first_child + nu)``, and a level-wise pass
+reads whole levels as slices. Lazy growth during walk simulation appends each
+new child block at the end of the arena; it keeps the block property, and the
+recorded levels (only the root, for a tree grown lazily from scratch) are
+left as they were. Once a vertex's children have been generated they are
+fixed for the lifetime of the tree (quenched environment): revisits see the
+same branching.
 
 The artificial parent of the root, when attached, sits at depth -1 and has the
 root as its only child.
@@ -29,7 +34,7 @@ class QuenchedTree:
     """One realization of the branching tree, grown lazily from its root."""
 
     __slots__ = ("dist", "parent", "depth", "first_child", "nu", "star_root",
-                 "_rng", "_u", "_ui", "_cum", "_ks")
+                 "level_start", "_rng", "_u", "_ui", "_cum", "_ks")
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
@@ -38,6 +43,7 @@ class QuenchedTree:
         self.first_child = [-1]
         self.nu = [-1]          # -1 marks children not yet generated
         self.star_root: int | None = None
+        self.level_start = [0, 1]  # breadth-first level bounds, root only
         self._rng = rng
         self._u: list[float] = []
         self._ui = 0
@@ -75,45 +81,19 @@ class QuenchedTree:
         fc = self.first_child[v]
         return list(range(fc, fc + k))
 
-    def materialize_to_depth(self, n: int) -> None:
-        """Generate all vertices down to depth n, breadth first."""
-        if n <= 0:
-            return
-        level = [v for v in range(len(self.parent)) if self.depth[v] == 0]
-        start_depth = 0
-        # resume from the deepest fully generated level
-        while start_depth < n:
-            pending = [v for v in level if self.nu[v] < 0]
-            if pending:
-                counts = self.dist.draw_counts(self._rng, len(pending))
-                for v, k in zip(pending, counts.tolist()):
-                    fc = len(self.parent)
-                    dep = self.depth[v] + 1
-                    self.parent.extend([v] * k)
-                    self.depth.extend([dep] * k)
-                    self.first_child.extend([-1] * k)
-                    self.nu.extend([-1] * k)
-                    self.first_child[v] = fc
-                    self.nu[v] = k
-            nxt = []
-            for v in level:
-                fc = self.first_child[v]
-                nxt.extend(range(fc, fc + self.nu[v]))
-            level = nxt
-            start_depth += 1
-
     def max_generated_depth(self) -> int:
         return max(self.depth)
 
     def is_materialized_to(self, n: int) -> bool:
-        """True when every vertex above depth n has generated children."""
-        return all(self.nu[v] >= 0 for v in range(len(self.parent))
-                   if -1 < self.depth[v] < n)
+        """True when levels 0..n were laid out breadth first at sampling."""
+        return n < len(self.level_start) - 1
 
     def level_ids(self, n: int) -> list[np.ndarray]:
-        """Vertex ids grouped by depth 0..n, each in ascending id order."""
-        depth = np.asarray(self.depth, dtype=np.int64)
-        return [np.flatnonzero(depth == k) for k in range(n + 1)]
+        """Vertex ids of the levels 0..n, one contiguous range per level."""
+        if not self.is_materialized_to(n):
+            raise ValueError(f"tree is not materialized to depth {n}")
+        start = self.level_start
+        return [np.arange(start[k], start[k + 1]) for k in range(n + 1)]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(parent, depth, first_child, nu) as int64 numpy snapshots."""
@@ -134,14 +114,36 @@ class QuenchedTree:
         return out
 
 
+def _sample_offspring_layers(dist: OffspringDistribution, depth: int,
+                             n_trees: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Offspring counts for a forest of independent trees, one array per
+    level 0..depth-1, laid out so consecutive blocks are whole subtrees."""
+    layers = []
+    width = n_trees
+    for _ in range(depth):
+        counts = dist.draw_counts(rng, width)
+        layers.append(counts)
+        width = int(counts.sum(dtype=np.int64))
+    return layers
+
+
 def sample_truncated_tree(dist: OffspringDistribution, n: int,
                           seed: int) -> QuenchedTree:
     """Fresh tree realization fully materialized to depth n, deterministic in
-    (dist, n, seed)."""
+    (dist, n, seed): a forest of one tree, laid out breadth first."""
     if n < 0:
         raise ValueError(f"truncation depth must be >= 0, got {n}")
     tree = QuenchedTree(dist, substream(seed, D_TREE, 0))
-    tree.materialize_to_depth(n)
+    layers = _sample_offspring_layers(dist, n, 1, tree._rng)
+    widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]
+    counts = np.concatenate([np.zeros(0, dtype=np.int64), *layers])
+    # every vertex but the root is some internal vertex's child, in id order
+    unborn = [-1] * widths[-1]
+    tree.parent = [-1] + np.repeat(np.arange(counts.size), counts).tolist()
+    tree.depth = np.repeat(np.arange(n + 1), widths).tolist()
+    tree.first_child = (1 + np.cumsum(counts) - counts).tolist() + unborn
+    tree.nu = counts.tolist() + unborn
+    tree.level_start = np.cumsum([0] + widths).tolist()
     return tree
 
 

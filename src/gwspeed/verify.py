@@ -130,7 +130,6 @@ def suite_oracles(dist: OffspringDistribution, seed: int) -> list[CheckResult]:
     worst_z = 0.0
     for j, (n, lam) in enumerate(((2, 0.25 * m1), (4, 0.5 * m1), (6, 0.75 * m1))):
         tree = sample_truncated_tree(dist, n, seed=seed + 400 + j)
-        attach_star_root(tree)
         b = compute_beta(tree, n, lam).root_beta
         est = hitting_beta_mc(tree, lam, n, 4000, seed=seed + 500 + j)
         sig = float(np.sqrt(b * (1.0 - b) / 4000)) or 1e-300

@@ -233,8 +233,6 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
         tree = dist_or_tree
         if not tree.is_materialized_to(n):
             raise ValueError(f"fixed tree is not materialized to depth {n}")
-    if tree.star_root is None:
-        attach_star_root(tree)
     successes = _hit_level_vectorized(tree, lam, n, trials, substream(seed, D_HIT, 0))
     p = successes / trials
     return HittingEstimate(estimate=p, stderr=float(np.sqrt(p * (1 - p) / trials)),
@@ -257,7 +255,7 @@ def _hit_level_once(tree: QuenchedTree, star: int, lam: float, n: int,
 def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
                           rng: np.random.Generator) -> int:
     parent, depth, first_child, nu = tree.arrays()
-    star = tree.star_root
+    parent[ROOT] = -1  # a step above the root is a failure; no artificial root
     pos = np.full(trials, ROOT, dtype=np.int64)
     successes = 0
     for _ in range(_MAX_SYNC_ROUNDS):
@@ -265,16 +263,15 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
             return successes
         u = rng.random(pos.size)
         k = nu[pos]
-        par = parent[pos]
         t = u * (lam + k) - lam
         j = t.astype(np.int64)
         np.minimum(j, k - 1, out=j)
         np.maximum(j, 0, out=j)
-        pos = np.where(t >= 0.0, first_child[pos] + j, par)
+        pos = np.where(t >= 0.0, first_child[pos] + j, parent[pos])
+        pos = pos[pos >= 0]  # before any depth lookup: index -1 is a vertex
         succ = depth[pos] == n
-        fail = pos == star
         successes += int(succ.sum())
-        pos = pos[~(succ | fail)]
+        pos = pos[~succ]
     raise RuntimeError("hitting walk failed to absorb within the round cap")
 
 

@@ -8,10 +8,13 @@ from gwspeed import (
     check_bounds,
     compute_beta,
     compute_beta_derivative,
+    ensure_children,
     sample_pool,
     sample_pools_shared_trees,
     sample_truncated_tree,
 )
+from gwspeed.rng import substream
+from gwspeed.tree import QuenchedTree
 
 LAM_GRID = (0.25, 0.5, 1.0, 1.5)
 
@@ -98,6 +101,16 @@ def test_requires_materialized_tree(mix23):
     tree = sample_truncated_tree(mix23, 3, seed=5)
     with pytest.raises(ValueError, match="materialized"):
         compute_beta(tree, 5, 1.0)
+
+
+def test_rejects_lazily_grown_tree(mix23):
+    # levels 0..2 are fully generated, but not laid out breadth first
+    tree = QuenchedTree(mix23, substream(5, 1, 0))
+    for v in range(40):
+        ensure_children(tree, v)
+    with pytest.raises(ValueError, match="materialized"):
+        compute_beta(tree, 1, 1.0)
+    assert compute_beta(tree, 0, 1.0).root_beta == 1.0
 
 
 def test_rejects_leafy_internal_vertices(leafy):

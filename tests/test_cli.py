@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -176,6 +177,40 @@ def test_config_file_with_flag_override(capsys, tmp_path):
                        "--config", str(cfg), "--steps", "250")
     values = dict(line.split("=") for line in out.splitlines())
     assert values["steps"] == "250"
+
+
+@pytest.mark.parametrize("cfg", [{"seed": None}, {"lambda_grid": 5},
+                                 {"pmf": {"2": None}}])
+def test_malformed_config_value_exits_one(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "speed-curve", "--config", str(path),
+                       "--depth", "2", "--samples", "64", "--tuples", "100",
+                       "--single-depth")
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_pinned_outputs_are_byte_identical(capsys, tmp_path):
+    # digests of pinned-seed outputs recorded before the breadth-first tree
+    # layout; a refactor that changes any digit of them changes results
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "7")
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "d40f6d96529d918478eb0bdf0b3cf0094b5435844864b892b58bfd4a02cd3593")
+    tree_path = tmp_path / "tree.json"
+    code, out, _ = run(capsys, "beta", "--lambda-grid", "0.25:1.5:0.25",
+                       "--depth", "6", "--trials", "500", "--seed", "7",
+                       "--dump-tree", str(tree_path))
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "254fe9a689368fd87c361572a19ddc789e9ea850f0cf426ea5c0bf7fb4ddc33a")
+    assert _sha256(tree_path.read_bytes()) == (
+        "35081d9e7e5856332b37d4b60057e5f524cc97aa4781659ecd40a16bc86b03d6")
 
 
 def test_verify_suite_reports_and_succeeds(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gwspeed import InvalidStateError, attach_star_root, ensure_children, sample_truncated_tree
-from gwspeed.tree import QuenchedTree
-from gwspeed.rng import substream
+from gwspeed.tree import QuenchedTree, _sample_offspring_layers
+from gwspeed.rng import D_TREE, substream
 
 
 def test_binary_truncation_counts(binary):
@@ -124,12 +124,31 @@ def test_adjacency_dump_round_trip(binary):
             assert dump[str(child)]["parent"] == int(vid)
 
 
-def test_materialize_is_resumable(mix23):
-    tree = sample_truncated_tree(mix23, 3, seed=12)
-    tree.materialize_to_depth(5)
-    assert tree.is_materialized_to(5)
-    depth = np.asarray(tree.depth)
-    assert (depth == 5).any()
+def test_truncation_is_a_prefix(mix23):
+    # the depth-5 tree cut at depth 3 is the depth-3 tree, ids included
+    deep = sample_truncated_tree(mix23, 5, seed=12)
+    short = sample_truncated_tree(mix23, 3, seed=12)
+    inner, size = short.level_start[3], short.level_start[4]
+    assert size == len(short)
+    assert deep.level_start[:5] == short.level_start
+    assert deep.parent[:size] == short.parent
+    assert deep.depth[:size] == short.depth
+    assert deep.nu[:inner] == short.nu[:inner]
+    assert deep.first_child[:inner] == short.first_child[:inner]
+    assert short.nu[inner:] == [-1] * (size - inner)
+    assert deep.is_materialized_to(5)
+    assert not short.is_materialized_to(4)
+
+
+def test_levels_are_the_forest_sampler_layers(binary, mix23, leafy):
+    for dist in (binary, mix23, leafy):
+        tree = sample_truncated_tree(dist, 6, seed=21)
+        rng = substream(21, D_TREE, 0)
+        layers = _sample_offspring_layers(dist, 6, 1, rng)
+        start = tree.level_start
+        for k, counts in enumerate(layers):
+            assert tree.nu[start[k]:start[k + 1]] == counts.tolist()
+        assert tree._rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_negative_depth_rejected(mix23):

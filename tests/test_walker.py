@@ -8,6 +8,7 @@ from gwspeed import (
     WalkState,
     attach_star_root,
     compute_beta,
+    conductance_sandwich,
     hitting_beta_mc,
     lemma0_compare,
     sample_truncated_tree,
@@ -171,6 +172,18 @@ def test_hitting_annealed_matches_tree_average(mix23):
     pool = sample_pool(mix23, lam, n, 20000, seed=10, method="tree")
     se = np.hypot(est.stderr, pool.beta.std() / np.sqrt(len(pool)))
     assert abs(est.estimate - pool.beta.mean()) < 4 * se
+
+
+def test_fixed_tree_is_not_mutated(mix23):
+    tree = sample_truncated_tree(mix23, 4, seed=3)
+    size = len(tree)
+    est = hitting_beta_mc(tree, 1.0, 4, 2000, seed=4)
+    conductance_sandwich(tree, 1.0, 4)
+    assert len(tree) == size
+    assert tree.star_root is None
+    attach_star_root(tree)
+    # stepping above the root fails with or without the artificial root
+    assert hitting_beta_mc(tree, 1.0, 4, 2000, seed=4).successes == est.successes
 
 
 def test_hitting_input_validation(mix23):
