@@ -6,7 +6,7 @@ from .beta import (BetaPool, BetaTable, BoundReport, beta_derivative_path_sum,
                    check_bounds, compute_beta, compute_beta_derivative,
                    sample_pool, sample_pools_shared_trees)
 from .errors import (DegenerateTupleError, InvalidStateError,
-                     UnsupportedRegimeError)
+                     UnsupportedRegimeError, VerificationError)
 from .network import (WeightedTreeNetwork, build_conductances,
                       conductance_sandwich, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
@@ -27,7 +27,8 @@ __all__ = [
     "FormulaSpeed", "HittingEstimate", "Ineq8Report", "InvalidStateError",
     "MonotonicityReport", "OffspringDistribution", "QuenchedTree",
     "SpeedCurve", "SpeedCurvePoint", "SpeedEstimate", "TuplePool",
-    "UnsupportedRegimeError", "WalkState", "WeightedTreeNetwork",
+    "UnsupportedRegimeError", "VerificationError", "WalkState",
+    "WeightedTreeNetwork",
     "attach_star_root", "beta_derivative_path_sum", "build_conductances",
     "check_bounds", "compute_beta", "compute_beta_derivative",
     "conductance_sandwich", "effective_conductance_to_level",

@@ -19,7 +19,7 @@ import sys
 
 from . import verify as verify_mod
 from .beta import compute_beta, sample_pool
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, VerificationError
 from .network import (build_conductances, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
 from .offspring import OffspringDistribution, parse_pmf_json, parse_pmf_text
@@ -97,11 +97,15 @@ def _resolve(args, cfg: dict, key: str, default, cast=None):
     value = cfg[key]
     if cast is None:
         return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise _CliError(f"config value {value!r} for {key!r} is not "
-                        f"a valid {cast.__name__}") from None
+    # int() and float() would take True as 1 and truncate 7.9 to 7
+    if not isinstance(value, bool) and not (
+            cast is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            pass
+    raise _CliError(f"config value {value!r} for {key!r} is not "
+                    f"a valid {cast.__name__}")
 
 
 def _resolve_dist(args, cfg: dict) -> OffspringDistribution:
@@ -281,7 +285,7 @@ def cmd_beta(args, cfg) -> int:
         _write_records(args.out, args.format, BETA_CSV_FIELDS, records)
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8") as fh:
-            json.dump(tree.to_adjacency(), fh, indent=2)
+            fh.writelines(tree.adjacency_json_chunks())
     if args.pool_out:
         samples = args.samples or _resolve(args, cfg, "samples", 100000, int)
         pool = sample_pool(dist, grid[0], depth, samples, seed, method=args.method)
@@ -376,6 +380,9 @@ def run_cli(argv=None) -> int:
     except (ValueError, UnsupportedRegimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

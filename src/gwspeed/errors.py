@@ -17,6 +17,12 @@ class InvalidStateError(RuntimeError):
     a second artificial root."""
 
 
+class VerificationError(RuntimeError):
+    """A computation broke an invariant it checks on its own result, e.g. the
+    conductance sandwich ordering, or a Monte Carlo walk that did not absorb
+    within its round cap. The CLI reports it with exit code 2."""
+
+
 class DegenerateTupleError(ValueError):
     """A sampled tuple produced a non-positive denominator in the speed
     formula. Cannot happen when the minimum branching number is at least 2."""

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, VerificationError
 from .offspring import make_distribution
 from .tree import QuenchedTree, sample_truncated_tree
 
@@ -158,7 +158,7 @@ def conductance_sandwich(tree: QuenchedTree, lam: float,
 
     Returns (low, mid, high). Increasing every edge conductance cannot
     decrease the effective conductance, so the ordering is a hard invariant;
-    a violation beyond float tolerance raises RuntimeError.
+    a violation beyond float tolerance raises VerificationError.
     """
     if lam <= 0.0:
         raise UnsupportedRegimeError(f"sandwich needs bias > 0, got {lam:.9g}")
@@ -170,7 +170,7 @@ def conductance_sandwich(tree: QuenchedTree, lam: float,
     c_high = _regular_conductance(m2, lam, n)
     slack = 1e-12 * max(1.0, abs(c_mid))
     if not (c_low <= c_mid + slack and c_mid <= c_high + slack):
-        raise RuntimeError(
+        raise VerificationError(
             f"conductance ordering violated: {c_low:.17g} <= {c_mid:.17g} "
             f"<= {c_high:.17g} fails"
         )

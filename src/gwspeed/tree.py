@@ -19,6 +19,7 @@ root as its only child.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,6 +29,11 @@ from .rng import D_TREE, substream
 
 ROOT = 0
 _UBUF = 512  # uniforms prefetched per refill for scalar offspring draws
+# one vertex of the adjacency dump, as json.dumps(..., indent=2) lays it out
+_DUMP_VERTEX = ('  "%d": {\n    "parent": %s,\n    "children": %s,\n'
+                '    "depth": %d\n  }')
+_DUMP_KID_SEP = ",\n      "
+_DUMP_CHUNK = 4096  # vertices per piece of text the dump yields
 
 
 class QuenchedTree:
@@ -81,9 +87,6 @@ class QuenchedTree:
         fc = self.first_child[v]
         return list(range(fc, fc + k))
 
-    def max_generated_depth(self) -> int:
-        return max(self.depth)
-
     def is_materialized_to(self, n: int) -> bool:
         """True when levels 0..n were laid out breadth first at sampling."""
         return n < len(self.level_start) - 1
@@ -112,6 +115,25 @@ class QuenchedTree:
             out[str(v)] = {"parent": None if par < 0 else par,
                            "children": kids, "depth": self.depth[v]}
         return out
+
+    def adjacency_json_chunks(self) -> Iterator[str]:
+        """Yield the text of ``json.dumps(self.to_adjacency(), indent=2)``
+        piece by piece, ``_DUMP_CHUNK`` vertices per piece, straight from the
+        arena lists: only one piece is held at a time, never the whole-tree
+        dict."""
+        lead = "{\n"
+        for lo in range(0, len(self.parent), _DUMP_CHUNK):
+            hi = lo + _DUMP_CHUNK
+            rows = []
+            for v, par, fc, k, dep in zip(range(lo, hi), self.parent[lo:hi],
+                                          self.first_child[lo:hi], self.nu[lo:hi],
+                                          self.depth[lo:hi]):
+                kids = ("[\n      " + _DUMP_KID_SEP.join(map(str, range(fc, fc + k)))
+                        + "\n    ]") if k > 0 else "[]"
+                rows.append(_DUMP_VERTEX % (v, "null" if par < 0 else par, kids, dep))
+            yield lead + ",\n".join(rows)
+            lead = ",\n"
+        yield "\n}"
 
 
 def _sample_offspring_layers(dist: OffspringDistribution, depth: int,

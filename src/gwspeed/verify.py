@@ -15,6 +15,7 @@ import numpy as np
 
 from .beta import (beta_derivative_path_sum, check_bounds, compute_beta,
                    compute_beta_derivative, sample_pools_shared_trees)
+from .errors import VerificationError
 from .network import (build_conductances, conductance_sandwich,
                       effective_conductance_to_level, regular_escape_probability,
                       regular_return_gf)
@@ -119,13 +120,22 @@ def suite_oracles(dist: OffspringDistribution, seed: int) -> list[CheckResult]:
     out.append(CheckResult(comp == 0.0, "oracles/gf-escape-complement",
                            f"worst_abs={comp:.3e}"))
 
-    sandwich_ok = True
+    sandwich_ok, sandwich_detail = True, "trees=25 ordering held"
     for i in range(25):
         tree = sample_truncated_tree(dist, 5, seed=seed + 300 + i)
-        low, mid, high = conductance_sandwich(tree, 0.5 * m1, 5)
-        sandwich_ok &= low <= mid <= high
+        try:
+            low, mid, high = conductance_sandwich(tree, 0.5 * m1, 5)
+        except VerificationError as exc:
+            sandwich_ok, sandwich_detail = False, f"tree={i} {exc}"
+            break
+        # conductance_sandwich allows float slack; this check does not
+        if not low <= mid <= high:
+            sandwich_ok = False
+            sandwich_detail = (f"tree={i} ordering held only within float slack: "
+                               f"{low:.17g} <= {mid:.17g} <= {high:.17g}")
+            break
     out.append(CheckResult(sandwich_ok, "oracles/conductance-sandwich",
-                           "trees=25 ordering held"))
+                           sandwich_detail))
 
     worst_z = 0.0
     for j, (n, lam) in enumerate(((2, 0.25 * m1), (4, 0.5 * m1), (6, 0.75 * m1))):

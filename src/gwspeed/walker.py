@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, VerificationError
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
 from .tree import ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
@@ -272,7 +272,7 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
         succ = depth[pos] == n
         successes += int(succ.sum())
         pos = pos[~succ]
-    raise RuntimeError("hitting walk failed to absorb within the round cap")
+    raise VerificationError("hitting walk failed to absorb within the round cap")
 
 
 def lemma0_compare(dist: OffspringDistribution, lam: float, steps: int,

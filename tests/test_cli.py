@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from gwspeed.cli import run_cli, DEFAULT_PMF
+from gwspeed import network as network_mod
 from gwspeed import verify as verify_mod
+from gwspeed import walker as walker_mod
 
 
 def run(capsys, *argv):
@@ -180,7 +182,8 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("cfg", [{"seed": None}, {"lambda_grid": 5},
-                                 {"pmf": {"2": None}}])
+                                 {"pmf": {"2": None}}, {"seed": 7.9},
+                                 {"seed": True}, {"seed": float("inf")}])
 def test_malformed_config_value_exits_one(capsys, tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -189,6 +192,60 @@ def test_malformed_config_value_exits_one(capsys, tmp_path, cfg):
                        "--single-depth")
     assert code == 1
     assert err.startswith("error: ")
+
+
+BETA_SMALL = ("beta", "--trials", "100")  # bias 1 by default
+
+
+@pytest.mark.parametrize("cfg", [{"depth": True}, {"depth": 2.5},
+                                 {"lambda": False}])
+def test_config_integers_and_numbers_are_strict(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"depth": 2, **cfg}))
+    code, out, err = run(capsys, *BETA_SMALL, "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and out == ""
+
+
+def test_config_integral_float_is_an_integer(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 7.0, "depth": 2.0}))
+    code, out, _ = run(capsys, *BETA_SMALL, "--config", str(path))
+    assert code == 0
+    assert out == run(capsys, *BETA_SMALL, "--seed", "7", "--depth", "2")[1]
+
+
+def test_dump_tree_into_missing_directory_exits_one(capsys, tmp_path):
+    code, _, err = run(capsys, *BETA_SMALL, "--depth", "2", "--dump-tree",
+                       str(tmp_path / "absent" / "tree.json"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_hitting_round_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(walker_mod, "_MAX_SYNC_ROUNDS", 1)
+    code, _, err = run(capsys, *BETA_SMALL, "--depth", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "round cap" in err
+
+
+def test_sandwich_violation_is_a_failed_check(capsys, monkeypatch):
+    # conductances to a level never exceed 1, so 2 breaks low <= mid
+    monkeypatch.setattr(network_mod, "_regular_conductance", lambda d, lam, n: 2.0)
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "7")
+    assert code == 2
+    assert "FAIL oracles/conductance-sandwich: tree=0 conductance ordering" in out
+    assert out.rstrip().endswith("checks passed")
+
+
+def test_sandwich_ordering_within_slack_is_a_failed_check(capsys, monkeypatch):
+    # passes conductance_sandwich's float slack, fails the strict ordering
+    monkeypatch.setattr(verify_mod, "conductance_sandwich",
+                        lambda tree, lam, n: (0.5 + 1e-14, 0.5, 0.75))
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "7")
+    assert code == 2
+    assert ("FAIL oracles/conductance-sandwich: tree=0 ordering held only "
+            "within float slack") in out
 
 
 def _sha256(data: bytes) -> str:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gwspeed import InvalidStateError, attach_star_root, ensure_children, sample_truncated_tree
+from gwspeed import (InvalidStateError, attach_star_root, ensure_children,
+                     make_distribution, sample_truncated_tree)
+from gwspeed import tree as tree_mod
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
-from gwspeed.rng import D_TREE, substream
+from gwspeed.rng import D_TREE, D_WALK, D_WALK_TREE, substream
+from gwspeed.walker import _walk_final_depth
 
 
 def test_binary_truncation_counts(binary):
@@ -122,6 +125,42 @@ def test_adjacency_dump_round_trip(binary):
     for vid, rec in dump.items():
         for child in rec["children"]:
             assert dump[str(child)]["parent"] == int(vid)
+
+
+@pytest.mark.parametrize("pmf", [{2: 1.0}, {2: 0.5, 3: 0.5},
+                                 {1: 0.2, 4: 0.8}, {0: 0.3, 2: 0.7}])
+def test_streamed_dump_equals_json_dumps(pmf, monkeypatch):
+    dist = make_distribution(pmf)
+    for depth in range(7):
+        for star in (False, True):
+            tree = sample_truncated_tree(dist, depth, seed=depth + 3)
+            if star:
+                attach_star_root(tree)
+            expected = json.dumps(tree.to_adjacency(), indent=2)
+            # chunk 3 is smaller than every tree but the one-vertex ones
+            for chunk in (1, 3, tree_mod._DUMP_CHUNK):
+                monkeypatch.setattr(tree_mod, "_DUMP_CHUNK", chunk)
+                assert "".join(tree.adjacency_json_chunks()) == expected
+                monkeypatch.undo()
+
+
+def test_streamed_dump_joins_default_chunks(binary):
+    tree = sample_truncated_tree(binary, 13, seed=5)  # 16383 vertices
+    assert len(tree) > 2 * tree_mod._DUMP_CHUNK
+    assert "".join(tree.adjacency_json_chunks()) == json.dumps(tree.to_adjacency(), indent=2)
+
+
+def test_streamed_dump_of_lazily_grown_tree(mix23, monkeypatch):
+    tree = QuenchedTree(mix23, substream(4, D_WALK_TREE, 1, 0))
+    attach_star_root(tree)
+    _walk_final_depth(tree, 1.0, 400, substream(4, D_WALK, 1, 0))
+    assert -1 in tree.nu  # unborn vertices get []
+    expected = json.dumps(tree.to_adjacency(), indent=2)
+    assert len(tree) > 7
+    for chunk in (1, 7, tree_mod._DUMP_CHUNK):
+        monkeypatch.setattr(tree_mod, "_DUMP_CHUNK", chunk)
+        assert "".join(tree.adjacency_json_chunks()) == expected
+        monkeypatch.undo()
 
 
 def test_truncation_is_a_prefix(mix23):
