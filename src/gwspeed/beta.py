@@ -173,14 +173,89 @@ class BetaPool:
                 fh.write(f"{bv:.9g},{dv:.9g}\n")
 
 
-def _forest_root_values(layers: list[np.ndarray], lam: float,
+def _merge_level(counts: np.ndarray, kids: np.ndarray | None, n_kid_shapes: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """Merge the vertices of one level by shape.
+
+    On the lowest level (``kids is None``) a vertex's shape is its offspring
+    count. Above it, the shape is the ordered sequence of the children's shape
+    ids ``kids``, coded exactly in base ``n_kid_shapes + 1`` with digits
+    id + 1. Returns each vertex's int32 shape id and, per shape, its offspring
+    count and its children's shape ids; or None when the shapes number more
+    than half the level's width or their codes would not fit in int64.
+    """
+    if kids is None:
+        code, code_range = counts, int(counts.max()) + 1
+    else:
+        base, width = n_kid_shapes + 1, int(counts.max())
+        code_range = base ** width
+        if code_range > np.iinfo(np.int64).max:
+            return None
+        off = np.cumsum(counts, dtype=np.int64) - counts
+        code = np.zeros(counts.size, dtype=np.int64)
+        for j in range(width):  # digit j: the shape of each parent's j-th child
+            has = np.flatnonzero(counts > j)
+            code[has] += (kids[off[has] + j].astype(np.int64) + 1) * base ** j
+    if code_range <= counts.size:  # relabel through a presence table, no sort
+        present = np.zeros(code_range, dtype=bool)
+        present[code] = True
+        shapes = np.flatnonzero(present)
+        ids = (np.cumsum(present, dtype=np.int32) - 1)[code]
+    else:
+        shapes, ids = np.unique(code, return_inverse=True)
+    if 2 * shapes.size > counts.size:
+        return None
+    ids = ids.astype(np.int32, copy=False)
+    if kids is None:
+        return ids, shapes, None
+    digits = shapes[:, None] // base ** np.arange(width, dtype=np.int64) % base
+    return ids, np.count_nonzero(digits, axis=1), (digits[digits > 0] - 1).astype(np.int32)
+
+
+def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | None]:
+    """Bias-independent plan of the bottom-up pass over a sampled forest.
+
+    Identical subtrees are merged level by level from the bottom, so a merged
+    level holds one entry per shape (see ``_merge_level``). Merging stops for
+    good at the first level that ``_merge_level`` refuses. (beta, beta')
+    depend only on the shape, and a shape's child sums add the same values in
+    the same order as those of each of its vertices, so the values are
+    bit-identical.
+
+    Consumes ``layers``, so that each merged level's counts are freed once it
+    is merged. Returns the levels bottom up as (counts, kids) for
+    ``_level_step``, where ``kids`` indexes each child's value on the level
+    below (None: the values are read in place), and the index of each root's
+    value on the top level (None when the root level was not merged).
+    """
+    levels, ids, merge = [], None, True
+    while layers:
+        counts = layers.pop()
+        merged = _merge_level(counts, ids, len(levels[-1][0]) if levels else 0) if merge else None
+        if merged is None:
+            merge = False
+            levels.append((counts, ids))
+            ids = None
+        else:
+            ids, shape_counts, shape_kids = merged
+            levels.append((shape_counts, shape_kids))
+    return levels, ids
+
+
+def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
                         n_trees: int) -> tuple[np.ndarray, np.ndarray]:
-    """Root (beta, beta') for every tree of a sampled forest."""
-    if not layers:
+    """Root (beta, beta') for every tree of a forest planned by
+    ``_merge_forest``: one value per shape on merged levels, gathered from the
+    children's values through their index arrays."""
+    if not levels:
         return np.ones(n_trees), np.zeros(n_trees)
     b = db = None
-    for counts in reversed(layers):
+    for counts, kids in levels:
+        if kids is not None:
+            b, db = b[kids], db[kids]
         b, db = _level_step(counts, b, db, lam)[:2]
+    if top is not None:
+        b, db = b[top], db[top]
     return b, db
 
 
@@ -208,9 +283,9 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     for ci, lo in enumerate(range(0, count, chunk)):
         hi = min(lo + chunk, count)
         rng = substream(seed, D_POOL, ci)
-        layers = _sample_offspring_layers(dist, n, hi - lo, rng)
+        levels, top = _merge_forest(_sample_offspring_layers(dist, n, hi - lo, rng))
         for j, lam in enumerate(lams):
-            b, db = _forest_root_values(layers, lam, hi - lo)
+            b, db = _forest_root_values(levels, top, lam, hi - lo)
             betas[j][lo:hi] = b
             dbetas[j][lo:hi] = db
     return [BetaPool(beta=betas[j], dbeta=dbetas[j], level=n, lam=lam, method="tree")

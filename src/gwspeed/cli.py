@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -74,6 +75,20 @@ def _write_records(path: str, fmt: str, fields: list[str], records: list[dict]):
         text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no such directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise _CliError(f"cannot write {path}: {reason}")
 
 
 def _load_config(path: str) -> dict:
@@ -372,6 +387,9 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in (getattr(args, key, None) for key in ("out", "dump_tree", "pool_out")):
+            if path:
+                _check_output_path(path)
         cfg = _load_config(args.config) if getattr(args, "config", None) else {}
         return _COMMANDS[args.command](args, cfg)
     except _CliError as exc:

@@ -13,8 +13,10 @@ from gwspeed import (
     sample_pools_shared_trees,
     sample_truncated_tree,
 )
+from gwspeed.beta import _forest_root_values, _merge_forest
+from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import substream
-from gwspeed.tree import QuenchedTree
+from gwspeed.tree import QuenchedTree, _sample_offspring_layers
 
 LAM_GRID = (0.25, 0.5, 1.0, 1.5)
 
@@ -250,3 +252,52 @@ def test_check_bounds_accepts_table(mix23):
     rep = check_bounds(table, mix23.m1, mix23.m2, 1.0)
     assert rep.samples == 1
     assert rep.ok
+
+
+def _plain_root_values(layers, lam, n_trees):
+    """Reference: the bottom-up recursion over every vertex of every level."""
+    b, db = np.ones(n_trees), np.zeros(n_trees)
+    for k, counts in enumerate(reversed(layers)):
+        off = np.cumsum(counts) - counts
+        s = counts.astype(np.float64) if k == 0 else np.add.reduceat(b, off)
+        sp = 0.0 if k == 0 else np.add.reduceat(db, off)
+        d = lam + s
+        b, db = s / d, (lam * sp - s) / (d * d)
+    return b, db
+
+
+@pytest.mark.parametrize("law,depths", [
+    ("2:1", (0, 1, 2, 8)),  # every level of a wide forest is one shape
+    ("2:0.5,3:0.5", (0, 1, 2, 8)),
+    ("1:0.2,4:0.8", (0, 1, 2, 8)),
+    ("2:0.3,3:0.3,4:0.4", (0, 1, 2, 8)),
+    ("1:0.5,12:0.5", (0, 1, 2, 4)),  # depth 8 would hold ~3e7 vertices a tree
+])
+def test_merged_forest_matches_plain_recursion(law, depths):
+    dist = parse_pmf_text(law)
+    for depth in depths:
+        for n_trees in (1, 50):
+            layers = _sample_offspring_layers(dist, depth, n_trees,
+                                              np.random.default_rng(100 * depth + n_trees))
+            levels, top = _merge_forest(list(layers))
+            for lam in (0.0, 0.3, 1.0, 2.7):
+                ref_b, ref_db = _plain_root_values(layers, lam, n_trees)
+                b, db = _forest_root_values(levels, top, lam, n_trees)
+                assert np.array_equal(b, ref_b) and np.array_equal(db, ref_db)
+
+
+def _merged_levels(law, depth, n_trees, seed):
+    layers = _sample_offspring_layers(parse_pmf_text(law), depth, n_trees,
+                                      np.random.default_rng(seed))
+    levels, top = _merge_forest(list(layers))
+    # a merged level keeps one entry per shape, at most half its width
+    return sum(c.size < raw.size for (c, _), raw in zip(levels, reversed(layers))), top
+
+
+def test_merge_covers_whole_forest_and_stops_at_lowest_level():
+    merged, top = _merged_levels("2:1", 8, 50, 850)
+    assert merged == 8 and top is not None
+    merged, top = _merged_levels("1:0.5,12:0.5", 4, 1, 401)
+    assert merged == 1 and top is None
+    merged, top = _merged_levels("2:1", 1, 1, 101)
+    assert merged == 0 and top is None

@@ -216,10 +216,35 @@ def test_config_integral_float_is_an_integer(capsys, tmp_path):
 
 
 def test_dump_tree_into_missing_directory_exits_one(capsys, tmp_path):
-    code, _, err = run(capsys, *BETA_SMALL, "--depth", "2", "--dump-tree",
-                       str(tmp_path / "absent" / "tree.json"))
+    code, out, err = run(capsys, *BETA_SMALL, "--depth", "2", "--dump-tree",
+                         str(tmp_path / "absent" / "tree.json"))
     assert code == 1
     assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
+    code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
+                         "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and "absent" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("regular", "--d", "2", "--lambda", "1", "--out"),
+    ("simulate", "--lambda", "1", "--steps", "10", "--replicas", "2", "--out"),
+    BETA_SMALL + ("--depth", "2", "--out"),
+    BETA_SMALL + ("--depth", "2", "--pool-out"),
+    ("verify", "--suite", "lemma0", "--out"),
+])
+def test_unusable_output_path_exits_before_any_output(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write ")
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert (code, out) == (1, "")
+    assert "is a directory" in err
 
 
 def test_hitting_round_cap_exits_two(capsys, monkeypatch):
@@ -268,6 +293,25 @@ def test_pinned_outputs_are_byte_identical(capsys, tmp_path):
         "254fe9a689368fd87c361572a19ddc789e9ea850f0cf426ea5c0bf7fb4ddc33a")
     assert _sha256(tree_path.read_bytes()) == (
         "35081d9e7e5856332b37d4b60057e5f524cc97aa4781659ecd40a16bc86b03d6")
+
+
+def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
+    # digests recorded before identical subtrees were merged in the forest
+    # recursion; the curve and the pool file are what that recursion feeds
+    curve_path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, "speed-curve", "--depth", "6", "--samples", "300",
+                       "--tuples", "5000", "--seed", "7", "--out", str(curve_path))
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "7a17af62f4b7d98f8521609e37dba1f5dddfbeab87bb6aad94607033dbae6d46")
+    assert _sha256(curve_path.read_bytes()) == (
+        "ab2fbda8282d1e118c9d3f16d7b75b63906f3ac8399849649278e68bd7ccdaa7")
+    pool_path = tmp_path / "pool.csv"
+    code, _, _ = run(capsys, "beta", "--depth", "6", "--samples", "2000",
+                     "--seed", "7", "--pool-out", str(pool_path))
+    assert code == 0
+    assert _sha256(pool_path.read_bytes()) == (
+        "3c50f00929c07d64d7564e948633c113894d3af7a3d1f9842037605d5f740974")
 
 
 def test_verify_suite_reports_and_succeeds(capsys):
