@@ -278,6 +278,15 @@ def cmd_beta(args, cfg) -> int:
         grid = [args.lam]
     else:
         grid = [_resolve(args, cfg, "lambda", 1.0, float)]
+    # every count and bias is checked before the table header is printed;
+    # --samples sizes only the --pool-out pool
+    samples = _resolve(args, cfg, "samples", 100000, int) if args.pool_out else 1
+    for name, value in (("--depth", depth), ("--trials", args.trials),
+                        ("--samples", samples)):
+        if value < 1:
+            raise _CliError(f"{name} must be >= 1, got {value}")
+    if min(grid) < 0:
+        raise _CliError(f"bias must be >= 0, got {min(grid):.9g}")
 
     tree = sample_truncated_tree(dist, depth, seed)
     attach_star_root(tree)
@@ -302,7 +311,6 @@ def cmd_beta(args, cfg) -> int:
         with open(args.dump_tree, "w", encoding="utf-8") as fh:
             fh.writelines(tree.adjacency_json_chunks())
     if args.pool_out:
-        samples = args.samples or _resolve(args, cfg, "samples", 100000, int)
         pool = sample_pool(dist, grid[0], depth, samples, seed, method=args.method)
         pool.write_csv(args.pool_out)
     return 0

@@ -151,9 +151,6 @@ class OffspringDistribution:
     def to_text(self) -> str:
         return ",".join(f"{k}:{p:.9g}" for k, p in self.entries)
 
-    def to_json_obj(self) -> dict:
-        return {"pmf": {str(k): p for k, p in self.entries}}
-
     def __str__(self) -> str:
         return self.to_text()
 

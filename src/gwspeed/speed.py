@@ -106,6 +106,17 @@ def _ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return float(r), float(math.sqrt(max(var, 0.0)))
 
 
+def _delta_stderr(terms, grad) -> float:
+    """Delta-method standard error of a smooth function of the means of the
+    paired per-tuple ``terms``, given its gradient there (0 for one tuple)."""
+    if terms[0].size < 2:
+        return 0.0
+    sigma = np.cov(np.stack(terms), ddof=1)
+    grad = np.array(grad)
+    var = float(grad @ sigma @ grad) / terms[0].size
+    return math.sqrt(max(var, 0.0))
+
+
 def _speed_terms(tp: TuplePool, lam: float):
     """Per-tuple numerator/denominator weights, plain and symmetrized."""
     d = tp.denominators
@@ -214,17 +225,11 @@ def _ineq8_from_terms(t1, t2, t3, t4, lam: float) -> Ineq8Report:
     lhs = e1 * e2 - e3 * e4
     rhs = e1 * e3 / lam
     margin = rhs - lhs
-    m = t1.size
-    if m >= 2:
-        sigma = np.cov(np.stack([t1, t2, t3, t4]), ddof=1)
-        grad = np.array([e3 / lam - e2, -e1, e1 / lam + e4, e3])
-        var = float(grad @ sigma @ grad) / m
-        stderr = math.sqrt(max(var, 0.0))
-    else:
-        stderr = 0.0
+    stderr = _delta_stderr([t1, t2, t3, t4],
+                           [e3 / lam - e2, -e1, e1 / lam + e4, e3])
     return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
                        margin=margin, mc_stderr=stderr, holds=lhs < rhs,
-                       lam=lam, tuples=int(m))
+                       lam=lam, tuples=int(t1.size))
 
 
 def inequality8(dist: OffspringDistribution, lam: float,
@@ -383,14 +388,8 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
 def _paired_ratio_diff(num_a, den_a, num_b, den_b) -> tuple[float, float]:
     """Difference of two ratio estimates whose per-tuple terms are paired,
     with the delta-method standard error of the difference."""
-    m = num_a.size
     na, da = num_a.mean(), den_a.mean()
     nb, db = num_b.mean(), den_b.mean()
     ra, rb = na / da, nb / db
-    diff = float(ra - rb)
-    if m < 2:
-        return diff, 0.0
-    sigma = np.cov(np.stack([num_a, den_a, num_b, den_b]), ddof=1)
-    grad = np.array([1.0 / da, -ra / da, -1.0 / db, rb / db])
-    var = float(grad @ sigma @ grad) / m
-    return diff, math.sqrt(max(var, 0.0))
+    return float(ra - rb), _delta_stderr([num_a, den_a, num_b, den_b],
+                                         [1.0 / da, -ra / da, -1.0 / db, rb / db])

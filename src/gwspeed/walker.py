@@ -10,6 +10,10 @@ Speed is estimated from the terminal statistic (depth after ``steps`` steps)
 divided by the step count, one independent tree and walk per replica, with
 the standard error taken across replicas. Replicas are iid by construction,
 so no autocorrelation correction is needed.
+
+``_walk_final_depth`` is the one loop that walks a lazily grown tree, for
+speed replicas and annealed hitting trials alike; ``transition_step`` is the
+scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -90,23 +94,30 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
 
 
 def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
-                      rng: np.random.Generator, start: int = ROOT) -> int:
-    """Depth after ``steps`` steps; tight-loop equivalent of transition_step
-    (consumes the identical uniform stream)."""
+                      rng: np.random.Generator, stop: int = -2) -> int:
+    """Depth after ``steps`` steps from the root; tight-loop equivalent of
+    transition_step (consumes the identical uniform stream). With ``stop >=
+    1`` the walk returns early: ``stop`` on its first arrival at that depth,
+    -1 on its first arrival at the artificial root. The depth check runs where
+    a vertex grows its children, so the tree must be grown by this walk alone."""
     parent = tree.parent
     depth = tree.depth
     first_child = tree.first_child
     nu_list = tree.nu
     draw_nu = tree._draw_nu
-    pos = start
-    dep = depth[start]
+    pos = ROOT
+    dep = depth[ROOT]
     remaining = steps
+    block = 64  # doubles up to _BLOCK, so a short walk draws few uniforms
     while remaining > 0:
-        block = rng.random(min(_BLOCK, remaining)).tolist()
-        remaining -= len(block)
-        for u in block:
+        us = rng.random(min(block, remaining)).tolist()
+        remaining -= len(us)
+        block = min(2 * block, _BLOCK)
+        for u in us:
             k = nu_list[pos]
             if k < 0:
+                if dep == stop:
+                    return dep
                 k = draw_nu()
                 fc = len(parent)
                 parent.extend([pos] * k)
@@ -117,6 +128,8 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
                 nu_list[pos] = k
             par = parent[pos]
             if par < 0:
+                if dep < 0 < stop:
+                    return dep
                 j = int(u * k)
                 pos = first_child[pos] + (j if j < k else k - 1)
                 dep += 1
@@ -171,25 +184,20 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
 
     indices = list(range(replicas))
     if workers > 1:
-        chunks = [indices[c::workers] for c in range(workers)]
-        depths_by_index = {}
+        cuts = [c * replicas // workers for c in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [(chunk, pool.submit(_replica_depths, dist.entries, lam,
-                                        steps, seed, graph, chunk))
-                    for chunk in chunks if chunk]
-            for chunk, fut in futs:
-                for i, dep in zip(chunk, fut.result()):
-                    depths_by_index[i] = dep
-        depths = [depths_by_index[i] for i in indices]
+            futs = [pool.submit(_replica_depths, dist.entries, lam, steps, seed,
+                                graph, indices[a:b])
+                    for a, b in zip(cuts, cuts[1:]) if a < b]
+            depths = [dep for fut in futs for dep in fut.result()]
     else:
         depths = _replica_depths(dist.entries, lam, steps, seed, graph, indices)
 
     speeds = np.array(depths, dtype=float) / steps
     mean = float(speeds.mean())
     stderr = float(speeds.std(ddof=1) / np.sqrt(replicas))
-    per = None
-    if keep_replicas:
-        per = [(i, depths[i], steps, float(speeds[i])) for i in indices]
+    per = ([(i, depths[i], steps, float(speeds[i])) for i in indices]
+           if keep_replicas else None)
     return SpeedEstimate(mean=mean, stderr=stderr, replicas=replicas,
                          steps_per_replica=steps, lam=lam, graph=graph,
                          regime_warning=regime_warning, per_replica=per)
@@ -202,7 +210,8 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
     quenched: all trials on one fixed tree (supplied or sampled from the
     seed). annealed: a fresh tree per trial, estimating the tree-averaged
-    probability.
+    probability. Both modes need a leafless law, and both raise
+    VerificationError when a walk has not absorbed within the round cap.
     """
     if lam < 0:
         raise ValueError(f"bias must be >= 0, got {lam:.9g}")
@@ -213,43 +222,32 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     if mode not in ("quenched", "annealed"):
         raise ValueError(f"mode must be quenched or annealed, got {mode!r}")
 
+    fixed = not isinstance(dist_or_tree, OffspringDistribution)
+    if fixed and mode == "annealed":
+        raise ValueError("annealed mode requires an offspring law, not a fixed tree")
+    dist = dist_or_tree.dist if fixed else dist_or_tree
+    if dist.has_leaves:
+        raise UnsupportedRegimeError("hitting simulation needs a leafless offspring law")
+
     if mode == "annealed":
-        if not isinstance(dist_or_tree, OffspringDistribution):
-            raise ValueError("annealed mode requires an offspring law, not a fixed tree")
         successes = 0
         for t in range(trials):
-            tree = QuenchedTree(dist_or_tree, substream(seed, D_TREE, t))
-            star = attach_star_root(tree)
-            successes += _hit_level_once(tree, star, lam, n,
-                                         substream(seed, D_HIT, t))
-        p = successes / trials
-        return HittingEstimate(estimate=p, stderr=float(np.sqrt(p * (1 - p) / trials)),
-                               trials=trials, successes=successes, lam=lam,
-                               level=n, mode=mode)
-
-    if isinstance(dist_or_tree, OffspringDistribution):
-        tree = sample_truncated_tree(dist_or_tree, n, seed)
+            tree = QuenchedTree(dist, substream(seed, D_TREE, t))
+            attach_star_root(tree)
+            end = _walk_final_depth(tree, lam, _MAX_SYNC_ROUNDS,
+                                    substream(seed, D_HIT, t), n)
+            if end != n and end != -1:
+                raise VerificationError("hitting walk failed to absorb within the round cap")
+            successes += end == n
     else:
-        tree = dist_or_tree
+        tree = dist_or_tree if fixed else sample_truncated_tree(dist, n, seed)
         if not tree.is_materialized_to(n):
             raise ValueError(f"fixed tree is not materialized to depth {n}")
-    successes = _hit_level_vectorized(tree, lam, n, trials, substream(seed, D_HIT, 0))
+        successes = _hit_level_vectorized(tree, lam, n, trials, substream(seed, D_HIT, 0))
     p = successes / trials
     return HittingEstimate(estimate=p, stderr=float(np.sqrt(p * (1 - p) / trials)),
                            trials=trials, successes=successes, lam=lam,
                            level=n, mode=mode)
-
-
-def _hit_level_once(tree: QuenchedTree, star: int, lam: float, n: int,
-                    rng: np.random.Generator) -> int:
-    """One lazy-tree trial; returns 1 on reaching depth n first."""
-    state = WalkState(position=ROOT, steps=0, rng=rng)
-    while True:
-        transition_step(tree, state, lam)
-        if state.position == star:
-            return 0
-        if tree.depth[state.position] == n:
-            return 1
 
 
 def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
@@ -276,14 +274,11 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
 
 
 def lemma0_compare(dist: OffspringDistribution, lam: float, steps: int,
-                   replicas: int, seed: int,
-                   workers: int = 1) -> tuple[SpeedEstimate, SpeedEstimate, float]:
+                   replicas: int, seed: int) -> tuple[SpeedEstimate, SpeedEstimate, float]:
     """Speed on the bare tree versus the tree with the artificial root,
     estimated with independent randomness, plus the discrepancy z-score."""
-    est_t = simulate_speed(dist, lam, steps, replicas, seed, graph="T",
-                           workers=workers)
-    est_s = simulate_speed(dist, lam, steps, replicas, seed, graph="T_star",
-                           workers=workers)
+    est_t = simulate_speed(dist, lam, steps, replicas, seed, graph="T")
+    est_s = simulate_speed(dist, lam, steps, replicas, seed, graph="T_star")
     if est_t.mean == est_s.mean:
         z = 0.0
     else:

@@ -231,6 +231,20 @@ def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ("--trials", "0"),
+    ("--lambda", "-1"),
+    ("--lambda-grid=-0.5:1:0.5",),
+    ("--depth", "0"),
+    ("--samples", "-1", "--pool-out", "pool.csv"),
+])
+def test_beta_bad_counts_and_biases_exit_before_any_output(capsys, tmp_path, flags):
+    flags = tuple(str(tmp_path / f) if f.endswith(".csv") else f for f in flags)
+    code, out, err = run(capsys, "beta", "--depth", "3", "--trials", "10", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be >= " in err
+
+
 @pytest.mark.parametrize("argv", [
     ("regular", "--d", "2", "--lambda", "1", "--out"),
     ("simulate", "--lambda", "1", "--steps", "10", "--replicas", "2", "--out"),
@@ -312,6 +326,23 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
     assert code == 0
     assert _sha256(pool_path.read_bytes()) == (
         "3c50f00929c07d64d7564e948633c113894d3af7a3d1f9842037605d5f740974")
+
+
+def test_pinned_simulate_outputs_are_byte_identical(capsys, tmp_path):
+    # replica CSV digests recorded before annealed hitting moved onto the
+    # production walk loop and that loop began drawing its uniforms in
+    # doubling blocks; 40,000 steps cross every block size
+    digests = {
+        "T": "210bcffadc765f81dcd5fcc1b8214e30cd3a615be1c4dddc0d46514075edcc5e",
+        "T_star": "e8c9a4ec73719cc6d7132bc14de89952e10271be5a8faeef49d6a6da05b3bf70",
+    }
+    for graph, digest in digests.items():
+        path = tmp_path / f"{graph}.csv"
+        code, _, _ = run(capsys, "simulate", "--lambda", "1", "--steps", "40000",
+                         "--replicas", "4", "--graph", graph, "--seed", "7",
+                         "--out", str(path))
+        assert code == 0
+        assert _sha256(path.read_bytes()) == digest
 
 
 def test_verify_suite_reports_and_succeeds(capsys):

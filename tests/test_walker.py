@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,18 +6,21 @@ import pytest
 
 from gwspeed import (
     UnsupportedRegimeError,
+    VerificationError,
     WalkState,
     attach_star_root,
     compute_beta,
     conductance_sandwich,
     hitting_beta_mc,
     lemma0_compare,
+    parse_pmf_text,
     sample_truncated_tree,
     simulate_speed,
     transition_step,
 )
+from gwspeed import walker as walker_mod
 from gwspeed.tree import QuenchedTree
-from gwspeed.rng import substream
+from gwspeed.rng import D_HIT, D_TREE, substream
 from gwspeed.walker import _walk_final_depth
 
 from conftest import binomial_z
@@ -70,16 +74,58 @@ def test_kernel_at_root_uniform_over_children(ternary):
 
 
 def test_fast_loop_matches_reference_kernel(mix23):
-    # the production loop consumes the same uniforms as transition_step
-    for lam in (0.0, 0.7, 1.5):
+    # the production loop consumes the same uniforms as transition_step; the
+    # step counts cross its block boundaries (64, then doubling blocks)
+    for steps, lam in itertools.product((1, 64, 65, 40_000), (0.0, 0.7, 1.5)):
         t1 = QuenchedTree(mix23, substream(42, 1, 0))
-        depth_fast = _walk_final_depth(t1, lam, 4000, substream(42, 2, 0))
+        depth_fast = _walk_final_depth(t1, lam, steps, substream(42, 2, 0))
         t2 = QuenchedTree(mix23, substream(42, 1, 0))
         state = WalkState(position=t2.root, steps=0, rng=substream(42, 2, 0))
-        for _ in range(4000):
+        for _ in range(steps):
             transition_step(t2, state, lam)
         assert depth_fast == t2.depth[state.position]
         assert t1.nu == t2.nu
+
+
+def _reference_annealed_successes(dist, lam, n, trials, seed):
+    """Annealed hitting stepped through transition_step: a fresh tree with the
+    artificial root per trial, walked until depth n or that root."""
+    successes = 0
+    for t in range(trials):
+        tree = QuenchedTree(dist, substream(seed, D_TREE, t))
+        star = attach_star_root(tree)
+        state = WalkState(position=tree.root, steps=0, rng=substream(seed, D_HIT, t))
+        while state.position != star and tree.depth[state.position] != n:
+            transition_step(tree, state, lam)
+        successes += state.position != star
+    return successes
+
+
+@pytest.mark.parametrize("law", ["2:1", "2:0.5,3:0.5", "1:0.2,4:0.8"])
+def test_annealed_hitting_matches_reference_loop(law):
+    dist = parse_pmf_text(law)
+    for lam in (0.0, 0.5, 1.0, 2.5):
+        for n in (1, 3, 8):
+            est = hitting_beta_mc(dist, lam, n, 150, seed=5, mode="annealed")
+            assert est.successes == _reference_annealed_successes(dist, lam, n, 150, 5)
+
+
+def test_annealed_round_cap_raises(mix23, monkeypatch):
+    monkeypatch.setattr(walker_mod, "_MAX_SYNC_ROUNDS", 3)
+    with pytest.raises(VerificationError, match="round cap"):
+        hitting_beta_mc(mix23, 1.0, 8, 50, seed=1, mode="annealed")
+
+
+def test_hitting_rejects_laws_with_leaves():
+    law = parse_pmf_text("0:0.3,2:0.7")
+    with pytest.raises(UnsupportedRegimeError):
+        hitting_beta_mc(law, 1.0, 5, 200, seed=1, mode="annealed")
+    with pytest.raises(UnsupportedRegimeError):
+        hitting_beta_mc(law, 1.0, 5, 200, seed=1)
+    extinct = sample_truncated_tree(law, 5, seed=3)
+    assert extinct.level_start[-1] == extinct.level_start[-2]  # level 5 is empty
+    with pytest.raises(UnsupportedRegimeError):
+        hitting_beta_mc(extinct, 1.0, 5, 200, seed=1)
 
 
 def test_speed_lambda_zero_exact(binary, mix23):
