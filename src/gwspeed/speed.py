@@ -309,9 +309,15 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     covers consecutive pairs up to the certified threshold and is refused
     when the minimum branching number is below 2.
 
-    With mc_steps and mc_replicas positive, an independent walker estimate is
-    attached to every point as a cross-check column.
+    With mc_steps positive and mc_replicas at least 2, an independent walker
+    estimate is attached to every point as a cross-check column; both zero
+    leaves it off, and any other pair is refused.
     """
+    if samples < 1 or tuples < 1:
+        raise ValueError(f"need samples >= 1 and tuples >= 1, got {samples} and {tuples}")
+    if not (mc_steps == mc_replicas == 0 or (mc_steps >= 1 and mc_replicas >= 2)):
+        raise ValueError("the walker cross-check needs steps >= 1 and replicas >= 2, "
+                         f"or both 0; got {mc_steps} and {mc_replicas}")
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("empty bias grid")
@@ -354,7 +360,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
             point.ineq8_holds = rep.holds
         points.append(point)
 
-    if mc_steps > 0 and mc_replicas > 1:
+    if mc_steps > 0:
         from .walker import simulate_speed
         for point in points:
             est = simulate_speed(dist, point.lam, mc_steps, mc_replicas, seed)

@@ -18,7 +18,6 @@ root as its only child.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 
 import numpy as np
@@ -28,7 +27,7 @@ from .offspring import OffspringDistribution
 from .rng import D_TREE, substream
 
 ROOT = 0
-_UBUF = 512  # uniforms prefetched per refill for scalar offspring draws
+_UBUF = 512  # offspring counts drawn per refill for scalar draws
 # one vertex of the adjacency dump, as json.dumps(..., indent=2) lays it out
 _DUMP_VERTEX = ('  "%d": {\n    "parent": %s,\n    "children": %s,\n'
                 '    "depth": %d\n  }')
@@ -40,7 +39,7 @@ class QuenchedTree:
     """One realization of the branching tree, grown lazily from its root."""
 
     __slots__ = ("dist", "parent", "depth", "first_child", "nu", "star_root",
-                 "level_start", "_rng", "_u", "_ui", "_cum", "_ks")
+                 "level_start", "_rng", "_nus", "_ni")
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
@@ -51,10 +50,8 @@ class QuenchedTree:
         self.star_root: int | None = None
         self.level_start = [0, 1]  # breadth-first level bounds, root only
         self._rng = rng
-        self._u: list[float] = []
-        self._ui = 0
-        self._cum = dist._cum.tolist()
-        self._ks = [k for k, _ in dist.entries]
+        self._nus: list[int] = []  # buffered offspring counts, next at _ni
+        self._ni = 0
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -64,12 +61,11 @@ class QuenchedTree:
         return ROOT
 
     def _draw_nu(self) -> int:
-        if self._ui >= len(self._u):
-            self._u = self._rng.random(_UBUF).tolist()
-            self._ui = 0
-        u = self._u[self._ui]
-        self._ui += 1
-        return self._ks[bisect_right(self._cum, u)]
+        if self._ni >= len(self._nus):
+            self._nus = self.dist.draw_counts(self._rng, _UBUF).tolist()
+            self._ni = 0
+        self._ni += 1
+        return self._nus[self._ni - 1]
 
     def children(self, v: int) -> list[int]:
         """Ids of v's children, generating them on first access."""

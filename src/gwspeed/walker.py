@@ -11,9 +11,14 @@ divided by the step count, one independent tree and walk per replica, with
 the standard error taken across replicas. Replicas are iid by construction,
 so no autocorrelation correction is needed.
 
-``_walk_final_depth`` is the one loop that walks a lazily grown tree, for
-speed replicas and annealed hitting trials alike; ``transition_step`` is the
-scalar reference it is tested against.
+Speed replicas and annealed hitting trials take one of two paths, chosen by
+the offspring law alone. On a one-point law (``m1 == m2``, the regular tree)
+every vertex looks the same, so ``_chain_final_depth`` walks the depth as a
+reflected +-1 chain and grows no tree. On every other law
+``_walk_final_depth`` walks a lazily grown tree. Both read the walk stream
+identically, so the chain's depths equal the tree walk's bit for bit; the tree
+walk is the reference the chain is tested against, and ``transition_step`` is
+the scalar reference for the tree walk.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import UnsupportedRegimeError, VerificationError
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
-from .tree import ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
+from .tree import _UBUF, ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
@@ -104,7 +109,9 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
     depth = tree.depth
     first_child = tree.first_child
     nu_list = tree.nu
-    draw_nu = tree._draw_nu
+    draw_counts = tree.dist.draw_counts
+    tree_rng = tree._rng
+    nus, ni = tree._nus, tree._ni  # the tree's count buffer, written back on return
     pos = ROOT
     dep = depth[ROOT]
     remaining = steps
@@ -117,8 +124,13 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
             k = nu_list[pos]
             if k < 0:
                 if dep == stop:
+                    tree._nus, tree._ni = nus, ni
                     return dep
-                k = draw_nu()
+                if ni >= len(nus):
+                    nus = draw_counts(tree_rng, _UBUF).tolist()
+                    ni = 0
+                k = nus[ni]
+                ni += 1
                 fc = len(parent)
                 parent.extend([pos] * k)
                 depth.extend([dep + 1] * k)
@@ -129,6 +141,7 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
             par = parent[pos]
             if par < 0:
                 if dep < 0 < stop:
+                    tree._nus, tree._ni = nus, ni
                     return dep
                 j = int(u * k)
                 pos = first_child[pos] + (j if j < k else k - 1)
@@ -142,18 +155,54 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
                     j = int(t)
                     pos = first_child[pos] + (j if j < k else k - 1)
                     dep += 1
+    tree._nus, tree._ni = nus, ni
+    return dep
+
+
+def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
+                       star: bool, stop: int = -2) -> int:
+    """``_walk_final_depth`` on the k-regular tree (T, or T_star when
+    ``star``), without the tree: the same depth from the same walk stream.
+
+    The height x of the walk above the parentless vertex moves by
+    x <- |x + s|, with s = -1 exactly when the tree walk would step to the
+    parent (``u*(lam + k) - lam < 0.0``). Over a block of uniforms with
+    partial sums S this gives x + S_end plus 2 for each of the levels -1, -3,
+    ... that x + min S reaches. With ``stop >= 1`` (T_star only) the walk
+    returns at its first arrival at depth ``stop`` or -1."""
+    floor = -1 if star else 0  # depth of the parentless vertex
+    dep = 0
+    c = lam + k
+    remaining = steps
+    block = 64  # the tree walk's pieces, so memory stays flat
+    while remaining > 0:
+        u = rng.random(min(block, remaining))
+        remaining -= u.size
+        block = min(2 * block, _BLOCK)
+        if stop >= 1:  # step by step: a hitting trial rarely outlasts one block
+            for ui in u.tolist():
+                dep += -1 if ui * c - lam < 0.0 else 1
+                if dep == stop or dep == -1:
+                    return dep
+        else:
+            path = dep + np.cumsum(np.where(u * c - lam < 0.0, -1, 1))
+            dep = int(path[-1]) + 2 * ((max(0, floor - int(path.min())) + 1) // 2)
     return dep
 
 
 def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
     dist = OffspringDistribution(entries)
     gcode = _GRAPH_CODES[graph]
+    star = graph == "T_star"
     out = []
     for i in indices:
-        tree = QuenchedTree(dist, substream(seed, D_WALK_TREE, gcode, i))
-        if graph == "T_star":
-            attach_star_root(tree)
         walk_rng = substream(seed, D_WALK, gcode, i)
+        if dist.m1 == dist.m2:
+            out.append(_chain_final_depth(dist.m1, lam, steps, walk_rng, star))
+            continue
+        tree = QuenchedTree(dist, substream(seed, D_WALK_TREE, gcode, i))
+        if star:
+            attach_star_root(tree)
         out.append(_walk_final_depth(tree, lam, steps, walk_rng))
     return out
 
@@ -232,10 +281,13 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     if mode == "annealed":
         successes = 0
         for t in range(trials):
-            tree = QuenchedTree(dist, substream(seed, D_TREE, t))
-            attach_star_root(tree)
-            end = _walk_final_depth(tree, lam, _MAX_SYNC_ROUNDS,
-                                    substream(seed, D_HIT, t), n)
+            walk_rng = substream(seed, D_HIT, t)
+            if dist.m1 == dist.m2:
+                end = _chain_final_depth(dist.m1, lam, _MAX_SYNC_ROUNDS, walk_rng, True, n)
+            else:
+                tree = QuenchedTree(dist, substream(seed, D_TREE, t))
+                attach_star_root(tree)
+                end = _walk_final_depth(tree, lam, _MAX_SYNC_ROUNDS, walk_rng, n)
             if end != n and end != -1:
                 raise VerificationError("hitting walk failed to absorb within the round cap")
             successes += end == n

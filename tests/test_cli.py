@@ -223,6 +223,23 @@ def test_dump_tree_into_missing_directory_exits_one(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ("--tuples", "0"),
+    ("--samples", "0"),
+    ("--mc-steps", "-1"),
+    ("--mc-replicas", "-2"),
+    ("--mc-steps", "10"),
+    ("--mc-replicas", "4"),
+    ("--mc-steps", "10", "--mc-replicas", "1"),
+])
+def test_curve_bad_counts_exit_before_any_output(capsys, flags):
+    code, out, err = run(capsys, "speed-curve", "--depth", "3", "--samples", "50",
+                         "--tuples", "500", *flags)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
                          "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))
@@ -329,18 +346,34 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
 
 
 def test_pinned_simulate_outputs_are_byte_identical(capsys, tmp_path):
-    # replica CSV digests recorded before annealed hitting moved onto the
-    # production walk loop and that loop began drawing its uniforms in
-    # doubling blocks; 40,000 steps cross every block size
+    # replica CSV digests of (pmf, bias, graph), 40,000 steps crossing every
+    # block size. The demo-law digests were recorded before annealed hitting
+    # moved onto the production walk loop and that loop began drawing its
+    # uniforms in doubling blocks; the one-point-law digests were recorded
+    # on the tree walk, before those laws moved onto the depth chain.
     digests = {
-        "T": "210bcffadc765f81dcd5fcc1b8214e30cd3a615be1c4dddc0d46514075edcc5e",
-        "T_star": "e8c9a4ec73719cc6d7132bc14de89952e10271be5a8faeef49d6a6da05b3bf70",
+        (DEFAULT_PMF, "1", "T"):
+            "210bcffadc765f81dcd5fcc1b8214e30cd3a615be1c4dddc0d46514075edcc5e",
+        (DEFAULT_PMF, "1", "T_star"):
+            "e8c9a4ec73719cc6d7132bc14de89952e10271be5a8faeef49d6a6da05b3bf70",
+        ("2:1", "0.25", "T"):
+            "0d941e1ed556f31a7884edb11dd1a11e6f1882c4564fa6b49c4b145f492d09dd",
+        ("2:1", "0.25", "T_star"):
+            "e055bf85ad8b93257f23bcfd2ee3d368b7fafabdacd11037a02024d8cfe75a8f",
+        ("2:1", "1.5", "T"):
+            "6c6c30eb9c57bb192fc41e28ae19bd3f2aedcb0d634224eff50aef4d3d6bc202",
+        ("2:1", "1.5", "T_star"):
+            "51d27f60b4b41c0fe2f623be7bbcd0e55f1f2f65b942e1a1542d737f6c366fcc",
+        ("3:1", "0", "T"):
+            "ac0ca07b8242e8de8bf22f17622bc655e564b3e78164d9a43f9695d28c360794",
+        ("3:1", "0", "T_star"):
+            "ac0ca07b8242e8de8bf22f17622bc655e564b3e78164d9a43f9695d28c360794",
     }
-    for graph, digest in digests.items():
-        path = tmp_path / f"{graph}.csv"
-        code, _, _ = run(capsys, "simulate", "--lambda", "1", "--steps", "40000",
-                         "--replicas", "4", "--graph", graph, "--seed", "7",
-                         "--out", str(path))
+    for (pmf, lam, graph), digest in digests.items():
+        path = tmp_path / "replicas.csv"
+        code, _, _ = run(capsys, "simulate", "--pmf", pmf, "--lambda", lam,
+                         "--steps", "40000", "--replicas", "4", "--graph", graph,
+                         "--seed", "7", "--out", str(path))
         assert code == 0
         assert _sha256(path.read_bytes()) == digest
 

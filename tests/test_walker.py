@@ -20,7 +20,7 @@ from gwspeed import (
 )
 from gwspeed import walker as walker_mod
 from gwspeed.tree import QuenchedTree
-from gwspeed.rng import D_HIT, D_TREE, substream
+from gwspeed.rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
 from gwspeed.walker import _walk_final_depth
 
 from conftest import binomial_z
@@ -85,6 +85,37 @@ def test_fast_loop_matches_reference_kernel(mix23):
             transition_step(t2, state, lam)
         assert depth_fast == t2.depth[state.position]
         assert t1.nu == t2.nu
+        assert (t1._nus, t1._ni) == (t2._nus, t2._ni)  # the count buffer is written back
+
+
+@pytest.mark.filterwarnings("ignore:bias")
+@pytest.mark.parametrize("law", ["1:1", "2:1", "3:1"])
+def test_chain_matches_tree_walk(law):
+    # on a one-point law simulate walks the depth chain and grows no tree; its
+    # final depths must equal the tree walk's on the same replica streams.
+    # The step counts cross the block boundaries (64, then doubling blocks).
+    dist = parse_pmf_text(law)
+    k = dist.m1
+    for lam, steps, graph in itertools.product((0.0, 0.25, 1.0, 1.5, float(k), 5.0),
+                                               (1, 63, 64, 65, 40_000), ("T", "T_star")):
+        est = simulate_speed(dist, lam, steps, 2, seed=3, graph=graph, keep_replicas=True)
+        gcode = walker_mod._GRAPH_CODES[graph]
+        for i, depth, _, _ in est.per_replica:
+            tree = QuenchedTree(dist, substream(3, D_WALK_TREE, gcode, i))
+            if graph == "T_star":
+                attach_star_root(tree)
+            assert depth == _walk_final_depth(tree, lam, steps, substream(3, D_WALK, gcode, i))
+
+
+def test_one_point_laws_grow_no_tree(binary, mix23, monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("grew a tree")
+
+    monkeypatch.setattr(walker_mod, "QuenchedTree", no_tree)
+    simulate_speed(binary, 1.0, 100, 2, seed=1, graph="T_star")
+    hitting_beta_mc(binary, 1.0, 3, 20, seed=1, mode="annealed")
+    with pytest.raises(AssertionError, match="grew a tree"):
+        simulate_speed(mix23, 1.0, 100, 2, seed=1)
 
 
 def _reference_annealed_successes(dist, lam, n, trials, seed):
@@ -101,7 +132,7 @@ def _reference_annealed_successes(dist, lam, n, trials, seed):
     return successes
 
 
-@pytest.mark.parametrize("law", ["2:1", "2:0.5,3:0.5", "1:0.2,4:0.8"])
+@pytest.mark.parametrize("law", ["2:1", "3:1", "2:0.5,3:0.5", "1:0.2,4:0.8"])
 def test_annealed_hitting_matches_reference_loop(law):
     dist = parse_pmf_text(law)
     for lam in (0.0, 0.5, 1.0, 2.5):
@@ -110,10 +141,11 @@ def test_annealed_hitting_matches_reference_loop(law):
             assert est.successes == _reference_annealed_successes(dist, lam, n, 150, 5)
 
 
-def test_annealed_round_cap_raises(mix23, monkeypatch):
+def test_annealed_round_cap_raises(binary, mix23, monkeypatch):
     monkeypatch.setattr(walker_mod, "_MAX_SYNC_ROUNDS", 3)
-    with pytest.raises(VerificationError, match="round cap"):
-        hitting_beta_mc(mix23, 1.0, 8, 50, seed=1, mode="annealed")
+    for dist in (binary, mix23):  # the depth chain and the tree walk
+        with pytest.raises(VerificationError, match="round cap"):
+            hitting_beta_mc(dist, 1.0, 8, 50, seed=1, mode="annealed")
 
 
 def test_hitting_rejects_laws_with_leaves():
