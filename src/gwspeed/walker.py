@@ -32,7 +32,7 @@ import numpy as np
 from .errors import UnsupportedRegimeError, VerificationError
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
-from .tree import _UBUF, ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
+from .tree import ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
@@ -109,9 +109,7 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
     depth = tree.depth
     first_child = tree.first_child
     nu_list = tree.nu
-    draw_counts = tree.dist.draw_counts
-    tree_rng = tree._rng
-    nus, ni = tree._nus, tree._ni  # the tree's count buffer, written back on return
+    draw_nu = tree._draw_nu
     pos = ROOT
     dep = depth[ROOT]
     remaining = steps
@@ -124,13 +122,8 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
             k = nu_list[pos]
             if k < 0:
                 if dep == stop:
-                    tree._nus, tree._ni = nus, ni
                     return dep
-                if ni >= len(nus):
-                    nus = draw_counts(tree_rng, _UBUF).tolist()
-                    ni = 0
-                k = nus[ni]
-                ni += 1
+                k = draw_nu()
                 fc = len(parent)
                 parent.extend([pos] * k)
                 depth.extend([dep + 1] * k)
@@ -141,7 +134,6 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
             par = parent[pos]
             if par < 0:
                 if dep < 0 < stop:
-                    tree._nus, tree._ni = nus, ni
                     return dep
                 j = int(u * k)
                 pos = first_child[pos] + (j if j < k else k - 1)
@@ -155,7 +147,6 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
                     j = int(t)
                     pos = first_child[pos] + (j if j < k else k - 1)
                     dep += 1
-    tree._nus, tree._ni = nus, ni
     return dep
 
 
@@ -164,29 +155,32 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     """``_walk_final_depth`` on the k-regular tree (T, or T_star when
     ``star``), without the tree: the same depth from the same walk stream.
 
-    The height x of the walk above the parentless vertex moves by
-    x <- |x + s|, with s = -1 exactly when the tree walk would step to the
-    parent (``u*(lam + k) - lam < 0.0``). Over a block of uniforms with
-    partial sums S this gives x + S_end plus 2 for each of the levels -1, -3,
-    ... that x + min S reaches. With ``stop >= 1`` (T_star only) the walk
-    returns at its first arrival at depth ``stop`` or -1."""
+    Every vertex has k children, so the depth is a +-1 chain: down exactly
+    when the tree walk would step to the parent (``u*(lam + k) - lam < 0.0``),
+    except at the parentless vertex, where every step goes to a child.
+    With ``stop >= 1`` (T_star only) the walk returns at its first arrival at
+    depth ``stop`` or at the artificial root, -1."""
     floor = -1 if star else 0  # depth of the parentless vertex
     dep = 0
     c = lam + k
     remaining = steps
     block = 64  # the tree walk's pieces, so memory stays flat
     while remaining > 0:
-        u = rng.random(min(block, remaining))
-        remaining -= u.size
+        us = rng.random(min(block, remaining)).tolist()
+        remaining -= len(us)
         block = min(2 * block, _BLOCK)
-        if stop >= 1:  # step by step: a hitting trial rarely outlasts one block
-            for ui in u.tolist():
-                dep += -1 if ui * c - lam < 0.0 else 1
-                if dep == stop or dep == -1:
+        for u in us:
+            if u * c - lam < 0.0:
+                dep -= 1
+                if dep <= floor:
+                    if stop >= 1:
+                        return dep
+                    if dep < floor:
+                        dep = floor + 1
+            else:
+                dep += 1
+                if dep == stop:
                     return dep
-        else:
-            path = dep + np.cumsum(np.where(u * c - lam < 0.0, -1, 1))
-            dep = int(path[-1]) + 2 * ((max(0, floor - int(path.min())) + 1) // 2)
     return dep
 
 

@@ -85,7 +85,6 @@ def test_fast_loop_matches_reference_kernel(mix23):
             transition_step(t2, state, lam)
         assert depth_fast == t2.depth[state.position]
         assert t1.nu == t2.nu
-        assert (t1._nus, t1._ni) == (t2._nus, t2._ni)  # the count buffer is written back
 
 
 @pytest.mark.filterwarnings("ignore:bias")
