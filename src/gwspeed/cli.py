@@ -227,14 +227,15 @@ def cmd_regular(args, cfg) -> int:
     escape = regular_escape_probability(d, lam)
     speed = (d - lam) / (d + lam) if lam <= d else 0.0
     u1 = regular_return_gf(d, lam, 1.0)
+    # a bad z raises here, before anything is printed
+    uz = None if args.z is None else regular_return_gf(d, lam, args.z)
     rec = {"d": d, "lambda": lam, "escape": escape, "speed": speed,
            "return_gf_1": u1}
     fields = ["d", "lambda", "escape", "speed", "return_gf_1"]
     print(f"escape={_fmt(escape)}")
     print(f"speed={_fmt(speed)}")
     print(f"U1={_fmt(u1)}")
-    if args.z is not None:
-        uz = regular_return_gf(d, lam, args.z)
+    if uz is not None:
         rec["return_gf_z"] = uz
         fields.append("return_gf_z")
         print(f"Uz={_fmt(uz)}")

@@ -313,6 +313,8 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     estimate is attached to every point as a cross-check column; both zero
     leaves it off, and any other pair is refused.
     """
+    if n < 0:
+        raise ValueError(f"truncation depth must be >= 0, got {n}")
     if samples < 1 or tuples < 1:
         raise ValueError(f"need samples >= 1 and tuples >= 1, got {samples} and {tuples}")
     if not (mc_steps == mc_replicas == 0 or (mc_steps >= 1 and mc_replicas >= 2)):

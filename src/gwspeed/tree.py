@@ -5,12 +5,12 @@ a tree out breadth first, one level after another: level k occupies the ids
 ``[level_start[k], level_start[k + 1])`` and its children, taken in parent
 order, are exactly level k + 1. So the children of a vertex are always a
 contiguous id block ``[first_child, first_child + nu)``, and a level-wise pass
-reads whole levels as slices. Lazy growth during walk simulation appends each
-new child block at the end of the arena; it keeps the block property, and the
-recorded levels (only the root, for a tree grown lazily from scratch) are
-left as they were. Once a vertex's children have been generated they are
-fixed for the lifetime of the tree (quenched environment): revisits see the
-same branching.
+reads whole levels as slices. Lazy growth (``children``, as the reference
+walk ``transition_step`` uses it) appends each new child block at the end of
+the arena; it keeps the block property, and the recorded levels (only the
+root, for a tree grown lazily from scratch) are left as they were. Once a
+vertex's children have been generated they are fixed for the lifetime of the
+tree (quenched environment): revisits see the same branching.
 
 The artificial parent of the root, when attached, sits at depth -1 and has the
 root as its only child.

@@ -15,10 +15,13 @@ Speed replicas and annealed hitting trials take one of two paths, chosen by
 the offspring law alone. On a one-point law (``m1 == m2``, the regular tree)
 every vertex looks the same, so ``_chain_final_depth`` walks the depth as a
 reflected +-1 chain and grows no tree. On every other law
-``_walk_final_depth`` walks a lazily grown tree. Both read the walk stream
-identically, so the chain's depths equal the tree walk's bit for bit; the tree
-walk is the reference the chain is tested against, and ``transition_step`` is
-the scalar reference for the tree walk.
+``_walk_final_depth`` walks a lazily grown tree that it keeps itself: a
+two-list arena (first child and offspring count per vertex) and a stack of the
+current vertex's ancestors, with no QuenchedTree behind it. Both read the walk
+stream identically, so the chain's depths equal the tree walk's bit for bit;
+the tree walk is the reference the chain is tested against, and
+``transition_step`` on a lazily grown QuenchedTree, fed the same tree stream,
+is the scalar reference for the tree walk.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import UnsupportedRegimeError, VerificationError
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
-from .tree import ROOT, QuenchedTree, attach_star_root, sample_truncated_tree
+from .tree import _UBUF, ROOT, QuenchedTree, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
@@ -98,20 +101,38 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
     return state
 
 
-def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
-                      rng: np.random.Generator, stop: int = -2) -> int:
-    """Depth after ``steps`` steps from the root; tight-loop equivalent of
-    transition_step (consumes the identical uniform stream). With ``stop >=
-    1`` the walk returns early: ``stop`` on its first arrival at that depth,
-    -1 on its first arrival at the artificial root. The depth check runs where
-    a vertex grows its children, so the tree must be grown by this walk alone."""
-    parent = tree.parent
-    depth = tree.depth
-    first_child = tree.first_child
-    nu_list = tree.nu
-    draw_nu = tree._draw_nu
+def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator,
+                      lam: float, steps: int, rng: np.random.Generator,
+                      star: bool, stop: int = -2) -> int:
+    """Depth after ``steps`` steps from the root of a tree grown lazily from
+    ``tree_rng`` (T, or T_star when ``star``); tight-loop equivalent of
+    transition_step on a QuenchedTree drawn from the same streams (the same
+    uniforms and offspring counts, in the same order). With ``stop >= 1`` the
+    walk returns early: ``stop`` on its first arrival at that depth, -1 on its
+    first arrival at the artificial root.
+
+    The walk owns its arena: ``first_child`` and ``nu`` per vertex (-1 until
+    drawn), in lists that double when a growth would overflow them, laid out
+    as QuenchedTree would lay them out. The ancestors of the current vertex
+    sit on a path stack, so a step up pops it and an empty stack means no
+    parent; the artificial root, vertex 1, is at its bottom."""
+    cap = 1024
+    first_child = [-1] * cap
+    nu_list = [-1] * cap
+    if star:
+        first_child[1] = ROOT
+        nu_list[1] = 1
+        path = [1]
+        size = 2
+    else:
+        path = []
+        size = 1
+    push = path.append
+    pop = path.pop
+    nus = []
+    ni = _UBUF  # offspring counts, refilled _UBUF at a time as QuenchedTree does
     pos = ROOT
-    dep = depth[ROOT]
+    dep = 0
     remaining = steps
     block = 64  # doubles up to _BLOCK, so a short walk draws few uniforms
     while remaining > 0:
@@ -123,30 +144,33 @@ def _walk_final_depth(tree: QuenchedTree, lam: float, steps: int,
             if k < 0:
                 if dep == stop:
                     return dep
-                k = draw_nu()
-                fc = len(parent)
-                parent.extend([pos] * k)
-                depth.extend([dep + 1] * k)
-                first_child.extend([-1] * k)
-                nu_list.extend([-1] * k)
-                first_child[pos] = fc
+                if ni == _UBUF:
+                    nus = dist.draw_counts(tree_rng, _UBUF).tolist()
+                    ni = 0
+                k = nus[ni]
+                ni += 1
+                if size + k > cap:
+                    grow = max(cap, size + k - cap)
+                    first_child.extend([-1] * grow)
+                    nu_list.extend([-1] * grow)
+                    cap += grow
+                first_child[pos] = size
                 nu_list[pos] = k
-            par = parent[pos]
-            if par < 0:
-                if dep < 0 < stop:
-                    return dep
-                j = int(u * k)
-                pos = first_child[pos] + (j if j < k else k - 1)
-                dep += 1
-            else:
+                size += k
+            if path:
                 t = u * (lam + k) - lam
                 if t < 0.0:
-                    pos = par
+                    pos = pop()
                     dep -= 1
-                else:
-                    j = int(t)
-                    pos = first_child[pos] + (j if j < k else k - 1)
-                    dep += 1
+                    continue
+                j = int(t)
+            else:
+                if dep < 0 < stop:  # at the artificial root
+                    return dep
+                j = int(u * k)
+            push(pos)
+            pos = first_child[pos] + (j if j < k else k - 1)
+            dep += 1
     return dep
 
 
@@ -194,10 +218,8 @@ def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
         if dist.m1 == dist.m2:
             out.append(_chain_final_depth(dist.m1, lam, steps, walk_rng, star))
             continue
-        tree = QuenchedTree(dist, substream(seed, D_WALK_TREE, gcode, i))
-        if star:
-            attach_star_root(tree)
-        out.append(_walk_final_depth(tree, lam, steps, walk_rng))
+        out.append(_walk_final_depth(dist, substream(seed, D_WALK_TREE, gcode, i),
+                                     lam, steps, walk_rng, star))
     return out
 
 
@@ -279,9 +301,8 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
             if dist.m1 == dist.m2:
                 end = _chain_final_depth(dist.m1, lam, _MAX_SYNC_ROUNDS, walk_rng, True, n)
             else:
-                tree = QuenchedTree(dist, substream(seed, D_TREE, t))
-                attach_star_root(tree)
-                end = _walk_final_depth(tree, lam, _MAX_SYNC_ROUNDS, walk_rng, n)
+                end = _walk_final_depth(dist, substream(seed, D_TREE, t), lam,
+                                        _MAX_SYNC_ROUNDS, walk_rng, True, n)
             if end != n and end != -1:
                 raise VerificationError("hitting walk failed to absorb within the round cap")
             successes += end == n

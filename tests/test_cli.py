@@ -35,6 +35,13 @@ def test_regular_recurrent_regime_speed_zero(capsys):
     assert float(values["speed"]) == 0.0
 
 
+def test_regular_bad_z_exits_before_any_output(capsys):
+    code, out, err = run(capsys, "regular", "--d", "2", "--lambda", "1", "--z", "5")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_bad_pmf_reports_sum(capsys):
     code, _, err = run(capsys, "simulate", "--pmf", "2:0.6,3:0.6",
                        "--lambda", "1")
@@ -231,6 +238,7 @@ def test_dump_tree_into_missing_directory_exits_one(capsys, tmp_path):
     ("--mc-steps", "10"),
     ("--mc-replicas", "4"),
     ("--mc-steps", "10", "--mc-replicas", "1"),
+    ("--depth", "-1"),
 ])
 def test_curve_bad_counts_exit_before_any_output(capsys, flags):
     code, out, err = run(capsys, "speed-curve", "--depth", "3", "--samples", "50",

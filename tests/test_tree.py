@@ -8,7 +8,7 @@ from gwspeed import (InvalidStateError, attach_star_root, ensure_children,
 from gwspeed import tree as tree_mod
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
 from gwspeed.rng import D_TREE, D_WALK, D_WALK_TREE, substream
-from gwspeed.walker import _walk_final_depth
+from gwspeed.walker import WalkState, transition_step
 
 
 def test_binary_truncation_counts(binary):
@@ -151,9 +151,12 @@ def test_streamed_dump_joins_default_chunks(binary):
 
 
 def test_streamed_dump_of_lazily_grown_tree(mix23, monkeypatch):
+    # the tree a 400-step T_star replica walk grows
     tree = QuenchedTree(mix23, substream(4, D_WALK_TREE, 1, 0))
     attach_star_root(tree)
-    _walk_final_depth(tree, 1.0, 400, substream(4, D_WALK, 1, 0))
+    state = WalkState(position=tree.root, steps=0, rng=substream(4, D_WALK, 1, 0))
+    for _ in range(400):
+        transition_step(tree, state, 1.0)
     assert -1 in tree.nu  # unborn vertices get []
     expected = json.dumps(tree.to_adjacency(), indent=2)
     assert len(tree) > 7

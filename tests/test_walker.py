@@ -73,18 +73,39 @@ def test_kernel_at_root_uniform_over_children(ternary):
     assert (np.abs(hits - trials / 3) < 4 * se).all()
 
 
-def test_fast_loop_matches_reference_kernel(mix23):
-    # the production loop consumes the same uniforms as transition_step; the
-    # step counts cross its block boundaries (64, then doubling blocks)
-    for steps, lam in itertools.product((1, 64, 65, 40_000), (0.0, 0.7, 1.5)):
-        t1 = QuenchedTree(mix23, substream(42, 1, 0))
-        depth_fast = _walk_final_depth(t1, lam, steps, substream(42, 2, 0))
-        t2 = QuenchedTree(mix23, substream(42, 1, 0))
-        state = WalkState(position=t2.root, steps=0, rng=substream(42, 2, 0))
-        for _ in range(steps):
-            transition_step(t2, state, lam)
-        assert depth_fast == t2.depth[state.position]
-        assert t1.nu == t2.nu
+def _reference_depths(dist, lam, steps, star, tree_rng, walk_rng):
+    """transition_step on a QuenchedTree grown lazily from ``tree_rng``: the
+    depth after each step."""
+    tree = QuenchedTree(dist, tree_rng)
+    if star:
+        attach_star_root(tree)
+    state = WalkState(position=tree.root, steps=0, rng=walk_rng)
+    for _ in range(steps):
+        transition_step(tree, state, lam)
+        yield tree.depth[state.position]
+
+
+def test_fast_loop_matches_reference_kernel():
+    # the production loop consumes the same uniforms and offspring counts as
+    # transition_step: equal depths after every step count, and equal tree
+    # streams, so both drew the same count refills. The step counts cross the
+    # walk's block boundaries (64, then doubling blocks) and, on the 12-child
+    # law, the arena's capacity doublings.
+    def fast(steps):
+        tree_rng = substream(42, 1, 0)
+        depth = _walk_final_depth(dist, tree_rng, lam, steps, substream(42, 2, 0), star)
+        return depth, tree_rng.bit_generator.state
+
+    for law, lam, star in itertools.product(("2:0.5,3:0.5", "1:0.5,12:0.5"),
+                                            (0.0, 0.7, 1.5), (False, True)):
+        dist = parse_pmf_text(law)
+        ref_tree = substream(42, 1, 0)
+        ref = _reference_depths(dist, lam, 300, star, ref_tree, substream(42, 2, 0))
+        for steps, depth in enumerate(ref, start=1):
+            assert fast(steps) == (depth, ref_tree.bit_generator.state)
+        ref_tree = substream(42, 1, 0)
+        *_, depth = _reference_depths(dist, lam, 40_000, star, ref_tree, substream(42, 2, 0))
+        assert fast(40_000) == (depth, ref_tree.bit_generator.state)
 
 
 @pytest.mark.filterwarnings("ignore:bias")
@@ -100,21 +121,22 @@ def test_chain_matches_tree_walk(law):
         est = simulate_speed(dist, lam, steps, 2, seed=3, graph=graph, keep_replicas=True)
         gcode = walker_mod._GRAPH_CODES[graph]
         for i, depth, _, _ in est.per_replica:
-            tree = QuenchedTree(dist, substream(3, D_WALK_TREE, gcode, i))
-            if graph == "T_star":
-                attach_star_root(tree)
-            assert depth == _walk_final_depth(tree, lam, steps, substream(3, D_WALK, gcode, i))
+            assert depth == _walk_final_depth(dist, substream(3, D_WALK_TREE, gcode, i), lam,
+                                              steps, substream(3, D_WALK, gcode, i),
+                                              graph == "T_star")
 
 
 def test_one_point_laws_grow_no_tree(binary, mix23, monkeypatch):
     def no_tree(*args):
         raise AssertionError("grew a tree")
 
-    monkeypatch.setattr(walker_mod, "QuenchedTree", no_tree)
+    monkeypatch.setattr(walker_mod, "_walk_final_depth", no_tree)
     simulate_speed(binary, 1.0, 100, 2, seed=1, graph="T_star")
     hitting_beta_mc(binary, 1.0, 3, 20, seed=1, mode="annealed")
     with pytest.raises(AssertionError, match="grew a tree"):
         simulate_speed(mix23, 1.0, 100, 2, seed=1)
+    with pytest.raises(AssertionError, match="grew a tree"):
+        hitting_beta_mc(mix23, 1.0, 3, 20, seed=1, mode="annealed")
 
 
 def _reference_annealed_successes(dist, lam, n, trials, seed):
