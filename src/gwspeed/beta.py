@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_POOL, D_POOL_POP, substream
 from .tree import QuenchedTree, _sample_offspring_layers
@@ -92,8 +92,7 @@ def _level_step(counts: np.ndarray, b: np.ndarray | None, db: np.ndarray | None,
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
     """Exact bottom-up evaluation of beta_n, its bias derivative and the A/B
     factors on a tree sampled to depth n, in one pass over its levels."""
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     if not tree.is_materialized_to(n):
@@ -275,8 +274,7 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
         raise ValueError(f"pool size must be >= 1, got {count}")
     lams = [float(l) for l in lams]
     for lam in lams:
-        if lam < 0:
-            raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+        _check_bias(lam)
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
     chunk = _trees_per_chunk(dist, n)
@@ -307,8 +305,7 @@ def sample_pool(dist: OffspringDistribution, lam: float, n: int, count: int,
         raise ValueError(f"unknown pool method {method!r}")
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     if count < 1:
         raise ValueError(f"pool size must be >= 1, got {count}")
     rng = substream(seed, D_POOL_POP, 0)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import verify as verify_mod
 from .beta import compute_beta, sample_pool
-from .errors import UnsupportedRegimeError, VerificationError
+from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .network import (build_conductances, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
 from .offspring import OffspringDistribution, parse_pmf_json, parse_pmf_text
@@ -148,6 +149,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise _CliError(f"cannot parse grid {text!r}, expected start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _CliError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise _CliError(f"grid step must be positive, got {step:.9g}")
     if stop < start:
@@ -286,8 +289,8 @@ def cmd_beta(args, cfg) -> int:
                         ("--samples", samples)):
         if value < 1:
             raise _CliError(f"{name} must be >= 1, got {value}")
-    if min(grid) < 0:
-        raise _CliError(f"bias must be >= 0, got {min(grid):.9g}")
+    for lam in grid:
+        _check_bias(lam)
 
     tree = sample_truncated_tree(dist, depth, seed)
     attach_star_root(tree)

@@ -5,6 +5,14 @@ arguments). The classes below mark situations a caller may want to handle
 separately from generic validation.
 """
 
+import math
+
+
+def _check_bias(lam: float) -> None:
+    """Refuse a negative or non-finite bias (NaN passes a plain ``lam < 0``)."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"bias must be >= 0 and finite, got {lam:.9g}")
+
 
 class UnsupportedRegimeError(ValueError):
     """A parameter combination outside the regime an operation is defined for,

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, VerificationError
+from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import make_distribution
 from .tree import QuenchedTree, sample_truncated_tree
 
@@ -50,11 +50,12 @@ class WeightedTreeNetwork:
 def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
     """Assign conductances on a tree with the artificial root attached.
 
-    Requires lam > 0; the walk-network correspondence degenerates at zero
-    bias. The truncation level is the deepest fully generated level.
+    Requires a finite lam > 0; the walk-network correspondence degenerates
+    at zero bias. The truncation level is the deepest fully generated level.
     """
-    if lam <= 0.0:
-        raise UnsupportedRegimeError(f"conductances need bias > 0, got {lam:.9g}")
+    if not 0.0 < lam < math.inf:
+        raise UnsupportedRegimeError(
+            f"conductances need a finite bias > 0, got {lam:.9g}")
     if tree.star_root is None:
         raise ValueError("tree has no artificial root; attach it first")
     depth = np.asarray(tree.depth, dtype=np.int64)
@@ -125,8 +126,7 @@ def regular_return_gf(d: int, lam: float, z: float) -> float:
     """
     if d < 1:
         raise ValueError(f"branching d must be >= 1, got {d}")
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     if not (0.0 < z <= 1.0):
         raise ValueError(f"z must be in (0, 1], got {z:.9g}")
     if z == 1.0:
@@ -140,8 +140,7 @@ def regular_escape_probability(d: int, lam: float) -> float:
     """Probability of never hitting the parent on the d-ary tree: 1 - min(lam, d)/d."""
     if d < 1:
         raise ValueError(f"branching d must be >= 1, got {d}")
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     return 1.0 - min(lam, d) / d
 
 
@@ -160,8 +159,8 @@ def conductance_sandwich(tree: QuenchedTree, lam: float,
     decrease the effective conductance, so the ordering is a hard invariant;
     a violation beyond float tolerance raises VerificationError.
     """
-    if lam <= 0.0:
-        raise UnsupportedRegimeError(f"sandwich needs bias > 0, got {lam:.9g}")
+    if not 0.0 < lam < math.inf:
+        raise UnsupportedRegimeError(f"sandwich needs a finite bias > 0, got {lam:.9g}")
     c_mid = _conductance_to_level(tree, lam, n)
     m1, m2 = tree.dist.m1, tree.dist.m2
     if m1 < 1:

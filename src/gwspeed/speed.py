@@ -4,27 +4,32 @@ The speed at bias lam is the ratio of two expectations over tuples
 (nu, beta_0..beta_nu): numerator weight (nu-lam)*beta_0/(lam-1+sum beta_i),
 denominator weight (nu+lam)*beta_0/(lam-1+sum beta_i). A symmetrized variant
 replaces beta_0 by the tuple average; both are evaluated as Monte Carlo means
-over tuples assembled from a sample pool, with delta-method standard errors.
+over tuples assembled from a sample pool.
 
 ``inequality8`` evaluates the four cross moments whose combination being
 below (1/lam) * E1 * E3 is equivalent to a strictly negative speed slope, and
-reports the margin with a tuple-resampling standard error.
+reports the margin.
 
 ``speed_curve`` scans a bias grid with common random numbers: one tree set
 and one tuple stream serve every grid point, so consecutive-point differences
 are paired and the strict-decrease test is not drowned by Monte Carlo noise.
+
+Every estimate here (the ratio, the paired difference of two ratios, the
+criterion margin) is a smooth function of the means of paired per-tuple
+terms, and one kernel, ``_delta``, returns it with its delta-method standard
+error. A tuple pool sums its betas once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .beta import BetaPool, sample_pools_shared_trees
-from .errors import DegenerateTupleError, UnsupportedRegimeError
+from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_TUPLE, substream
 
@@ -35,7 +40,8 @@ _CERTIFIED_SLACK = 1e-12
 class TuplePool:
     """Flattened tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) sharing the
     member indices of their source pool, so beta and beta' of a member always
-    come from the same realization."""
+    come from the same realization. The per-tuple beta sums and formula
+    denominators lam - 1 + sum beta_i are computed once, at construction."""
 
     nus: np.ndarray       # (M,)
     offsets: np.ndarray   # (M,) exclusive starts into the member arrays
@@ -43,17 +49,15 @@ class TuplePool:
     dbetas: np.ndarray
     lam: float
     level: int
+    beta_sums: np.ndarray = field(init=False)
+    denominators: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.beta_sums = np.add.reduceat(self.betas, self.offsets)
+        self.denominators = self.lam - 1.0 + self.beta_sums
 
     def __len__(self) -> int:
         return self.nus.size
-
-    @property
-    def beta_sums(self) -> np.ndarray:
-        return np.add.reduceat(self.betas, self.offsets)
-
-    @property
-    def denominators(self) -> np.ndarray:
-        return self.lam - 1.0 + self.beta_sums
 
     def tuple_at(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
         lo = int(self.offsets[j])
@@ -92,43 +96,39 @@ def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
     return _bind_tuples(nus, offsets, idx, pool)
 
 
-def _ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    # delta method for a ratio of means: with r = mean(num)/mean(den),
-    # var(r) ~= (var(num) - 2 r cov(num, den) + r^2 var(den)) / (M * mean(den)^2)
-    m = num.size
-    mean_n = num.mean()
-    mean_d = den.mean()
-    r = mean_n / mean_d
+def _delta(terms, fn) -> tuple[list[float], float, float]:
+    """The means of the paired per-tuple ``terms``, the value of ``fn`` there
+    and its delta-method standard error (0 for one tuple). ``fn`` maps the
+    means to (value, gradient)."""
+    means = [float(t.mean()) for t in terms]
+    value, grad = fn(*means)
+    m = terms[0].size
     if m < 2:
-        return float(r), 0.0
-    cov = np.cov(num, den, ddof=1)
-    var = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]) / (m * mean_d * mean_d)
-    return float(r), float(math.sqrt(max(var, 0.0)))
-
-
-def _delta_stderr(terms, grad) -> float:
-    """Delta-method standard error of a smooth function of the means of the
-    paired per-tuple ``terms``, given its gradient there (0 for one tuple)."""
-    if terms[0].size < 2:
-        return 0.0
+        return means, value, 0.0
     sigma = np.cov(np.stack(terms), ddof=1)
     grad = np.array(grad)
-    var = float(grad @ sigma @ grad) / terms[0].size
-    return math.sqrt(max(var, 0.0))
+    var = float(grad @ sigma @ grad) / m
+    return means, value, math.sqrt(max(var, 0.0))
+
+
+def _ratio(num: float, den: float):
+    """A ratio of means and its gradient: the speed."""
+    r = num / den
+    return r, (1.0 / den, -r / den)
+
+
+def _ratio_diff(num_a: float, den_a: float, num_b: float, den_b: float):
+    """Difference of two ratios of paired means: the monotonicity pair check."""
+    (ra, ga), (rb, gb) = _ratio(num_a, den_a), _ratio(num_b, den_b)
+    return ra - rb, (*ga, -gb[0], -gb[1])
 
 
 def _speed_terms(tp: TuplePool, lam: float):
-    """Per-tuple numerator/denominator weights, plain and symmetrized."""
+    """Per-tuple numerator/denominator weights of the speed ratio."""
     d = tp.denominators
-    sb = tp.beta_sums
     b0 = tp.betas[tp.offsets]
     nu = tp.nus
-    num = (nu - lam) * b0 / d
-    den = (nu + lam) * b0 / d
-    shared = sb / ((nu + 1.0) * d)
-    sym_num = (nu - lam) * shared
-    sym_den = (nu + lam) * shared
-    return num, den, sym_num, sym_den
+    return (nu - lam) * b0 / d, (nu + lam) * b0 / d
 
 
 @dataclass
@@ -159,9 +159,11 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     if pool.lam != lam:
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
-    num, den, sym_num, sym_den = _speed_terms(tp, lam)
-    speed, stderr = _ratio_with_stderr(num, den)
-    sym_speed, sym_stderr = _ratio_with_stderr(sym_num, sym_den)
+    num, den = _speed_terms(tp, lam)
+    _, speed, stderr = _delta((num, den), _ratio)
+    shared = tp.beta_sums / ((tp.nus + 1.0) * tp.denominators)
+    _, sym_speed, sym_stderr = _delta(((tp.nus - lam) * shared,
+                                       (tp.nus + lam) * shared), _ratio)
     boot = None
     if bootstrap > 0:
         rng = substream(seed, D_TUPLE, 1)
@@ -193,7 +195,7 @@ def speed_exact_lambda1(dist: OffspringDistribution) -> float:
 @dataclass
 class Ineq8Report:
     """The four cross moments, the two sides of the strict-decrease
-    criterion, and the margin with its tuple-resampling standard error."""
+    criterion, and the margin with its delta-method standard error."""
 
     e1: float
     e2: float
@@ -206,30 +208,6 @@ class Ineq8Report:
     holds: bool
     lam: float
     tuples: int
-
-
-def _ineq8_terms(tp: TuplePool, lam: float):
-    d = tp.denominators
-    sb = tp.beta_sums
-    sc = sb + (1.0 - lam) * np.add.reduceat(tp.dbetas, tp.offsets)
-    nu = tp.nus
-    w_nu = nu / (nu + 1.0)
-    w_one = 1.0 / (nu + 1.0)
-    f = sb / d
-    g = sc / (d * d)
-    return w_nu * f, w_one * g, w_one * f, w_nu * g
-
-
-def _ineq8_from_terms(t1, t2, t3, t4, lam: float) -> Ineq8Report:
-    e1, e2, e3, e4 = (float(t.mean()) for t in (t1, t2, t3, t4))
-    lhs = e1 * e2 - e3 * e4
-    rhs = e1 * e3 / lam
-    margin = rhs - lhs
-    stderr = _delta_stderr([t1, t2, t3, t4],
-                           [e3 / lam - e2, -e1, e1 / lam + e4, e3])
-    return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
-                       margin=margin, mc_stderr=stderr, holds=lhs < rhs,
-                       lam=lam, tuples=int(t1.size))
 
 
 def inequality8(dist: OffspringDistribution, lam: float,
@@ -250,8 +228,27 @@ def inequality8(dist: OffspringDistribution, lam: float,
     if tuple_pool.lam != lam:
         raise ValueError(
             f"tuples were built at bias {tuple_pool.lam:.9g}, not {lam:.9g}")
-    t1, t2, t3, t4 = _ineq8_terms(tuple_pool, lam)
-    return _ineq8_from_terms(t1, t2, t3, t4, lam)
+    tp = tuple_pool
+    d = tp.denominators
+    sb = tp.beta_sums
+    sc = sb + (1.0 - lam) * np.add.reduceat(tp.dbetas, tp.offsets)
+    nu = tp.nus
+    w_nu = nu / (nu + 1.0)
+    w_one = 1.0 / (nu + 1.0)
+    f = sb / d
+    g = sc / (d * d)
+
+    def margin(e1, e2, e3, e4):
+        return (e1 * e3 / lam - (e1 * e2 - e3 * e4),
+                (e3 / lam - e2, -e1, e1 / lam + e4, e3))
+
+    (e1, e2, e3, e4), value, stderr = _delta(
+        (w_nu * f, w_one * g, w_one * f, w_nu * g), margin)
+    lhs = e1 * e2 - e3 * e4
+    rhs = e1 * e3 / lam
+    return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
+                       margin=value, mc_stderr=stderr, holds=lhs < rhs,
+                       lam=lam, tuples=len(tp))
 
 
 # Curve scan ----------------------------------------------------------------
@@ -323,10 +320,10 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("empty bias grid")
+    for lam in grid:
+        _check_bias(lam)
     if any(b - a <= 0 for a, b in zip(grid, grid[1:])):
         raise ValueError("bias grid must be strictly increasing")
-    if grid[0] < 0.0:
-        raise ValueError(f"bias must be >= 0, got {grid[0]:.9g}")
     if grid[-1] >= dist.m:
         raise ValueError(
             f"grid point {grid[-1]:.9g} is not below mean branching {dist.m:.9g}")
@@ -341,22 +338,19 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
         lam_star = dist.monotonicity_threshold()
 
     points = []
-    num_by_lam = []
-    den_by_lam = []
+    terms = []
     for pool in pools:
         lam = pool.lam
         tp = _bind_tuples(nus, offsets, idx, pool)
-        num, den, _, _ = _speed_terms(tp, lam)
-        num_by_lam.append(num)
-        den_by_lam.append(den)
+        terms.append(_speed_terms(tp, lam))
         if lam == 0.0:
             speed, stderr = 1.0, 0.0
         else:
-            speed, stderr = _ratio_with_stderr(num, den)
+            _, speed, stderr = _delta(terms[-1], _ratio)
         point = SpeedCurvePoint(lam=lam, speed_formula=speed,
                                 speed_formula_stderr=stderr)
         if lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
-            rep = _ineq8_from_terms(*_ineq8_terms(tp, lam), lam)
+            rep = inequality8(dist, lam, tp)
             point.ineq8_margin = rep.margin
             point.ineq8_stderr = rep.mc_stderr
             point.ineq8_holds = rep.holds
@@ -371,8 +365,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
 
     pairs = []
     for i in range(len(grid) - 1):
-        diff, se = _paired_ratio_diff(num_by_lam[i], den_by_lam[i],
-                                      num_by_lam[i + 1], den_by_lam[i + 1])
+        _, diff, se = _delta(terms[i] + terms[i + 1], _ratio_diff)
         z = diff / se if se > 0 else (math.inf if diff != 0 else 0.0)
         within = lam_star is not None and grid[i + 1] <= lam_star + _CERTIFIED_SLACK
         pairs.append(PairCheck(lam_lo=grid[i], lam_hi=grid[i + 1], diff=diff,
@@ -392,12 +385,3 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     return SpeedCurve(points=points, report=report, level=n,
                       samples=samples, tuples=tuples)
 
-
-def _paired_ratio_diff(num_a, den_a, num_b, den_b) -> tuple[float, float]:
-    """Difference of two ratio estimates whose per-tuple terms are paired,
-    with the delta-method standard error of the difference."""
-    na, da = num_a.mean(), den_a.mean()
-    nb, db = num_b.mean(), den_b.mean()
-    ra, rb = na / da, nb / db
-    return float(ra - rb), _delta_stderr([num_a, den_a, num_b, den_b],
-                                         [1.0 / da, -ra / da, -1.0 / db, rb / db])

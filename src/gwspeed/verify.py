@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beta import (beta_derivative_path_sum, check_bounds, compute_beta,
-                   compute_beta_derivative, sample_pools_shared_trees)
+                   sample_pools_shared_trees)
 from .errors import VerificationError
 from .network import (build_conductances, conductance_sandwich,
                       effective_conductance_to_level, regular_escape_probability,
@@ -82,7 +82,6 @@ def suite_oracles(dist: OffspringDistribution, seed: int) -> list[CheckResult]:
                     build_conductances(tree, lam), n)
                 worst_pair = max(worst_pair,
                                  abs(table.root_beta - cond) / table.root_beta)
-                compute_beta_derivative(table)
                 ps = beta_derivative_path_sum(table)
                 scale = max(1.0, abs(ps))
                 worst_deriv = max(worst_deriv,
@@ -98,7 +97,7 @@ def suite_oracles(dist: OffspringDistribution, seed: int) -> list[CheckResult]:
     for lam in lams:
         if lam - h <= 0 or lam + h >= dist.m1:
             continue
-        table = compute_beta_derivative(compute_beta(tree, 8, lam))
+        table = compute_beta(tree, 8, lam)
         up = compute_beta(tree, 8, lam + h).root_beta
         dn = compute_beta(tree, 8, lam - h).root_beta
         worst_fd = max(worst_fd, abs((up - dn) / (2 * h) - table.root_dbeta))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, VerificationError
+from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
 from .tree import _UBUF, ROOT, QuenchedTree, sample_truncated_tree
@@ -76,8 +76,7 @@ class HittingEstimate:
 
 def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkState:
     """Advance the walk one step, generating children lazily on first visit."""
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     pos = state.position
     kids = tree.children(pos)
     k = len(kids)
@@ -99,6 +98,19 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
             state.position = kids[j if j < k else k - 1]
     state.steps += 1
     return state
+
+
+def _walk_pieces(rng: np.random.Generator, steps: int):
+    """The walk stream as the walk kernels read it: lists of 64 uniforms,
+    doubling up to _BLOCK and capped by the steps left, so a short walk draws
+    few uniforms and memory stays flat. Both kernels read this one schedule,
+    which is what makes the chain's depths equal the tree walk's."""
+    block = 64
+    while steps > 0:
+        us = rng.random(min(block, steps)).tolist()
+        steps -= len(us)
+        block = min(2 * block, _BLOCK)
+        yield us
 
 
 def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator,
@@ -133,12 +145,7 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
     ni = _UBUF  # offspring counts, refilled _UBUF at a time as QuenchedTree does
     pos = ROOT
     dep = 0
-    remaining = steps
-    block = 64  # doubles up to _BLOCK, so a short walk draws few uniforms
-    while remaining > 0:
-        us = rng.random(min(block, remaining)).tolist()
-        remaining -= len(us)
-        block = min(2 * block, _BLOCK)
+    for us in _walk_pieces(rng, steps):
         for u in us:
             k = nu_list[pos]
             if k < 0:
@@ -187,12 +194,7 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     floor = -1 if star else 0  # depth of the parentless vertex
     dep = 0
     c = lam + k
-    remaining = steps
-    block = 64  # the tree walk's pieces, so memory stays flat
-    while remaining > 0:
-        us = rng.random(min(block, remaining)).tolist()
-        remaining -= len(us)
-        block = min(2 * block, _BLOCK)
+    for us in _walk_pieces(rng, steps):
         for u in us:
             if u * c - lam < 0.0:
                 dep -= 1
@@ -236,8 +238,7 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
         raise ValueError(f"graph must be one of {sorted(_GRAPH_CODES)}, got {graph!r}")
     if dist.has_leaves:
         raise UnsupportedRegimeError("speed simulation needs a leafless offspring law")
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     if steps < 1 or replicas < 2:
         raise ValueError("need steps >= 1 and replicas >= 2")
     regime_warning = lam >= dist.m
@@ -278,8 +279,7 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     probability. Both modes need a leafless law, and both raise
     VerificationError when a walk has not absorbed within the round cap.
     """
-    if lam < 0:
-        raise ValueError(f"bias must be >= 0, got {lam:.9g}")
+    _check_bias(lam)
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if trials < 1:

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import gwspeed
 from gwspeed.cli import run_cli, DEFAULT_PMF
 from gwspeed import network as network_mod
 from gwspeed import verify as verify_mod
@@ -268,6 +270,66 @@ def test_beta_bad_counts_and_biases_exit_before_any_output(capsys, tmp_path, fla
     code, out, err = run(capsys, "beta", "--depth", "3", "--trials", "10", *flags)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "must be >= " in err
+
+
+_DEMO = gwspeed.make_distribution({2: 0.5, 3: 0.5})
+
+
+def _star_tree():
+    tree = gwspeed.sample_truncated_tree(_DEMO, 2, seed=1)
+    gwspeed.attach_star_root(tree)
+    return tree
+
+
+# every library entry point that takes a bias, as a call on that bias
+_BIAS_CALLS = {
+    "transition_step": lambda lam: gwspeed.transition_step(
+        _star_tree(), gwspeed.WalkState(0, 0, np.random.default_rng(0)), lam),
+    "simulate_speed": lambda lam: gwspeed.simulate_speed(_DEMO, lam, 10, 2, 1),
+    "hitting_beta_mc": lambda lam: gwspeed.hitting_beta_mc(_DEMO, lam, 2, 5, 1),
+    "compute_beta": lambda lam: gwspeed.compute_beta(_star_tree(), 2, lam),
+    "sample_pools_shared_trees": lambda lam: gwspeed.sample_pools_shared_trees(
+        _DEMO, [0.5, lam], 2, 5, 1),
+    "sample_pool_population": lambda lam: gwspeed.sample_pool(
+        _DEMO, lam, 2, 5, 1, method="population"),
+    "regular_return_gf": lambda lam: gwspeed.regular_return_gf(2, lam, 0.5),
+    "regular_escape_probability": lambda lam: gwspeed.regular_escape_probability(2, lam),
+    "speed_curve": lambda lam: gwspeed.speed_curve(_DEMO, [0.0, lam], 2, 5, 5, 1),
+    "build_conductances": lambda lam: gwspeed.build_conductances(_star_tree(), lam),
+    "conductance_sandwich": lambda lam: gwspeed.conductance_sandwich(_star_tree(), lam, 2),
+}
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", sorted(_BIAS_CALLS))
+def test_negative_or_non_finite_bias_is_refused(name, lam):
+    reason = "finite bias > 0" if "conductance" in name else "bias must be >= 0 and finite"
+    with pytest.raises(ValueError, match=reason):
+        _BIAS_CALLS[name](lam)
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("regular", "--d", "2"),
+    ("simulate", "--pmf", "2:1", "--steps", "10", "--replicas", "2"),
+    ("beta", "--depth", "3", "--trials", "10"),
+])
+def test_negative_or_non_finite_bias_exits_before_any_output(capsys, argv, lam):
+    code, out, err = run(capsys, *argv, f"--lambda={lam}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bias must be >= 0 and finite")
+
+
+@pytest.mark.parametrize("spec", ["0:nan:0.1", "0:inf:0.1", "nan:1:0.1",
+                                  "0:1:nan", "0:1:inf"])
+@pytest.mark.parametrize("argv", [
+    ("speed-curve", "--depth", "2", "--samples", "10", "--tuples", "10"),
+    ("beta", "--depth", "2", "--trials", "10"),
+])
+def test_non_finite_grid_exits_before_any_output(capsys, argv, spec):
+    code, out, err = run(capsys, *argv, f"--lambda-grid={spec}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: grid start, stop and step must be finite")
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from gwspeed import (
     speed_exact_lambda1,
     speed_formula_mc,
 )
+from gwspeed.speed import _delta, _ratio
 
 
 def constant_pool(beta, dbeta, lam, size=200):
@@ -84,6 +85,37 @@ def test_bootstrap_stderr_agrees_with_delta(mix23):
     pool = sample_pool(mix23, 1.0, 8, 5000, seed=7, method="tree")
     fs = speed_formula_mc(mix23, 1.0, pool, 4000, seed=7, bootstrap=200)
     assert fs.bootstrap_stderr == pytest.approx(fs.stderr, rel=0.5)
+
+
+def test_delta_kernel_ratio_stderr_matches_closed_form():
+    # the delta method for a ratio of means, written out: with
+    # r = mean(num)/mean(den), var(r) ~= (var num - 2 r cov(num, den)
+    # + r^2 var den) / (M mean(den)^2)
+    rng = np.random.default_rng(20)
+    for m in (2, 3, 50, 5000):
+        den = rng.uniform(0.5, 2.0, m)
+        num = 0.4 * den + rng.normal(0.0, 0.3, m)
+        means, r, se = _delta((num, den), _ratio)
+        assert means == [num.mean(), den.mean()]
+        assert r == num.mean() / den.mean()
+        c = np.cov(num, den, ddof=1)
+        var = (c[0, 0] - 2 * r * c[0, 1] + r * r * c[1, 1]) / (m * den.mean() ** 2)
+        assert se == pytest.approx(np.sqrt(var), rel=1e-12, abs=0.0)
+
+
+def test_single_tuple_estimates_have_zero_stderr(mix23):
+    pool = sample_pool(mix23, 0.5, 4, 50, seed=21, method="tree")
+    fs = speed_formula_mc(mix23, 0.5, pool, 1, seed=21)
+    assert (fs.stderr, fs.sym_stderr) == (0.0, 0.0)
+    assert inequality8(mix23, 0.5, make_tuple_pool(mix23, pool, 1, seed=21)).mc_stderr == 0.0
+    curve = speed_curve(mix23, [0.0, 0.4, 0.8], n=4, samples=50, tuples=1, seed=21)
+    for point in curve.points:
+        assert point.speed_formula_stderr == 0.0
+        assert point.ineq8_stderr == (None if point.lam == 0.0 else 0.0)
+    for pair in curve.report.pairs:
+        assert pair.stderr == 0.0
+    assert curve.report.pairs[1].diff == (curve.points[1].speed_formula
+                                          - curve.points[2].speed_formula)
 
 
 def test_degenerate_denominator_raises():
