@@ -273,6 +273,46 @@ def test_hitting_annealed_matches_tree_average(mix23):
     assert abs(est.estimate - pool.beta.mean()) < 4 * se
 
 
+def _reference_quenched_successes(tree, lam, n, trials, rng):
+    """Quenched hitting one walker at a time: each round draws one uniform per
+    walker still moving and hands them out in walker order; a step above the
+    root is a failure, with or without the artificial root."""
+    pos = [tree.root] * trials
+    successes = 0
+    while pos:
+        moving = []
+        for v, u in zip(pos, rng.random(len(pos)).tolist()):
+            k = tree.nu[v]
+            t = u * (lam + k) - lam
+            if t >= 0.0:
+                v = tree.first_child[v] + min(int(t), k - 1)
+            elif v == tree.root:
+                continue
+            else:
+                v = tree.parent[v]
+            if tree.depth[v] == n:
+                successes += 1
+            else:
+                moving.append(v)
+        pos = moving
+    return successes
+
+
+@pytest.mark.parametrize("law", ["2:1", "2:0.5,3:0.5", "1:0.5,12:0.5"])
+@pytest.mark.parametrize("star", [False, True])
+def test_quenched_hitting_matches_reference_loop(law, star):
+    dist = parse_pmf_text(law)
+    tree = sample_truncated_tree(dist, 6, seed=17)
+    if star:
+        attach_star_root(tree)
+    for lam in (0.0, 0.5, 1.0, 1.5):
+        for n in range(1, 7):
+            est = hitting_beta_mc(tree, lam, n, 200, seed=n)
+            ref = _reference_quenched_successes(tree, lam, n, 200,
+                                                substream(n, D_HIT, 0))
+            assert est.successes == ref, (lam, n)
+
+
 def test_fixed_tree_is_not_mutated(mix23):
     tree = sample_truncated_tree(mix23, 4, seed=3)
     size = len(tree)
