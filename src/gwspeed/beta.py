@@ -98,7 +98,7 @@ def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
     if not tree.is_materialized_to(n):
         raise ValueError(f"tree is not materialized to depth {n}")
     start = tree.level_start
-    nu = np.asarray(tree.nu[:start[n]], dtype=np.int64)
+    nu = tree.arrays()[3]
     for k in range(n + 1):
         if start[k] == start[k + 1]:
             raise ValueError(f"no vertices at depth {k}; tree too shallow for level {n}")
@@ -113,11 +113,11 @@ def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
     level_b = level_db = None
     for k in range(n - 1, -1, -1):
         lo, hi = start[k], start[k + 1]
-        level_b, level_db, s, denom = _level_step(nu[lo:hi], level_b, level_db, lam)
-        beta[lo:hi] = level_b
-        dbeta[lo:hi] = level_db
-        a[lo:hi] = lam / (denom * denom)
-        b[lo:hi] = s / (denom * denom)
+        beta[lo:hi], dbeta[lo:hi], s, denom = _level_step(nu[lo:hi], level_b, level_db, lam)
+        level_b, level_db = beta[lo:hi], dbeta[lo:hi]
+        denom *= denom  # in place, as are the next two: on a deep tree this loop sets peak memory
+        np.divide(lam, denom, out=a[lo:hi])
+        np.divide(s, denom, out=b[lo:hi])
     return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta, a=a, b=b)
 
 

@@ -31,6 +31,7 @@ from .walker import hitting_beta_mc, simulate_speed
 
 DEFAULT_SEED = 1729
 DEFAULT_PMF = "2:0.5,3:0.5"
+MAX_GRID_POINTS = 10**5  # largest --lambda-grid accepted
 
 CURVE_CSV_FIELDS = ["lambda", "speed_formula", "stderr", "speed_mc", "mc_stderr",
                     "ineq8_margin", "ineq8_stderr", "holds"]
@@ -155,11 +156,14 @@ def _parse_grid(text: str) -> list[float]:
         raise _CliError(f"grid step must be positive, got {step:.9g}")
     if stop < start:
         raise _CliError("grid stop must be >= start")
+    limit = stop + 1e-9 * max(1.0, abs(stop))
+    if (limit - start) / step >= MAX_GRID_POINTS:
+        raise _CliError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     grid = []
     i = 0
     while True:
         value = start + i * step
-        if value > stop + 1e-9 * max(1.0, abs(stop)):
+        if value > limit:
             break
         grid.append(round(value, 12))
         i += 1

@@ -58,8 +58,7 @@ def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
             f"conductances need a finite bias > 0, got {lam:.9g}")
     if tree.star_root is None:
         raise ValueError("tree has no artificial root; attach it first")
-    depth = np.asarray(tree.depth, dtype=np.int64)
-    nu = np.asarray(tree.nu, dtype=np.int64)
+    _, depth, _, nu = tree.arrays()
     n = int(depth.max())
     star = tree.star_root
 
@@ -71,7 +70,7 @@ def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
     cond[tree.root] = 1.0
     cond[star] = np.nan
 
-    pi = np.where(np.isnan(cond), 0.0, cond).copy()
+    pi = np.where(np.isnan(cond), 0.0, cond)
     with np.errstate(over="ignore", invalid="ignore"):
         child_edge = lam ** (-(depth.astype(float) + 1.0))
     generated = nu >= 0
@@ -97,7 +96,7 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
     for k in range(n + 1):
         if start[k] == start[k + 1]:
             raise ValueError(f"no vertices at depth {k}; tree too shallow")
-    nu = np.asarray(tree.nu[:start[n]], dtype=np.int64)
+    nu = tree.arrays()[3]
 
     # subtree resistance below each vertex of the current level
     resist = np.zeros(start[n + 1] - start[n])

@@ -19,6 +19,7 @@ root as its only child.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 
 import numpy as np
 
@@ -28,18 +29,23 @@ from .rng import D_TREE, substream
 
 ROOT = 0
 _UBUF = 512  # offspring counts drawn per refill for scalar draws
-# one vertex of the adjacency dump, as json.dumps(..., indent=2) lays it out
-_DUMP_VERTEX = ('  "%d": {\n    "parent": %s,\n    "children": %s,\n'
-                '    "depth": %d\n  }')
-_DUMP_KID_SEP = ",\n      "
 _DUMP_CHUNK = 4096  # vertices per piece of text the dump yields
+
+
+@cache
+def _dump_row(k: int) -> str:
+    """One vertex of the adjacency dump, as json.dumps(..., indent=2) lays it
+    out, for k children (none when k < 0): %d slots for the id, each child and
+    the depth, and a %s slot for the parent, which may be null."""
+    kids = "[\n      %d" + ",\n      %d" * (k - 1) + "\n    ]" if k > 0 else "[]"
+    return f'  "%d": {{\n    "parent": %s,\n    "children": {kids},\n    "depth": %d\n  }}'
 
 
 class QuenchedTree:
     """One realization of the branching tree, grown lazily from its root."""
 
     __slots__ = ("dist", "parent", "depth", "first_child", "nu", "star_root",
-                 "level_start", "_rng", "_nus", "_ni")
+                 "level_start", "_rng", "_nus", "_ni", "_arrays")
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
@@ -52,6 +58,7 @@ class QuenchedTree:
         self._rng = rng
         self._nus: list[int] = []  # buffered offspring counts, next at _ni
         self._ni = 0
+        self._arrays = None  # numpy snapshot of the lists, dropped on growth
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -80,6 +87,7 @@ class QuenchedTree:
             self.nu.extend([-1] * k)
             self.first_child[v] = fc
             self.nu[v] = k
+            self._arrays = None
         fc = self.first_child[v]
         return list(range(fc, fc + k))
 
@@ -95,11 +103,15 @@ class QuenchedTree:
         return [np.arange(start[k], start[k + 1]) for k in range(n + 1)]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(parent, depth, first_child, nu) as int64 numpy snapshots."""
-        return (np.asarray(self.parent, dtype=np.int64),
-                np.asarray(self.depth, dtype=np.int64),
-                np.asarray(self.first_child, dtype=np.int64),
-                np.asarray(self.nu, dtype=np.int64))
+        """(parent, depth, first_child, nu) as read-only int64 numpy arrays:
+        the one numpy view of the arena, built on first use and rebuilt only
+        after the tree grows."""
+        if self._arrays is None:
+            self._arrays = tuple(np.asarray(a, dtype=np.int64) for a in
+                                 (self.parent, self.depth, self.first_child, self.nu))
+            for a in self._arrays:
+                a.flags.writeable = False
+        return self._arrays
 
     def to_adjacency(self) -> dict:
         """Debug dump {"id": {"parent": id|None, "children": [...], "depth": d}}."""
@@ -115,19 +127,17 @@ class QuenchedTree:
     def adjacency_json_chunks(self) -> Iterator[str]:
         """Yield the text of ``json.dumps(self.to_adjacency(), indent=2)``
         piece by piece, ``_DUMP_CHUNK`` vertices per piece, straight from the
-        arena lists: only one piece is held at a time, never the whole-tree
-        dict."""
+        arena lists: one ``%`` of the chunk's row templates over the chunk's
+        ids, so only one piece is held at a time, never the whole-tree dict."""
         lead = "{\n"
         for lo in range(0, len(self.parent), _DUMP_CHUNK):
             hi = lo + _DUMP_CHUNK
-            rows = []
+            args = []
             for v, par, fc, k, dep in zip(range(lo, hi), self.parent[lo:hi],
                                           self.first_child[lo:hi], self.nu[lo:hi],
                                           self.depth[lo:hi]):
-                kids = ("[\n      " + _DUMP_KID_SEP.join(map(str, range(fc, fc + k)))
-                        + "\n    ]") if k > 0 else "[]"
-                rows.append(_DUMP_VERTEX % (v, "null" if par < 0 else par, kids, dep))
-            yield lead + ",\n".join(rows)
+                args += (v, "null" if par < 0 else par, *range(fc, fc + k), dep)
+            yield lead + ",\n".join(map(_dump_row, self.nu[lo:hi])) % tuple(args)
             lead = ",\n"
         yield "\n}"
 
@@ -155,9 +165,9 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
     layers = _sample_offspring_layers(dist, n, 1, tree._rng)
     widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]
     counts = np.concatenate([np.zeros(0, dtype=np.int64), *layers])
-    # every vertex but the root is some internal vertex's child, in id order
+    # every non-root vertex's parent, in id order: siblings share one int object
     unborn = [-1] * widths[-1]
-    tree.parent = [-1] + np.repeat(np.arange(counts.size), counts).tolist()
+    tree.parent = [-1] + np.repeat(np.arange(counts.size).astype(object), counts).tolist()
     tree.depth = np.repeat(np.arange(n + 1), widths).tolist()
     tree.first_child = (1 + np.cumsum(counts) - counts).tolist() + unborn
     tree.nu = counts.tolist() + unborn
@@ -186,4 +196,5 @@ def attach_star_root(tree: QuenchedTree) -> int:
     tree.nu.append(1)
     tree.parent[ROOT] = star
     tree.star_root = star
+    tree._arrays = None
     return star

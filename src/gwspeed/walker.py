@@ -319,23 +319,23 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
 def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
                           rng: np.random.Generator) -> int:
-    parent, depth, first_child, nu = tree.arrays()
-    parent[ROOT] = -1  # a step above the root is a failure; no artificial root
+    goal = tree.level_start[n]  # walkers move from depths < n, the ids below goal
+    parent, _, first_child, nu = (a[:goal] for a in tree.arrays())
+    up = parent.copy()
+    up[ROOT] = -1  # a step above the root is a failure; no artificial root
+    scale, top = lam + nu, nu - 1
     pos = np.full(trials, ROOT, dtype=np.int64)
     successes = 0
     for _ in range(_MAX_SYNC_ROUNDS):
         if pos.size == 0:
             return successes
-        u = rng.random(pos.size)
-        k = nu[pos]
-        t = u * (lam + k) - lam
-        j = t.astype(np.int64)
-        np.minimum(j, k - 1, out=j)
-        np.maximum(j, 0, out=j)
-        pos = np.where(t >= 0.0, first_child[pos] + j, parent[pos])
-        pos = pos[pos >= 0]  # before any depth lookup: index -1 is a vertex
-        succ = depth[pos] == n
-        successes += int(succ.sum())
+        t = rng.random(pos.size) * scale[pos] - lam  # = u * (lam + k) - lam
+        j = t.astype(np.int64)  # a child's rank when t >= 0
+        np.minimum(j, top[pos], out=j)
+        pos = np.where(t >= 0.0, first_child[pos] + j, up[pos])
+        pos = pos[pos >= 0]
+        succ = pos >= goal
+        successes += int(np.count_nonzero(succ))
         pos = pos[~succ]
     raise VerificationError("hitting walk failed to absorb within the round cap")
 

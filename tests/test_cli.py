@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gwspeed
-from gwspeed.cli import run_cli, DEFAULT_PMF
+from gwspeed.cli import DEFAULT_PMF, MAX_GRID_POINTS, _parse_grid, run_cli
 from gwspeed import network as network_mod
 from gwspeed import verify as verify_mod
 from gwspeed import walker as walker_mod
@@ -330,6 +330,23 @@ def test_non_finite_grid_exits_before_any_output(capsys, argv, spec):
     code, out, err = run(capsys, *argv, f"--lambda-grid={spec}")
     assert (code, out) == (1, "")
     assert err.startswith("error: grid start, stop and step must be finite")
+
+
+@pytest.mark.parametrize("spec", ["0:1e6:1e-6", "0:1:1e-5", "0:1e300:1e-300",
+                                  "-1e308:1e308:1"])
+@pytest.mark.parametrize("argv", [
+    ("speed-curve", "--depth", "2", "--samples", "10", "--tuples", "10"),
+    ("beta", "--depth", "2", "--trials", "10"),
+])
+def test_oversized_grid_exits_before_any_output(capsys, argv, spec):
+    # refused from the point count alone: the grid itself is never built
+    code, out, err = run(capsys, *argv, f"--lambda-grid={spec}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: grid {spec!r} has more than {MAX_GRID_POINTS} points")
+
+
+def test_largest_grid_is_accepted():
+    assert len(_parse_grid(f"0:1:{1 / (MAX_GRID_POINTS - 1)}")) == MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("argv", [

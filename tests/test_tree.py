@@ -127,13 +127,15 @@ def test_adjacency_dump_round_trip(binary):
             assert dump[str(child)]["parent"] == int(vid)
 
 
-@pytest.mark.parametrize("pmf", [{2: 1.0}, {2: 0.5, 3: 0.5},
-                                 {1: 0.2, 4: 0.8}, {0: 0.3, 2: 0.7}])
+@pytest.mark.parametrize("pmf", [{2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.2, 4: 0.8},
+                                 {0: 0.3, 2: 0.7}, {1: 0.5, 12: 0.5}])
 def test_streamed_dump_equals_json_dumps(pmf, monkeypatch):
     dist = make_distribution(pmf)
     for depth in range(7):
         for star in (False, True):
             tree = sample_truncated_tree(dist, depth, seed=depth + 3)
+            if len(tree) > 20_000:  # the depth-6 12-child tree: slow, no new row shape
+                continue
             if star:
                 attach_star_root(tree)
             expected = json.dumps(tree.to_adjacency(), indent=2)
@@ -164,6 +166,18 @@ def test_streamed_dump_of_lazily_grown_tree(mix23, monkeypatch):
         monkeypatch.setattr(tree_mod, "_DUMP_CHUNK", chunk)
         assert "".join(tree.adjacency_json_chunks()) == expected
         monkeypatch.undo()
+
+
+def test_dump_after_snapshot_and_lazy_growth(mix23):
+    # the dump reads the lists, which the snapshot taken before growth no
+    # longer matches
+    tree = sample_truncated_tree(mix23, 3, seed=8)
+    attach_star_root(tree)
+    size = len(tree.arrays()[0])
+    for v in range(tree.level_start[3], tree.level_start[4], 2):
+        tree.children(v)
+    assert len(tree) > size
+    assert "".join(tree.adjacency_json_chunks()) == json.dumps(tree.to_adjacency(), indent=2)
 
 
 def test_truncation_is_a_prefix(mix23):

@@ -320,9 +320,25 @@ def test_fixed_tree_is_not_mutated(mix23):
     conductance_sandwich(tree, 1.0, 4)
     assert len(tree) == size
     assert tree.star_root is None
-    attach_star_root(tree)
+    snap = tree.arrays()
+    assert all(a is b for a, b in zip(tree.arrays(), snap))
+    for a in snap:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    star = attach_star_root(tree)
+    _assert_arrays_match_lists(tree)
     # stepping above the root fails with or without the artificial root
     assert hitting_beta_mc(tree, 1.0, 4, 2000, seed=4).successes == est.successes
+    assert tree.arrays()[0][tree.root] == star == tree.parent[tree.root]
+    tree.children(tree.level_start[4])  # grows the first depth-4 vertex
+    assert len(tree) > size + 1
+    _assert_arrays_match_lists(tree)
+
+
+def _assert_arrays_match_lists(tree):
+    for a, lst in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
+        assert a.dtype == np.int64 and not a.flags.writeable
+        assert a.tolist() == lst
 
 
 def test_hitting_input_validation(mix23):
