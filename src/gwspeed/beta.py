@@ -48,17 +48,15 @@ _CHUNK_LEVEL_BUDGET = 6_000_000
 
 @dataclass
 class BetaTable:
-    """Per-vertex beta_n, its bias derivative and the A/B factors for one
-    (tree, level, bias) triple. Arrays are indexed by vertex id; entries
-    outside depth 0..n are NaN."""
+    """Per-vertex beta_n and its bias derivative for one (tree, level, bias)
+    triple. Arrays are indexed by vertex id; entries outside depth 0..n are
+    NaN."""
 
     tree: QuenchedTree
     level: int
     lam: float
     beta: np.ndarray
     dbeta: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
 
     @property
     def root_beta(self) -> float:
@@ -90,35 +88,19 @@ def _level_step(counts: np.ndarray, b: np.ndarray | None, db: np.ndarray | None,
 
 
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
-    """Exact bottom-up evaluation of beta_n, its bias derivative and the A/B
-    factors on a tree sampled to depth n, in one pass over its levels."""
+    """Exact bottom-up evaluation of beta_n and its bias derivative on a tree
+    sampled to depth n, in one pass over its levels."""
     _check_bias(lam)
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    if not tree.is_materialized_to(n):
-        raise ValueError(f"tree is not materialized to depth {n}")
-    start = tree.level_start
-    nu = tree.arrays()[3]
-    for k in range(n + 1):
-        if start[k] == start[k + 1]:
-            raise ValueError(f"no vertices at depth {k}; tree too shallow for level {n}")
-        if k < n and (nu[start[k]:start[k + 1]] < 1).any():
-            raise ValueError("tree has an internal vertex without children; "
-                             "a leafless offspring law is required")
-
-    size = len(tree)
-    beta, dbeta, a, b = (np.full(size, np.nan) for _ in range(4))
+    start, nu = tree.levels(n)
+    beta, dbeta = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
     beta[start[n]:start[n + 1]] = 1.0
     dbeta[start[n]:start[n + 1]] = 0.0
     level_b = level_db = None
     for k in range(n - 1, -1, -1):
         lo, hi = start[k], start[k + 1]
-        beta[lo:hi], dbeta[lo:hi], s, denom = _level_step(nu[lo:hi], level_b, level_db, lam)
+        beta[lo:hi], dbeta[lo:hi] = _level_step(nu[lo:hi], level_b, level_db, lam)[:2]
         level_b, level_db = beta[lo:hi], dbeta[lo:hi]
-        denom *= denom  # in place, as are the next two: on a deep tree this loop sets peak memory
-        np.divide(lam, denom, out=a[lo:hi])
-        np.divide(s, denom, out=b[lo:hi])
-    return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta, a=a, b=b)
+    return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta)
 
 
 def compute_beta_derivative(table: BetaTable) -> BetaTable:
@@ -129,12 +111,20 @@ def compute_beta_derivative(table: BetaTable) -> BetaTable:
 def beta_derivative_path_sum(table: BetaTable) -> float:
     """Root derivative via the unrolled sum over vertices of B times the
     product of A along the strict ancestor path. O(vertices * depth); this is
-    the reference the local recursion is checked against."""
-    tree = table.tree
-    n = table.level
+    the reference the local recursion is checked against. A and B are derived
+    here, level by level, from the table's own beta values."""
+    tree, n, lam = table.tree, table.level, table.lam
+    start, nu = tree.levels(n)
     parent = tree.parent
     depth = tree.depth
-    a, b = table.a, table.b
+    a, b = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
+    kids = kid_ds = None  # (beta, beta') of the level below; None on the boundary
+    for k in range(n - 1, -1, -1):
+        lo, hi = start[k], start[k + 1]
+        _, _, s, denom = _level_step(nu[lo:hi], kids, kid_ds, lam)
+        denom *= denom
+        a[lo:hi], b[lo:hi] = lam / denom, s / denom
+        kids, kid_ds = table.beta[lo:hi], table.dbeta[lo:hi]
     terms = []
     for v in range(len(tree)):
         dep = depth[v]

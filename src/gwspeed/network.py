@@ -90,13 +90,7 @@ def effective_conductance_to_level(net: WeightedTreeNetwork, n: int) -> float:
 def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
     """The reduction behind ``effective_conductance_to_level``. It needs no
     artificial root in the arena: the unit edge above the root is added last."""
-    if not tree.is_materialized_to(n):
-        raise ValueError(f"tree is not materialized to depth {n}")
-    start = tree.level_start
-    for k in range(n + 1):
-        if start[k] == start[k + 1]:
-            raise ValueError(f"no vertices at depth {k}; tree too shallow")
-    nu = tree.arrays()[3]
+    start, nu = tree.levels(n)
 
     # subtree resistance below each vertex of the current level
     resist = np.zeros(start[n + 1] - start[n])
@@ -160,10 +154,10 @@ def conductance_sandwich(tree: QuenchedTree, lam: float,
     """
     if not 0.0 < lam < math.inf:
         raise UnsupportedRegimeError(f"sandwich needs a finite bias > 0, got {lam:.9g}")
-    c_mid = _conductance_to_level(tree, lam, n)
     m1, m2 = tree.dist.m1, tree.dist.m2
     if m1 < 1:
         raise UnsupportedRegimeError("sandwich needs a leafless offspring law")
+    c_mid = _conductance_to_level(tree, lam, n)
     c_low = _regular_conductance(m1, lam, n)
     c_high = _regular_conductance(m2, lam, n)
     slack = 1e-12 * max(1.0, abs(c_mid))

@@ -129,7 +129,9 @@ class OffspringDistribution:
 
     @cached_property
     def _support(self) -> np.ndarray:
-        return np.array([k for k, _ in self.entries], dtype=np.int16)
+        # the counts' dtype: int16, widened only when m2 does not fit in it
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if self.m2 <= np.iinfo(t).max)
+        return np.array([k for k, _ in self.entries], dtype=dtype)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -138,10 +140,11 @@ class OffspringDistribution:
         return cum
 
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample offspring counts, vectorized; int16 array of length size."""
+        """Sample offspring counts, vectorized: an array of length size, int16
+        unless m2 needs a wider integer."""
         u = rng.random(size)
         if len(self.entries) == 1:
-            return np.full(size, self.entries[0][0], dtype=np.int16)
+            return np.full(size, self._support[0])
         if len(self.entries) == 2:
             return np.where(u < self._cum[0], self._support[0], self._support[1])
         return self._support[np.searchsorted(self._cum, u, side="right")]

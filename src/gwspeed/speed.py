@@ -2,9 +2,8 @@
 
 The speed at bias lam is the ratio of two expectations over tuples
 (nu, beta_0..beta_nu): numerator weight (nu-lam)*beta_0/(lam-1+sum beta_i),
-denominator weight (nu+lam)*beta_0/(lam-1+sum beta_i). A symmetrized variant
-replaces beta_0 by the tuple average; both are evaluated as Monte Carlo means
-over tuples assembled from a sample pool.
+denominator weight (nu+lam)*beta_0/(lam-1+sum beta_i), both evaluated as
+Monte Carlo means over tuples assembled from a sample pool.
 
 ``inequality8`` evaluates the four cross moments whose combination being
 below (1/lam) * E1 * E3 is equivalent to a strictly negative speed slope, and
@@ -135,8 +134,6 @@ def _speed_terms(tp: TuplePool, lam: float):
 class FormulaSpeed:
     speed: float
     stderr: float
-    sym_speed: float
-    sym_stderr: float
     lam: float
     level: int
     tuples: int
@@ -147,10 +144,8 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
                      tuples: int, seed: int, bootstrap: int = 0) -> FormulaSpeed:
     """Evaluate the speed formula by Monte Carlo over tuples from ``pool``.
 
-    Also evaluates the symmetrized form as an internal consistency check;
-    the two are different estimators of the same ratio. ``bootstrap`` > 0
-    adds a resampling standard error as a slower cross-check of the
-    delta-method one.
+    ``bootstrap`` > 0 adds a resampling standard error as a slower
+    cross-check of the delta-method one.
     """
     if dist.has_leaves:
         raise UnsupportedRegimeError("speed formula needs a leafless offspring law")
@@ -161,9 +156,6 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     tp = make_tuple_pool(dist, pool, tuples, seed)
     num, den = _speed_terms(tp, lam)
     _, speed, stderr = _delta((num, den), _ratio)
-    shared = tp.beta_sums / ((tp.nus + 1.0) * tp.denominators)
-    _, sym_speed, sym_stderr = _delta(((tp.nus - lam) * shared,
-                                       (tp.nus + lam) * shared), _ratio)
     boot = None
     if bootstrap > 0:
         rng = substream(seed, D_TUPLE, 1)
@@ -173,8 +165,7 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
             pick = rng.integers(0, m, size=m)
             reps[b] = num[pick].mean() / den[pick].mean()
         boot = float(reps.std(ddof=1))
-    return FormulaSpeed(speed=speed, stderr=stderr, sym_speed=sym_speed,
-                        sym_stderr=sym_stderr, lam=lam, level=pool.level,
+    return FormulaSpeed(speed=speed, stderr=stderr, lam=lam, level=pool.level,
                         tuples=tuples, bootstrap_stderr=boot)
 
 

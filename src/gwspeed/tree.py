@@ -95,6 +95,21 @@ class QuenchedTree:
         """True when levels 0..n were laid out breadth first at sampling."""
         return n < len(self.level_start) - 1
 
+    def levels(self, n: int) -> tuple[list[int], np.ndarray]:
+        """(level_start, nu) for a level-wise pass over depths 0..n: the one
+        check of the fixed-tree oracles. Refuses a level below 0, a tree not
+        laid out breadth first to depth n, and a childless vertex above depth
+        n; with none of those, every level 0..n is non-empty."""
+        if n < 0:
+            raise ValueError(f"level must be >= 0, got {n}")
+        if not self.is_materialized_to(n):
+            raise ValueError(f"tree is not materialized to depth {n}")
+        nu = self.arrays()[3]
+        if (nu[:self.level_start[n]] < 1).any():
+            raise ValueError("tree has an internal vertex without children; "
+                             "a leafless offspring law is required")
+        return self.level_start, nu
+
     def level_ids(self, n: int) -> list[np.ndarray]:
         """Vertex ids of the levels 0..n, one contiguous range per level."""
         if not self.is_materialized_to(n):

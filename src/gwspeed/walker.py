@@ -12,9 +12,10 @@ the standard error taken across replicas. Replicas are iid by construction,
 so no autocorrelation correction is needed.
 
 Speed replicas and annealed hitting trials take one of two paths, chosen by
-the offspring law alone. On a one-point law (``m1 == m2``, the regular tree)
-every vertex looks the same, so ``_chain_final_depth`` walks the depth as a
-reflected +-1 chain and grows no tree. On every other law
+the offspring law alone, in ``_final_depth``. On a one-point law
+(``m1 == m2``, the regular tree) every vertex looks the same, so
+``_chain_final_depth`` walks the depth as a reflected +-1 chain and grows no
+tree. On every other law
 ``_walk_final_depth`` walks a lazily grown tree that it keeps itself: a
 two-list arena (first child and offspring count per vertex) and a stack of the
 current vertex's ancestors, with no QuenchedTree behind it. Both read the walk
@@ -210,19 +211,23 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     return dep
 
 
+def _final_depth(dist: OffspringDistribution, lam: float, steps: int,
+                 rng: np.random.Generator, star: bool, tree_key: tuple,
+                 stop: int = -2) -> int:
+    """The one choice of walk kernel: the depth chain on a one-point law, else
+    the tree walk on a tree grown from ``substream(*tree_key)``, a stream the
+    chain never creates."""
+    if dist.m1 == dist.m2:
+        return _chain_final_depth(dist.m1, lam, steps, rng, star, stop)
+    return _walk_final_depth(dist, substream(*tree_key), lam, steps, rng, star, stop)
+
+
 def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
     dist = OffspringDistribution(entries)
     gcode = _GRAPH_CODES[graph]
     star = graph == "T_star"
-    out = []
-    for i in indices:
-        walk_rng = substream(seed, D_WALK, gcode, i)
-        if dist.m1 == dist.m2:
-            out.append(_chain_final_depth(dist.m1, lam, steps, walk_rng, star))
-            continue
-        out.append(_walk_final_depth(dist, substream(seed, D_WALK_TREE, gcode, i),
-                                     lam, steps, walk_rng, star))
-    return out
+    return [_final_depth(dist, lam, steps, substream(seed, D_WALK, gcode, i), star,
+                         (seed, D_WALK_TREE, gcode, i)) for i in indices]
 
 
 def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
@@ -275,9 +280,10 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     root, walking from the root.
 
     quenched: all trials on one fixed tree (supplied or sampled from the
-    seed). annealed: a fresh tree per trial, estimating the tree-averaged
-    probability. Both modes need a leafless law, and both raise
-    VerificationError when a walk has not absorbed within the round cap.
+    seed; it must pass ``QuenchedTree.levels(n)``). annealed: a fresh tree
+    per trial, estimating the tree-averaged probability. Both modes need a
+    leafless law, and both raise VerificationError when a walk has not
+    absorbed within the round cap.
     """
     _check_bias(lam)
     if n < 1:
@@ -297,19 +303,13 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     if mode == "annealed":
         successes = 0
         for t in range(trials):
-            walk_rng = substream(seed, D_HIT, t)
-            if dist.m1 == dist.m2:
-                end = _chain_final_depth(dist.m1, lam, _MAX_SYNC_ROUNDS, walk_rng, True, n)
-            else:
-                end = _walk_final_depth(dist, substream(seed, D_TREE, t), lam,
-                                        _MAX_SYNC_ROUNDS, walk_rng, True, n)
+            end = _final_depth(dist, lam, _MAX_SYNC_ROUNDS, substream(seed, D_HIT, t),
+                               True, (seed, D_TREE, t), n)
             if end != n and end != -1:
                 raise VerificationError("hitting walk failed to absorb within the round cap")
             successes += end == n
     else:
         tree = dist_or_tree if fixed else sample_truncated_tree(dist, n, seed)
-        if not tree.is_materialized_to(n):
-            raise ValueError(f"fixed tree is not materialized to depth {n}")
         successes = _hit_level_vectorized(tree, lam, n, trials, substream(seed, D_HIT, 0))
     p = successes / trials
     return HittingEstimate(estimate=p, stderr=float(np.sqrt(p * (1 - p) / trials)),
@@ -319,7 +319,8 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
 def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
                           rng: np.random.Generator) -> int:
-    goal = tree.level_start[n]  # walkers move from depths < n, the ids below goal
+    start, _ = tree.levels(n)
+    goal = start[n]  # walkers move from depths < n, the ids below goal
     parent, _, first_child, nu = (a[:goal] for a in tree.arrays())
     up = parent.copy()
     up[ROOT] = -1  # a step above the root is a failure; no artificial root

@@ -108,6 +108,17 @@ def test_beta_table_consistency(capsys):
     assert abs(float(row[3]) - float(row[1])) < 4 * float(row[4])
 
 
+def test_beta_with_counts_beyond_int16(capsys):
+    # a depth-1 tree: beta_1 = k/(1 + k) for a root with k children
+    for seed in range(1, 4):
+        code, out, err = run(capsys, "beta", "--pmf", "2:0.5,40000:0.5", "--depth", "1",
+                             "--trials", "10", "--lambda", "1", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        assert row[1] == row[2]
+        assert float(row[1]) in (float(f"{2 / 3:.9g}"), float(f"{40000 / 40001:.9g}"))
+
+
 def test_beta_grid_pool_and_dump(capsys, tmp_path):
     pool_path = tmp_path / "pool.csv"
     tree_path = tmp_path / "tree.json"

@@ -10,11 +10,15 @@ from gwspeed import (
     compute_beta,
     conductance_sandwich,
     effective_conductance_to_level,
+    ensure_children,
+    hitting_beta_mc,
     make_distribution,
     regular_escape_probability,
     regular_return_gf,
     sample_truncated_tree,
 )
+from gwspeed.rng import substream
+from gwspeed.tree import QuenchedTree
 
 LAM_GRID = (0.25, 0.5, 1.0, 1.5)
 
@@ -90,6 +94,72 @@ def test_conductance_requires_deep_enough_tree(mix23):
     net = build_conductances(tree, 1.0)
     with pytest.raises(ValueError):
         effective_conductance_to_level(net, 5)
+
+
+def test_conductance_refuses_internal_leaves():
+    # on seed 9 the reduction once returned 0.50066 where the exact hitting
+    # probability is 0.42202; seeds 0, 4, 5 and 7 raised IndexError
+    leafy = make_distribution({0: 0.3, 2: 0.7})
+    for seed in range(10):
+        tree = _starred(leafy, 4, seed)
+        net = build_conductances(tree, 1.0)
+        with pytest.raises(ValueError, match="internal vertex without children"):
+            effective_conductance_to_level(net, 4)
+        with pytest.raises(UnsupportedRegimeError, match="leafless"):
+            conductance_sandwich(tree, 1.0, 4)
+
+
+def _fixed_trees():
+    """(tree, depth grown to), each with its artificial root: every law at
+    depth 4 (the law with leaves at seed 9, a leaf above the boundary, and
+    seed 0, a line that dies out), a shallow tree and a lazily grown one."""
+    trees = []
+    for pmf in ({2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.5, 12: 0.5}, {0: 0.3, 2: 0.7}):
+        dist = make_distribution(pmf)
+        for seed in ((9, 0) if dist.has_leaves else (3,)):
+            trees.append((_starred(dist, 4, seed), 4))
+    mix23 = make_distribution({2: 0.5, 3: 0.5})
+    trees.append((_starred(mix23, 2, 5), 2))
+    lazy = QuenchedTree(mix23, substream(5, 1, 0))
+    for v in range(40):
+        ensure_children(lazy, v)
+    attach_star_root(lazy)
+    trees.append((lazy, max(lazy.depth)))
+    return trees
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return exc
+
+
+def test_fixed_tree_oracles_accept_and_refuse_the_same_trees():
+    refusals = set()
+    for tree, depth in _fixed_trees():
+        net = build_conductances(tree, 1.0)
+        for n in range(-1, depth + 2):
+            beta = _outcome(lambda: compute_beta(tree, n, 1.0).root_beta)
+            cond = _outcome(lambda: effective_conductance_to_level(net, n))
+            if isinstance(beta, ValueError):
+                refusals.add(str(beta).split(";")[0])
+                assert type(cond) is ValueError and str(cond) == str(beta)
+            else:
+                assert cond == pytest.approx(beta, rel=1e-12, abs=0.0)
+            if n < 1:  # hitting needs a level >= 1 whatever the tree
+                continue
+            hit = _outcome(lambda: hitting_beta_mc(tree, 1.0, n, 20, seed=1))
+            if tree.dist.has_leaves:  # refused by its law before the tree is read
+                assert isinstance(hit, UnsupportedRegimeError)
+            elif isinstance(beta, ValueError):
+                assert type(hit) is ValueError and str(hit) == str(beta)
+            else:
+                assert not isinstance(hit, ValueError)
+    assert refusals == {"level must be >= 0, got -1",
+                        "tree has an internal vertex without children",
+                        # n = 1..6: the lazily grown tree reaches depth 5
+                        *(f"tree is not materialized to depth {n}" for n in range(1, 7))}
 
 
 def test_return_gf_values():

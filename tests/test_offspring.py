@@ -150,3 +150,14 @@ def test_draw_counts_support(mix23):
     rng = np.random.default_rng(0)
     counts = mix23.draw_counts(rng, 10000)
     assert set(np.unique(counts)) == {2, 3}
+
+
+def test_draw_counts_beyond_int16():
+    import numpy as np
+    rng = np.random.default_rng(0)
+    assert make_distribution({40000: 1.0}).draw_counts(rng, 5).tolist() == [40000] * 5
+    counts = make_distribution({2: 0.5, 40000: 0.5}).draw_counts(rng, 1000)
+    assert set(counts.tolist()) == {2, 40000}
+    # counts stay int16 while the largest one fits
+    for pmf in ({2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.5, 32767: 0.5}):
+        assert make_distribution(pmf).draw_counts(rng, 3).dtype == np.int16

@@ -44,7 +44,6 @@ def test_formula_with_exact_constant_pool(binary):
         fs = speed_formula_mc(binary, lam, pool, 500, seed=1)
         assert fs.speed == pytest.approx((2 - lam) / (2 + lam), abs=1e-12)
         assert fs.stderr == pytest.approx(0.0, abs=1e-12)
-        assert fs.sym_speed == pytest.approx((2 - lam) / (2 + lam), abs=1e-12)
     assert speed_formula_mc(binary, 0.5, constant_pool(0.75, -0.5, 0.5),
                             500, seed=1).speed == pytest.approx(0.6, abs=1e-12)
 
@@ -59,8 +58,6 @@ def test_formula_matches_exact_at_unit_bias(mix23):
     pool = sample_pool(mix23, 1.0, 10, 20000, seed=3, method="tree")
     fs = speed_formula_mc(mix23, 1.0, pool, 50000, seed=3)
     assert abs(fs.speed - 5 / 12) < 3 * fs.stderr
-    # plain and symmetrized forms are estimators of the same ratio
-    assert abs(fs.speed - fs.sym_speed) < 3 * np.hypot(fs.stderr, fs.sym_stderr)
 
 
 def test_formula_agrees_with_simulation(mix23):
@@ -106,7 +103,7 @@ def test_delta_kernel_ratio_stderr_matches_closed_form():
 def test_single_tuple_estimates_have_zero_stderr(mix23):
     pool = sample_pool(mix23, 0.5, 4, 50, seed=21, method="tree")
     fs = speed_formula_mc(mix23, 0.5, pool, 1, seed=21)
-    assert (fs.stderr, fs.sym_stderr) == (0.0, 0.0)
+    assert fs.stderr == 0.0
     assert inequality8(mix23, 0.5, make_tuple_pool(mix23, pool, 1, seed=21)).mc_stderr == 0.0
     curve = speed_curve(mix23, [0.0, 0.4, 0.8], n=4, samples=50, tuples=1, seed=21)
     for point in curve.points:
