@@ -44,6 +44,11 @@ from .tree import QuenchedTree, _sample_offspring_layers
 
 # Chunking keeps peak forest memory near this many vertices on one level.
 _CHUNK_LEVEL_BUDGET = 6_000_000
+# np.add.reduceat sums a block of at most this many values left to right.
+_SEQUENTIAL_BLOCK = 8
+# Bytes a forest level holds per vertex while it is drawn and stepped: the
+# uniform (8), the count (up to 8) and the (beta, beta') pair (16).
+_FOREST_BYTES_PER_VERTEX = 32
 
 
 @dataclass
@@ -67,22 +72,72 @@ class BetaTable:
         return float(self.dbeta[self.tree.root])
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start of each block of ``counts`` consecutive values."""
+    return np.cumsum(counts, dtype=np.int64) - counts
+
+
+def _block_plan(counts: np.ndarray) -> tuple[np.ndarray, list | None]:
+    """Bias-independent plan for summing consecutive blocks of ``counts``
+    values: the block offsets, and for each child rank j >= 1 the blocks that
+    have a rank-j value (a slice when all do) with that value's index. The
+    ranks are None when a block is longer than ``_SEQUENTIAL_BLOCK``."""
+    off = _offsets(counts)
+    width = int(counts.max())
+    if width > _SEQUENTIAL_BLOCK:
+        return off, None
+    ranks = []
+    for j in range(1, width):
+        has = np.flatnonzero(counts > j)
+        ranks.append((slice(None) if has.size == counts.size else has, off[has] + j))
+    return off, ranks
+
+
+def _block_sums(x: np.ndarray, off: np.ndarray, ranks: list | None = None) -> np.ndarray:
+    """``np.add.reduceat(x, off)``, bit for bit.
+
+    reduceat adds a block as x0 + tail, where the tail x1 + x2 + ... is summed
+    left to right from -0.0 when it has fewer than 8 values, pairwise
+    otherwise. With the ranks of ``_block_plan`` the same additions run as
+    one gather per rank, whose cost is per value rather than per block.
+    Without them (or for blocks longer than ``_SEQUENTIAL_BLOCK``) reduceat
+    does the sum.
+    """
+    if ranks is None:
+        return np.add.reduceat(x, off)
+    if not ranks:
+        return x[off]
+    (has, at), *rest = ranks
+    if isinstance(has, slice):  # -0.0 + x1 is x1
+        tail = x[at]
+    else:
+        tail = np.full(off.size, -0.0)
+        tail[has] = x[at]
+    for has, at in rest:
+        tail[has] += x[at]
+    return x[off] + tail
+
+
 def _level_step(counts: np.ndarray, b: np.ndarray | None, db: np.ndarray | None,
-                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                lam: float, plan: tuple | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of the bottom-up recursion.
 
     The children's (beta, beta') values ``b`` and ``db`` come in consecutive
     blocks of ``counts``, one block per parent. ``b is None`` stands for
     children on the boundary level (beta 1, beta' 0), whose sum is the count.
+    A caller that steps the same level at many biases passes its
+    ``_block_plan`` as ``plan``; without one the offsets are computed here
+    and reduceat sums the blocks, with the same bits either way.
     Returns (beta, beta', S, lam + S) for the parents.
     """
     if b is None:
         s = counts.astype(np.float64)
         sp = 0.0
     else:
-        off = np.cumsum(counts, dtype=np.int64) - counts
-        s = np.add.reduceat(b, off)
-        sp = np.add.reduceat(db, off)
+        off, ranks = plan if plan is not None else (_offsets(counts), None)
+        s = _block_sums(b, off, ranks)
+        sp = _block_sums(db, off, ranks)
     denom = lam + s
     return s / denom, (lam * sp - s) / (denom * denom), s, denom
 
@@ -180,7 +235,7 @@ def _merge_level(counts: np.ndarray, kids: np.ndarray | None, n_kid_shapes: int
         code_range = base ** width
         if code_range > np.iinfo(np.int64).max:
             return None
-        off = np.cumsum(counts, dtype=np.int64) - counts
+        off = _offsets(counts)
         code = np.zeros(counts.size, dtype=np.int64)
         for j in range(width):  # digit j: the shape of each parent's j-th child
             has = np.flatnonzero(counts > j)
@@ -212,10 +267,12 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
     bit-identical.
 
     Consumes ``layers``, so that each merged level's counts are freed once it
-    is merged. Returns the levels bottom up as (counts, kids) for
+    is merged. Returns the levels bottom up as (counts, kids, plan) for
     ``_level_step``, where ``kids`` indexes each child's value on the level
-    below (None: the values are read in place), and the index of each root's
-    value on the top level (None when the root level was not merged).
+    below (None: the values are read in place) and ``plan`` is the level's
+    ``_block_plan`` (None on the bottom level, whose children are all on the
+    boundary), and the index of each root's value on the top level (None
+    when the root level was not merged).
     """
     levels, ids, merge = [], None, True
     while layers:
@@ -223,11 +280,10 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
         merged = _merge_level(counts, ids, len(levels[-1][0]) if levels else 0) if merge else None
         if merged is None:
             merge = False
-            levels.append((counts, ids))
-            ids = None
+            kids, ids = ids, None
         else:
-            ids, shape_counts, shape_kids = merged
-            levels.append((shape_counts, shape_kids))
+            ids, counts, kids = merged
+        levels.append((counts, kids, _block_plan(counts) if levels else None))
     return levels, ids
 
 
@@ -239,10 +295,10 @@ def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
     if not levels:
         return np.ones(n_trees), np.zeros(n_trees)
     b = db = None
-    for counts, kids in levels:
+    for counts, kids, plan in levels:
         if kids is not None:
             b, db = b[kids], db[kids]
-        b, db = _level_step(counts, b, db, lam)[:2]
+        b, db = _level_step(counts, b, db, lam, plan)[:2]
     if top is not None:
         b, db = b[top], db[top]
     return b, db
@@ -251,6 +307,15 @@ def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
 def _trees_per_chunk(dist: OffspringDistribution, n: int) -> int:
     peak = max(1.0, dist.m) ** n
     return max(1, int(_CHUNK_LEVEL_BUDGET / max(1.0, peak)))
+
+
+def forest_level_bytes(dist: OffspringDistribution, n: int) -> float:
+    """Predicted bytes of the widest level (n-1) of one forest chunk at depth
+    n, from its expected width; nothing is allocated."""
+    try:
+        return _trees_per_chunk(dist, n) * max(1.0, dist.m) ** (n - 1) * _FOREST_BYTES_PER_VERTEX
+    except OverflowError:
+        return math.inf
 
 
 def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,

@@ -16,7 +16,11 @@ are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 Every estimate here (the ratio, the paired difference of two ratios, the
 criterion margin) is a smooth function of the means of paired per-tuple
 terms, and one kernel, ``_delta``, returns it with its delta-method standard
-error. A tuple pool sums its betas once, when it is built.
+error. A tuple pool sums its betas once, when it is built. The tuples'
+layout does not depend on the bias, so ``speed_curve`` builds one block-sum
+plan (``beta._block_plan``) per tuple draw and hands it to the tuple pool of
+every grid point; the beta and beta' sums add in reduceat's order either
+way, so the values are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beta import BetaPool, sample_pools_shared_trees
+from .beta import BetaPool, _block_plan, _block_sums, sample_pools_shared_trees
 from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_TUPLE, substream
@@ -40,7 +44,9 @@ class TuplePool:
     """Flattened tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) sharing the
     member indices of their source pool, so beta and beta' of a member always
     come from the same realization. The per-tuple beta sums and formula
-    denominators lam - 1 + sum beta_i are computed once, at construction."""
+    denominators lam - 1 + sum beta_i are computed once, at construction.
+    ``sum_ranks`` is the rank part of the tuples' ``beta._block_plan``,
+    shared by the pools of a bias grid; None sums with reduceat."""
 
     nus: np.ndarray       # (M,)
     offsets: np.ndarray   # (M,) exclusive starts into the member arrays
@@ -48,11 +54,12 @@ class TuplePool:
     dbetas: np.ndarray
     lam: float
     level: int
+    sum_ranks: list | None = None
     beta_sums: np.ndarray = field(init=False)
     denominators: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.beta_sums = np.add.reduceat(self.betas, self.offsets)
+        self.beta_sums = _block_sums(self.betas, self.offsets, self.sum_ranks)
         self.denominators = self.lam - 1.0 + self.beta_sums
 
     def __len__(self) -> int:
@@ -74,9 +81,10 @@ def _draw_tuple_indices(dist: OffspringDistribution, pool_size: int, count: int,
     return nus, offsets, idx
 
 
-def _bind_tuples(nus, offsets, idx, pool: BetaPool) -> TuplePool:
+def _bind_tuples(nus, offsets, idx, pool: BetaPool, sum_ranks=None) -> TuplePool:
     tp = TuplePool(nus=nus, offsets=offsets, betas=pool.beta[idx],
-                   dbetas=pool.dbeta[idx], lam=pool.lam, level=pool.level)
+                   dbetas=pool.dbeta[idx], lam=pool.lam, level=pool.level,
+                   sum_ranks=sum_ranks)
     d = tp.denominators
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:
@@ -95,16 +103,30 @@ def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
     return _bind_tuples(nus, offsets, idx, pool)
 
 
+def _moments(terms) -> tuple[np.ndarray, np.ndarray | None]:
+    """The means of the paired ``terms`` and their covariance (None for one
+    tuple), by ``np.cov(x, ddof=1)``'s own steps on one stacked copy ``x``
+    centred in place: bit-identical to ``np.cov`` and to each term's
+    ``.mean()``, without ``np.cov``'s second copy of the data."""
+    x = np.stack(terms)
+    mean = x.mean(axis=1)
+    m = x.shape[1]
+    if m < 2:
+        return mean, None
+    x -= mean[:, None]
+    return mean, np.dot(x, x.T.conj()) * (1.0 / (m - 1))
+
+
 def _delta(terms, fn) -> tuple[list[float], float, float]:
     """The means of the paired per-tuple ``terms``, the value of ``fn`` there
-    and its delta-method standard error (0 for one tuple). ``fn`` maps the
-    means to (value, gradient)."""
-    means = [float(t.mean()) for t in terms]
+    and its delta-method standard error (0 for one tuple) from the
+    ``_moments`` covariance. ``fn`` maps the means to (value, gradient)."""
+    mean, sigma = _moments(terms)
+    means = [float(v) for v in mean]
     value, grad = fn(*means)
-    m = terms[0].size
-    if m < 2:
+    if sigma is None:
         return means, value, 0.0
-    sigma = np.cov(np.stack(terms), ddof=1)
+    m = terms[0].size
     grad = np.array(grad)
     var = float(grad @ sigma @ grad) / m
     return means, value, math.sqrt(max(var, 0.0))
@@ -222,7 +244,7 @@ def inequality8(dist: OffspringDistribution, lam: float,
     tp = tuple_pool
     d = tp.denominators
     sb = tp.beta_sums
-    sc = sb + (1.0 - lam) * np.add.reduceat(tp.dbetas, tp.offsets)
+    sc = sb + (1.0 - lam) * _block_sums(tp.dbetas, tp.offsets, tp.sum_ranks)
     nu = tp.nus
     w_nu = nu / (nu + 1.0)
     w_one = 1.0 / (nu + 1.0)
@@ -323,6 +345,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
     nus, offsets, idx = _draw_tuple_indices(dist, samples, tuples, seed)
+    sum_ranks = _block_plan(nus + 1)[1]
 
     lam_star = None
     if dist.m1 >= 2:
@@ -332,7 +355,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     terms = []
     for pool in pools:
         lam = pool.lam
-        tp = _bind_tuples(nus, offsets, idx, pool)
+        tp = _bind_tuples(nus, offsets, idx, pool, sum_ranks)
         terms.append(_speed_terms(tp, lam))
         if lam == 0.0:
             speed, stderr = 1.0, 0.0

@@ -13,7 +13,8 @@ from gwspeed import (
     sample_pools_shared_trees,
     sample_truncated_tree,
 )
-from gwspeed.beta import _forest_root_values, _merge_forest
+from gwspeed.beta import (_block_plan, _block_sums, _forest_root_values, _merge_forest,
+                          _offsets, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import substream
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
@@ -291,7 +292,7 @@ def _merged_levels(law, depth, n_trees, seed):
                                       np.random.default_rng(seed))
     levels, top = _merge_forest(list(layers))
     # a merged level keeps one entry per shape, at most half its width
-    return sum(c.size < raw.size for (c, _), raw in zip(levels, reversed(layers))), top
+    return sum(c.size < raw.size for (c, *_), raw in zip(levels, reversed(layers))), top
 
 
 def test_merge_covers_whole_forest_and_stops_at_lowest_level():
@@ -301,3 +302,65 @@ def test_merge_covers_whole_forest_and_stops_at_lowest_level():
     assert merged == 1 and top is None
     merged, top = _merged_levels("2:1", 1, 1, 101)
     assert merged == 0 and top is None
+
+
+def _assert_block_sums_match_reduceat(x, counts):
+    off = _offsets(counts)
+    ref = np.add.reduceat(x, off)
+    for ranks in (_block_plan(counts)[1], None):
+        got = _block_sums(x, off, ranks)
+        # bit patterns, so that -0.0 against 0.0 counts as a difference
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("length", range(1, 21))
+def test_block_sums_match_reduceat_bit_for_bit(length):
+    # values spread over 16 decades, so any change in the order of the
+    # additions changes some sum; 8 and 9 straddle reduceat's switch from a
+    # left-to-right tail to a pairwise one
+    rng = np.random.default_rng(length)
+    counts = np.full(500, length, dtype=np.int16)
+    x = rng.standard_normal(500 * length) * 10.0 ** rng.integers(-8, 8, 500 * length)
+    _assert_block_sums_match_reduceat(x, counts)
+
+
+def test_block_sums_match_reduceat_on_mixed_blocks():
+    rng = np.random.default_rng(5)
+    for top in (2, 5, 8, 9, 20):
+        counts = rng.integers(1, top + 1, 2000).astype(np.int16)
+        x = rng.standard_normal(int(counts.sum())) * 10.0 ** rng.integers(-8, 8, int(counts.sum()))
+        _assert_block_sums_match_reduceat(x, counts)
+
+
+def test_block_sums_keep_signed_zeros():
+    rng = np.random.default_rng(6)
+    for top in (1, 3, 8, 12):
+        counts = rng.integers(1, top + 1, 400).astype(np.int16)
+        x = rng.choice([-0.0, 0.0, 1.5, -1.5], size=int(counts.sum()), p=[0.6, 0.2, 0.1, 0.1])
+        _assert_block_sums_match_reduceat(x, counts)
+    off, ranks = _block_plan(np.ones(3, dtype=np.int16))
+    assert np.signbit(_block_sums(np.array([-0.0, -0.0, -0.0]), off, ranks)).all()
+
+
+def test_forest_levels_carry_their_block_plans():
+    # the bias-independent plan rides on every level above the boundary;
+    # a law with blocks longer than 8 leaves the sums to reduceat
+    for law in ("2:0.3,3:0.3,4:0.4", "1:0.5,12:0.5"):
+        layers = _sample_offspring_layers(parse_pmf_text(law), 3, 20,
+                                          np.random.default_rng(3))
+        levels, _ = _merge_forest(layers)
+        assert levels[0][2] is None
+        for counts, _, (off, ranks) in levels[1:]:
+            assert np.array_equal(off, _offsets(counts))
+            assert (ranks is None) == (counts.max() > 8)
+
+
+def test_forest_level_prediction_is_large_only_for_wide_levels():
+    demo, wide = parse_pmf_text("2:0.5,3:0.5"), parse_pmf_text("2:0.5,40000:0.5")
+    # chunking caps a level at about 6e6/m vertices whenever a chunk holds
+    # more than one tree
+    for depth in (0, 1, 8, 11, 12, 15):
+        assert forest_level_bytes(demo, depth) < 2**28
+    assert forest_level_bytes(wide, 2) < 2**20
+    assert forest_level_bytes(wide, 5) > 2**60
+    assert forest_level_bytes(demo, 2000) == float("inf")

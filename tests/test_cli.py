@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gwspeed
+from gwspeed import cli as cli_mod
 from gwspeed.cli import DEFAULT_PMF, MAX_GRID_POINTS, _parse_grid, run_cli
 from gwspeed import network as network_mod
 from gwspeed import verify as verify_mod
@@ -261,6 +262,23 @@ def test_curve_bad_counts_exit_before_any_output(capsys, flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("flags", [(), ("--single-depth",)])
+def test_curve_refuses_a_forest_level_over_budget(capsys, monkeypatch, flags):
+    # the depth-5 rescan of this law would draw a ~1e17-vertex level; the
+    # depth-2 curve alone is fine but prints nothing unless both depths fit
+    def never(*args, **kwargs):
+        raise AssertionError("speed_curve ran")
+
+    monkeypatch.setattr(cli_mod, "speed_curve", never)
+    depth = ("--depth", "5") if flags else ("--depth", "2")
+    code, out, err = run(capsys, "speed-curve", "--pmf", "2:0.5,40000:0.5", *depth,
+                         "--samples", "20", "--tuples", "100",
+                         "--lambda-grid", "0:1:0.5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a depth-5 forest level would need")
+
+
 def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
                          "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))
@@ -441,6 +459,26 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
     assert code == 0
     assert _sha256(pool_path.read_bytes()) == (
         "3c50f00929c07d64d7564e948633c113894d3af7a3d1f9842037605d5f740974")
+
+
+@pytest.mark.parametrize("argv,digests", [
+    # single-value blocks and blocks longer than 8 values, one depth
+    (("--pmf", "1:0.5,12:0.5", "--single-depth", "--depth", "3", "--samples", "200",
+      "--tuples", "3000"),
+     ("63bc2656c7fafc687a1bcfb17b55eaf1b0b3ce0ff73799e2e2e6407656cc3fd4",
+      "4e1121885a30abf14f4957f79d9231f4a5a495c74d63e6c98ba65289a6bca495")),
+    # blocks of 2 to 5 values in the forest and the tuples, both depths
+    (("--pmf", "2:0.3,3:0.3,4:0.4", "--depth", "5", "--samples", "300", "--tuples", "5000"),
+     ("bb0a776c64c7da6abe7305a21512201981b1d113ab6aa8f66d21485f000c825b",
+      "78eeb339c001cd77e5c72d91e27af20d7ae5637141afc1c85b621d5b11a55484")),
+])
+def test_pinned_curve_outputs_off_the_demo_law(capsys, tmp_path, argv, digests):
+    # digests recorded before the block sums moved off np.add.reduceat for
+    # blocks of at most 8 values
+    curve_path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, "speed-curve", *argv, "--seed", "7", "--out", str(curve_path))
+    assert code == 0
+    assert (_sha256(out.encode()), _sha256(curve_path.read_bytes())) == digests
 
 
 def test_pinned_simulate_outputs_are_byte_identical(capsys, tmp_path):

@@ -16,7 +16,7 @@ from gwspeed import (
     speed_exact_lambda1,
     speed_formula_mc,
 )
-from gwspeed.speed import _delta, _ratio
+from gwspeed.speed import _delta, _moments, _ratio
 
 
 def constant_pool(beta, dbeta, lam, size=200):
@@ -259,3 +259,21 @@ def test_curve_determinism(mix23):
     for pa, pb in zip(a.points, b.points):
         assert pa.speed_formula == pb.speed_formula
         assert pa.ineq8_margin == pb.ineq8_margin
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("m", [2, 3, 1000, 50000])
+def test_moments_match_np_cov_bit_for_bit(k, m):
+    rng = np.random.default_rng(1000 * k + m)
+    for _ in range(5):
+        terms = [rng.standard_normal(m) * 10.0 ** rng.integers(-6, 6) + rng.random()
+                 for _ in range(k)]
+        mean, sigma = _moments(terms)
+        assert [float(v) for v in mean] == [float(t.mean()) for t in terms]
+        assert np.array_equal(sigma, np.cov(np.stack(terms), ddof=1))
+        assert _delta(terms, lambda *e: (0.0, (1.0,) * k))[0] == [float(v) for v in mean]
+
+
+def test_moments_of_one_tuple_have_no_covariance():
+    mean, sigma = _moments([np.array([2.0]), np.array([3.0])])
+    assert list(mean) == [2.0, 3.0] and sigma is None
