@@ -10,6 +10,7 @@ from gwspeed import (
     inequality8,
     make_distribution,
     make_tuple_pool,
+    parse_pmf_text,
     sample_pool,
     simulate_speed,
     speed_curve,
@@ -82,6 +83,24 @@ def test_bootstrap_stderr_agrees_with_delta(mix23):
     pool = sample_pool(mix23, 1.0, 8, 5000, seed=7, method="tree")
     fs = speed_formula_mc(mix23, 1.0, pool, 4000, seed=7, bootstrap=200)
     assert fs.bootstrap_stderr == pytest.approx(fs.stderr, rel=0.5)
+
+
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "2:0.3,5:0.7"])
+def test_delta_stderr_is_calibrated_at_unit_bias(law):
+    # at unit bias the depth-n speed is exactly sum p_k (k-1)/(k+1) at every
+    # depth, so the z-scores of 200 independent estimates against it must
+    # look standard normal. Bands fixed before any run: the SD within
+    # +-5 standard errors of an SD over 200 values, the mean within
+    # 4/sqrt(200)
+    dist = parse_pmf_text(law)
+    exact = speed_exact_lambda1(dist)
+    z = []
+    for seed in range(200):
+        pool = sample_pool(dist, 1.0, 3, 200, seed=seed)
+        fs = speed_formula_mc(dist, 1.0, pool, 4000, seed=seed)
+        z.append((fs.speed - exact) / fs.stderr)
+    assert 0.75 <= np.std(z, ddof=1) <= 1.25
+    assert abs(np.mean(z)) <= 0.28
 
 
 def test_delta_kernel_ratio_stderr_matches_closed_form():
