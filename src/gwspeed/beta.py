@@ -49,6 +49,8 @@ _SEQUENTIAL_BLOCK = 8
 # Bytes a forest level holds per vertex while it is drawn and stepped: the
 # uniform (8), the count (up to 8) and the (beta, beta') pair (16).
 _FOREST_BYTES_PER_VERTEX = 32
+# Largest predicted forest level a tree-method pool draws.
+MAX_FOREST_LEVEL_BYTES = 2**31
 
 
 @dataclass
@@ -305,7 +307,10 @@ def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
 
 
 def _trees_per_chunk(dist: OffspringDistribution, n: int) -> int:
-    peak = max(1.0, dist.m) ** n
+    try:
+        peak = max(1.0, dist.m) ** n
+    except OverflowError:  # a single tree is already over budget
+        return 1
     return max(1, int(_CHUNK_LEVEL_BUDGET / max(1.0, peak)))
 
 
@@ -316,6 +321,15 @@ def forest_level_bytes(dist: OffspringDistribution, n: int) -> float:
         return _trees_per_chunk(dist, n) * max(1.0, dist.m) ** (n - 1) * _FOREST_BYTES_PER_VERTEX
     except OverflowError:
         return math.inf
+
+
+def _check_forest_depth(dist: OffspringDistribution, n: int) -> None:
+    """Refuse, before anything is drawn, a depth whose predicted widest
+    forest level exceeds ``MAX_FOREST_LEVEL_BYTES``."""
+    need = forest_level_bytes(dist, n)
+    if need > MAX_FOREST_LEVEL_BYTES:
+        raise ValueError(f"a depth-{n} forest level would need about {need / 2**30:.3g} GiB, "
+                         f"over the {MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
 
 
 def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
@@ -330,6 +344,7 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     lams = [float(l) for l in lams]
     for lam in lams:
         _check_bias(lam)
+    _check_forest_depth(dist, n)
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
     chunk = _trees_per_chunk(dist, n)
@@ -396,11 +411,6 @@ class BoundReport:
         return all(v in (None, 0) for v in (self.envelope_violations,
                                             self.derivative_violations,
                                             self.denominator_violations))
-
-    def counts(self) -> dict:
-        return {"envelope": self.envelope_violations,
-                "derivative": self.derivative_violations,
-                "denominator": self.denominator_violations}
 
 
 def check_bounds(pool_or_table, m1: int, m2: int, lam: float) -> BoundReport:

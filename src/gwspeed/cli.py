@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .beta import compute_beta, forest_level_bytes, sample_pool
+from .beta import _check_forest_depth, compute_beta, sample_pool
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .network import (build_conductances, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
@@ -32,7 +32,6 @@ from .walker import hitting_beta_mc, simulate_speed
 DEFAULT_SEED = 1729
 DEFAULT_PMF = "2:0.5,3:0.5"
 MAX_GRID_POINTS = 10**5  # largest --lambda-grid accepted
-MAX_FOREST_LEVEL_BYTES = 2**31  # largest predicted forest level speed-curve draws
 
 CURVE_CSV_FIELDS = ["lambda", "speed_formula", "stderr", "speed_mc", "mc_stderr",
                     "ineq8_margin", "ineq8_stderr", "holds"]
@@ -296,6 +295,8 @@ def cmd_beta(args, cfg) -> int:
             raise _CliError(f"{name} must be >= 1, got {value}")
     for lam in grid:
         _check_bias(lam)
+    if args.pool_out and args.method == "tree":
+        _check_forest_depth(dist, depth)
 
     tree = sample_truncated_tree(dist, depth, seed)
     attach_star_root(tree)
@@ -341,10 +342,7 @@ def cmd_speed_curve(args, cfg) -> int:
             top = 0.95 * dist.m
         grid = [round(top * i / 13, 12) for i in range(14)]
     for n in (depth,) if args.single_depth else (depth, depth + 3):
-        need = forest_level_bytes(dist, n)
-        if need > MAX_FOREST_LEVEL_BYTES:
-            raise _CliError(f"a depth-{n} forest level would need about {need / 2**30:.3g} GiB, "
-                            f"over the {MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
+        _check_forest_depth(dist, n)
 
     curve = speed_curve(dist, grid, depth, samples, tuples, seed,
                         mc_steps=args.mc_steps, mc_replicas=args.mc_replicas)

@@ -31,54 +31,38 @@ SMALL_LAMBDA = 0.1
 
 @dataclass
 class WeightedTreeNetwork:
-    """Edge conductances and weighted vertex degrees for one truncated tree."""
+    """One truncated tree, with its artificial root, at one bias."""
 
     tree: QuenchedTree
-    level: int
     lam: float
-    parent_edge_conductance: np.ndarray  # per vertex, NaN at the artificial root
-    pi: np.ndarray                       # per vertex, sum of incident conductances
 
     def edge_conductance(self, x: int, y: int) -> float:
-        """Conductance of the edge {x, y}; the pair must be parent/child."""
-        if self.tree.parent[y] == x:
-            return float(self.parent_edge_conductance[y])
-        if self.tree.parent[x] == y:
-            return float(self.parent_edge_conductance[x])
-        raise ValueError(f"({x}, {y}) is not an edge")
+        """Conductance of the edge {x, y}; the pair must be parent/child.
+
+        The edge above a depth-k vertex carries lam**(-k), inf where that
+        overflows; the edge from the root to the artificial root carries 1.
+        """
+        parent = self.tree.parent
+        if parent[x] == y:
+            x, y = y, x
+        elif parent[y] != x:
+            raise ValueError(f"({x}, {y}) is not an edge")
+        with np.errstate(over="ignore"):
+            return float(np.float64(self.lam) ** -self.tree.depth[y])
 
 
 def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
-    """Assign conductances on a tree with the artificial root attached.
+    """The tree with its artificial root attached, as a network at bias lam.
 
     Requires a finite lam > 0; the walk-network correspondence degenerates
-    at zero bias. The truncation level is the deepest fully generated level.
+    at zero bias.
     """
     if not 0.0 < lam < math.inf:
         raise UnsupportedRegimeError(
             f"conductances need a finite bias > 0, got {lam:.9g}")
     if tree.star_root is None:
         raise ValueError("tree has no artificial root; attach it first")
-    _, depth, _, nu = tree.arrays()
-    n = int(depth.max())
-    star = tree.star_root
-
-    cond = np.empty(len(tree))
-    # edge above a depth-k vertex has conductance lam**(-k); the root's edge
-    # to the artificial parent is 1 by construction.
-    with np.errstate(over="ignore"):
-        cond[:] = lam ** (-depth.astype(float))
-    cond[tree.root] = 1.0
-    cond[star] = np.nan
-
-    pi = np.where(np.isnan(cond), 0.0, cond)
-    with np.errstate(over="ignore", invalid="ignore"):
-        child_edge = lam ** (-(depth.astype(float) + 1.0))
-    generated = nu >= 0
-    pi[generated] += nu[generated] * child_edge[generated]
-    pi[star] = 1.0
-    return WeightedTreeNetwork(tree=tree, level=n, lam=lam,
-                               parent_edge_conductance=cond, pi=pi)
+    return WeightedTreeNetwork(tree=tree, lam=lam)
 
 
 def effective_conductance_to_level(net: WeightedTreeNetwork, n: int) -> float:

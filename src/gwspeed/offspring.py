@@ -2,7 +2,7 @@
 
 An offspring law is an explicit pmf ``{k: p_k}`` on nonnegative integers with
 finite support. From it we expose the mean ``m``, the support extremes ``m1``
-and ``m2``, the extinction probability ``q`` (smallest fixed point of the
+and ``m2``, the extinction probability q (smallest fixed point of the
 generating function), the positivity window for the walk speed and the bias
 threshold up to which strict speed decrease is certified.
 """
@@ -69,11 +69,6 @@ class OffspringDistribution:
     @property
     def has_leaves(self) -> bool:
         return self.m1 == 0
-
-    @cached_property
-    def q(self) -> float:
-        """Extinction probability at the default tolerance."""
-        return self.extinction_probability()
 
     def pgf(self, s: float) -> float:
         """Probability generating function sum(p_k * s**k) for s in [0, 1]."""

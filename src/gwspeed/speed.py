@@ -159,16 +159,12 @@ class FormulaSpeed:
     lam: float
     level: int
     tuples: int
-    bootstrap_stderr: float | None = None
 
 
 def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
-                     tuples: int, seed: int, bootstrap: int = 0) -> FormulaSpeed:
-    """Evaluate the speed formula by Monte Carlo over tuples from ``pool``.
-
-    ``bootstrap`` > 0 adds a resampling standard error as a slower
-    cross-check of the delta-method one.
-    """
+                     tuples: int, seed: int) -> FormulaSpeed:
+    """Evaluate the speed formula by Monte Carlo over tuples from ``pool``,
+    with its delta-method standard error."""
     if dist.has_leaves:
         raise UnsupportedRegimeError("speed formula needs a leafless offspring law")
     if not (0.0 <= lam < dist.m):
@@ -176,19 +172,9 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     if pool.lam != lam:
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
-    num, den = _speed_terms(tp, lam)
-    _, speed, stderr = _delta((num, den), _ratio)
-    boot = None
-    if bootstrap > 0:
-        rng = substream(seed, D_TUPLE, 1)
-        m = len(tp)
-        reps = np.empty(bootstrap)
-        for b in range(bootstrap):
-            pick = rng.integers(0, m, size=m)
-            reps[b] = num[pick].mean() / den[pick].mean()
-        boot = float(reps.std(ddof=1))
+    _, speed, stderr = _delta(_speed_terms(tp, lam), _ratio)
     return FormulaSpeed(speed=speed, stderr=stderr, lam=lam, level=pool.level,
-                        tuples=tuples, bootstrap_stderr=boot)
+                        tuples=tuples)
 
 
 def speed_exact_lambda1(dist: OffspringDistribution) -> float:

@@ -12,9 +12,12 @@ from gwspeed import (
     sample_pool,
     sample_pools_shared_trees,
     sample_truncated_tree,
+    speed_curve,
 )
-from gwspeed.beta import (_block_plan, _block_sums, _forest_root_values, _merge_forest,
-                          _offsets, forest_level_bytes)
+from gwspeed import beta as beta_mod
+from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
+                          _forest_root_values, _merge_forest, _offsets,
+                          _trees_per_chunk, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import substream
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
@@ -364,3 +367,28 @@ def test_forest_level_prediction_is_large_only_for_wide_levels():
     assert forest_level_bytes(wide, 2) < 2**20
     assert forest_level_bytes(wide, 5) > 2**60
     assert forest_level_bytes(demo, 2000) == float("inf")
+
+
+def test_pools_refuse_an_over_budget_depth_before_any_draw(monkeypatch):
+    demo = parse_pmf_text("2:0.5,3:0.5")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a forest was drawn")
+
+    monkeypatch.setattr(beta_mod, "_sample_offspring_layers", never)
+    for call in (lambda: sample_pool(demo, 1.0, 1000, 10, 0),
+                 lambda: sample_pools_shared_trees(demo, [0.5, 1.0], 1000, 10, 0),
+                 lambda: speed_curve(demo, [0.5, 1.0], 1000, 10, 10, 0)):
+        with pytest.raises(ValueError, match="depth-1000 forest level"):
+            call()
+    assert _trees_per_chunk(demo, 1000) == 1
+
+
+def test_chunk_sizes_within_budget_are_unchanged():
+    # the pools' draws depend on the chunk size, so the guard must not move it
+    for law in ("2:0.5,3:0.5", "2:1", "2:0.3,5:0.7", "2:0.5,40000:0.5"):
+        dist = parse_pmf_text(law)
+        for depth in range(0, 25):
+            if forest_level_bytes(dist, depth) <= MAX_FOREST_LEVEL_BYTES:
+                assert _trees_per_chunk(dist, depth) == max(
+                    1, int(6_000_000 / max(1.0, dist.m ** depth)))

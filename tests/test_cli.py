@@ -279,6 +279,20 @@ def test_curve_refuses_a_forest_level_over_budget(capsys, monkeypatch, flags):
     assert err.startswith("error: a depth-5 forest level would need")
 
 
+def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, tmp_path):
+    # the depth-3 pool of this law would draw a ~4e8-vertex level; the check
+    # runs before the table's tree is sampled
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was sampled")
+
+    monkeypatch.setattr(cli_mod, "sample_truncated_tree", never)
+    code, out, err = run(capsys, "beta", "--pmf", "2:0.5,40000:0.5", "--depth", "3",
+                         "--pool-out", str(tmp_path / "f"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a depth-3 forest level would need")
+
+
 def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
                          "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))

@@ -79,12 +79,6 @@ def test_formula_validates_inputs(mix23, leafy):
         speed_formula_mc(mix23, 0.5, pool, 100, seed=1)  # pool at bias 1
 
 
-def test_bootstrap_stderr_agrees_with_delta(mix23):
-    pool = sample_pool(mix23, 1.0, 8, 5000, seed=7, method="tree")
-    fs = speed_formula_mc(mix23, 1.0, pool, 4000, seed=7, bootstrap=200)
-    assert fs.bootstrap_stderr == pytest.approx(fs.stderr, rel=0.5)
-
-
 @pytest.mark.parametrize("law", ["2:0.5,3:0.5", "2:0.3,5:0.7"])
 def test_delta_stderr_is_calibrated_at_unit_bias(law):
     # at unit bias the depth-n speed is exactly sum p_k (k-1)/(k+1) at every
