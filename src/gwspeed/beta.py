@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, _check_bias
+from .errors import UnsupportedRegimeError, _check_bias, _check_depth
 from .offspring import OffspringDistribution
 from .rng import D_POOL, D_POOL_POP, substream
 from .tree import QuenchedTree, _sample_offspring_layers
@@ -103,7 +103,8 @@ def _block_sums(x: np.ndarray, off: np.ndarray, ranks: list | None = None) -> np
     otherwise. With the ranks of ``_block_plan`` the same additions run as
     one gather per rank, whose cost is per value rather than per block.
     Without them (or for blocks longer than ``_SEQUENTIAL_BLOCK``) reduceat
-    does the sum.
+    does the sum. With ranks, a plan mapped through a gather index sums the
+    gathered blocks straight from the source array ``x``.
     """
     if ranks is None:
         return np.add.reduceat(x, off)
@@ -344,6 +345,7 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     lams = [float(l) for l in lams]
     for lam in lams:
         _check_bias(lam)
+    _check_depth(n)
     _check_forest_depth(dist, n)
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
@@ -376,6 +378,7 @@ def sample_pool(dist: OffspringDistribution, lam: float, n: int, count: int,
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
     _check_bias(lam)
+    _check_depth(n)
     if count < 1:
         raise ValueError(f"pool size must be >= 1, got {count}")
     rng = substream(seed, D_POOL_POP, 0)

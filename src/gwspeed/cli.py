@@ -25,7 +25,7 @@ from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .network import (build_conductances, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
 from .offspring import OffspringDistribution, parse_pmf_json, parse_pmf_text
-from .speed import speed_curve
+from .speed import _check_curve_size, speed_curve
 from .tree import attach_star_root, sample_truncated_tree
 from .walker import hitting_beta_mc, simulate_speed
 
@@ -341,8 +341,9 @@ def cmd_speed_curve(args, cfg) -> int:
         else:
             top = 0.95 * dist.m
         grid = [round(top * i / 13, 12) for i in range(14)]
-    for n in (depth,) if args.single_depth else (depth, depth + 3):
-        _check_forest_depth(dist, n)
+    samples2 = max(64, samples // 8)
+    for n, count in [(depth, samples)] + ([] if args.single_depth else [(depth + 3, samples2)]):
+        _check_curve_size(dist, n, len(grid), count, tuples)
 
     curve = speed_curve(dist, grid, depth, samples, tuples, seed,
                         mc_steps=args.mc_steps, mc_replicas=args.mc_replicas)
@@ -360,7 +361,6 @@ def cmd_speed_curve(args, cfg) -> int:
         _write_records(args.out, args.format, CURVE_CSV_FIELDS, records)
 
     if not args.single_depth:
-        samples2 = max(64, samples // 8)
         curve2 = speed_curve(dist, grid, depth + 3, samples2, tuples, seed)
         _report_verdict(curve2, depth + 3)
         if (curve.report.strictly_decreasing is not None

@@ -14,6 +14,12 @@ def _check_bias(lam: float) -> None:
         raise ValueError(f"bias must be >= 0 and finite, got {lam:.9g}")
 
 
+def _check_depth(n: int) -> None:
+    """Refuse a negative truncation depth."""
+    if n < 0:
+        raise ValueError(f"truncation depth must be >= 0, got {n}")
+
+
 class UnsupportedRegimeError(ValueError):
     """A parameter combination outside the regime an operation is defined for,
     e.g. requesting the monotonicity threshold when the minimum branching

@@ -16,11 +16,14 @@ are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 Every estimate here (the ratio, the paired difference of two ratios, the
 criterion margin) is a smooth function of the means of paired per-tuple
 terms, and one kernel, ``_delta``, returns it with its delta-method standard
-error. A tuple pool sums its betas once, when it is built. The tuples'
-layout does not depend on the bias, so ``speed_curve`` builds one block-sum
-plan (``beta._block_plan``) per tuple draw and hands it to the tuple pool of
-every grid point; the beta and beta' sums add in reduceat's order either
-way, so the values are bit-identical.
+error. A tuple pool holds its members as pool indices, and one plan per tuple
+draw (``_draw_tuples``) gathers every grid point's beta and beta' sums straight
+from the pool, in reduceat's order, so the values are bit-identical. Callers
+fill the terms in place, and ``speed_curve`` centres each point's speed terms
+once, in a (4, M) buffer holding the previous point's rows above its own: the
+lower half gives the point's covariance, the whole the pair's. So beyond its
+pools a scan's memory does not grow with the grid, and ``speed_curve`` refuses
+a scan predicted over ``beta.MAX_FOREST_LEVEL_BYTES`` before any draw.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beta import BetaPool, _block_plan, _block_sums, sample_pools_shared_trees
-from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias
+from .beta import (MAX_FOREST_LEVEL_BYTES, BetaPool, _block_plan, _block_sums,
+                   _check_forest_depth, sample_pools_shared_trees)
+from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias, _check_depth
 from .offspring import OffspringDistribution
 from .rng import D_TUPLE, substream
 
@@ -41,56 +45,60 @@ _CERTIFIED_SLACK = 1e-12
 
 @dataclass
 class TuplePool:
-    """Flattened tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) sharing the
-    member indices of their source pool, so beta and beta' of a member always
-    come from the same realization. The per-tuple beta sums and formula
-    denominators lam - 1 + sum beta_i are computed once, at construction.
-    ``sum_ranks`` is the rank part of the tuples' ``beta._block_plan``,
-    shared by the pools of a bias grid; None sums with reduceat."""
+    """Tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) held as indices
+    ``idx`` into their source pool, so beta and beta' of a member come from
+    the same realization, with the ``_draw_tuples`` plan that the pools of a
+    bias grid share. The beta sums and denominators lam - 1 + sum beta_i are
+    computed once, at construction, straight from the pool; a non-positive
+    denominator raises ``DegenerateTupleError`` for the first such tuple."""
 
     nus: np.ndarray       # (M,)
-    offsets: np.ndarray   # (M,) exclusive starts into the member arrays
-    betas: np.ndarray     # flat, length sum(nus + 1)
-    dbetas: np.ndarray
-    lam: float
-    level: int
-    sum_ranks: list | None = None
+    offsets: np.ndarray   # (M,) exclusive starts into idx
+    idx: np.ndarray       # flat pool indices, length sum(nus + 1)
+    plan: tuple
+    pool: BetaPool
     beta_sums: np.ndarray = field(init=False)
     denominators: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.beta_sums = _block_sums(self.betas, self.offsets, self.sum_ranks)
-        self.denominators = self.lam - 1.0 + self.beta_sums
+        self.beta_sums = self.sums(self.pool.beta)
+        self.denominators = d = self.lam - 1.0 + self.beta_sums
+        bad = np.flatnonzero(d <= 0.0)
+        if bad.size:
+            j = int(bad[0])
+            raise DegenerateTupleError(j, int(self.nus[j]), float(d[j]))
+
+    lam = property(lambda self: self.pool.lam)
+    betas = property(lambda self: self.pool.beta[self.idx])
+    dbetas = property(lambda self: self.pool.dbeta[self.idx])
 
     def __len__(self) -> int:
         return self.nus.size
 
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-tuple member sums of the pool values ``x``, bit for bit reduceat's."""
+        first, ranks = self.plan
+        if ranks is None:
+            return np.add.reduceat(x[self.idx], self.offsets)
+        return _block_sums(x, first, ranks)
+
     def tuple_at(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
         lo = int(self.offsets[j])
-        hi = lo + int(self.nus[j]) + 1
-        return int(self.nus[j]), self.betas[lo:hi], self.dbetas[lo:hi]
+        at = self.idx[lo:lo + int(self.nus[j]) + 1]
+        return int(self.nus[j]), self.pool.beta[at], self.pool.dbeta[at]
 
 
-def _draw_tuple_indices(dist: OffspringDistribution, pool_size: int, count: int,
-                        seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Counts, offsets and pool indices of ``count`` tuples, and their sum
+    plan: first members and ``beta._block_plan`` ranks, as pool indices."""
     rng = substream(seed, D_TUPLE, 0)
     nus = dist.draw_counts(rng, count).astype(np.int64)
-    sizes = nus + 1
-    offsets = np.cumsum(sizes) - sizes
-    idx = rng.integers(0, pool_size, size=int(sizes.sum()))
-    return nus, offsets, idx
-
-
-def _bind_tuples(nus, offsets, idx, pool: BetaPool, sum_ranks=None) -> TuplePool:
-    tp = TuplePool(nus=nus, offsets=offsets, betas=pool.beta[idx],
-                   dbetas=pool.dbeta[idx], lam=pool.lam, level=pool.level,
-                   sum_ranks=sum_ranks)
-    d = tp.denominators
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        j = int(bad[0])
-        raise DegenerateTupleError(j, int(nus[j]), float(d[j]))
-    return tp
+    offsets, ranks = _block_plan(nus + 1)
+    idx = rng.integers(0, pool_size, size=int((nus + 1).sum()))
+    if ranks is not None:
+        ranks = [(has, idx[at]) for has, at in ranks]
+    return nus, offsets, idx, (idx[offsets], ranks)
 
 
 def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
@@ -99,36 +107,32 @@ def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
     nu+1 member pairs (with replacement) from the pool."""
     if count < 1:
         raise ValueError(f"tuple count must be >= 1, got {count}")
-    nus, offsets, idx = _draw_tuple_indices(dist, len(pool), count, seed)
-    return _bind_tuples(nus, offsets, idx, pool)
+    return TuplePool(*_draw_tuples(dist, len(pool), count, seed), pool)
 
 
-def _moments(terms) -> tuple[np.ndarray, np.ndarray | None]:
-    """The means of the paired ``terms`` and their covariance (None for one
-    tuple), by ``np.cov(x, ddof=1)``'s own steps on one stacked copy ``x``
-    centred in place: bit-identical to ``np.cov`` and to each term's
-    ``.mean()``, without ``np.cov``'s second copy of the data."""
-    x = np.stack(terms)
-    mean = x.mean(axis=1)
+def _moments(x: np.ndarray, mean=None) -> tuple:
+    """Row means of ``x`` (k paired per-tuple terms by M tuples) and their
+    covariance (None for one tuple) by ``np.cov(x, ddof=1)``'s own steps on
+    ``x`` centred in place, bit for bit, with no copy; pass ``mean`` when
+    ``x`` is already centred about it."""
+    if mean is None:
+        mean = x.mean(axis=1)
+        x -= mean[:, None]
     m = x.shape[1]
-    if m < 2:
-        return mean, None
-    x -= mean[:, None]
-    return mean, np.dot(x, x.T.conj()) * (1.0 / (m - 1))
+    return mean, (np.dot(x, x.T.conj()) * (1.0 / (m - 1)) if m > 1 else None)
 
 
-def _delta(terms, fn) -> tuple[list[float], float, float]:
-    """The means of the paired per-tuple ``terms``, the value of ``fn`` there
-    and its delta-method standard error (0 for one tuple) from the
-    ``_moments`` covariance. ``fn`` maps the means to (value, gradient)."""
-    mean, sigma = _moments(terms)
+def _delta(x: np.ndarray, fn, mean=None) -> tuple[list[float], float, float]:
+    """The row means of ``x``, ``fn``'s value there and its delta-method
+    standard error (0 for one tuple) from ``_moments``; ``fn`` maps the
+    means to (value, gradient)."""
+    mean, sigma = _moments(x, mean)
     means = [float(v) for v in mean]
     value, grad = fn(*means)
     if sigma is None:
         return means, value, 0.0
-    m = terms[0].size
     grad = np.array(grad)
-    var = float(grad @ sigma @ grad) / m
+    var = float(grad @ sigma @ grad) / x.shape[1]
     return means, value, math.sqrt(max(var, 0.0))
 
 
@@ -144,12 +148,14 @@ def _ratio_diff(num_a: float, den_a: float, num_b: float, den_b: float):
     return ra - rb, (*ga, -gb[0], -gb[1])
 
 
-def _speed_terms(tp: TuplePool, lam: float):
-    """Per-tuple numerator/denominator weights of the speed ratio."""
-    d = tp.denominators
-    b0 = tp.betas[tp.offsets]
-    nu = tp.nus
-    return (nu - lam) * b0 / d, (nu + lam) * b0 / d
+def _speed_terms(tp: TuplePool, lam: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (2, M) with the per-tuple numerator/denominator weights
+    (nu -+ lam) * beta_0 / (lam - 1 + sum beta_i) of the speed ratio."""
+    np.subtract(tp.nus, lam, out=out[0])
+    np.add(tp.nus, lam, out=out[1])
+    out *= tp.pool.beta[tp.plan[0]]
+    out /= tp.denominators
+    return out
 
 
 @dataclass
@@ -172,7 +178,7 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     if pool.lam != lam:
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
-    _, speed, stderr = _delta(_speed_terms(tp, lam), _ratio)
+    _, speed, stderr = _delta(_speed_terms(tp, lam, np.empty((2, tuples))), _ratio)
     return FormulaSpeed(speed=speed, stderr=stderr, lam=lam, level=pool.level,
                         tuples=tuples)
 
@@ -230,19 +236,21 @@ def inequality8(dist: OffspringDistribution, lam: float,
     tp = tuple_pool
     d = tp.denominators
     sb = tp.beta_sums
-    sc = sb + (1.0 - lam) * _block_sums(tp.dbetas, tp.offsets, tp.sum_ranks)
+    sc = sb + (1.0 - lam) * tp.sums(tp.pool.dbeta)
     nu = tp.nus
     w_nu = nu / (nu + 1.0)
     w_one = 1.0 / (nu + 1.0)
     f = sb / d
     g = sc / (d * d)
+    x = np.empty((4, len(tp)))
+    for row, (w, h) in zip(x, ((w_nu, f), (w_one, g), (w_one, f), (w_nu, g))):
+        np.multiply(w, h, out=row)
 
     def margin(e1, e2, e3, e4):
         return (e1 * e3 / lam - (e1 * e2 - e3 * e4),
                 (e3 / lam - e2, -e1, e1 / lam + e4, e3))
 
-    (e1, e2, e3, e4), value, stderr = _delta(
-        (w_nu * f, w_one * g, w_one * f, w_nu * g), margin)
+    (e1, e2, e3, e4), value, stderr = _delta(x, margin)
     lhs = e1 * e2 - e3 * e4
     rhs = e1 * e3 / lam
     return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
@@ -293,6 +301,24 @@ class SpeedCurve:
     tuples: int
 
 
+def _curve_bytes(dist: OffspringDistribution, points: int, samples: int, tuples: int) -> float:
+    """Predicted bytes of a curve scan's pools (beta and beta' per sample and
+    grid point) and tuple stage: 16 a member and 192 a tuple, above the
+    tracemalloc peak (196 bytes a tuple on 2:0.5,3:0.5, 744 on 40:1)."""
+    return 16.0 * points * samples + tuples * (16.0 * (dist.m + 1) + 192.0)
+
+
+def _check_curve_size(dist: OffspringDistribution, n: int, points: int, samples: int,
+                      tuples: int) -> None:
+    """Refuse, before any draw, a depth-n curve scan over the memory budget."""
+    _check_forest_depth(dist, n)
+    need = _curve_bytes(dist, points, samples, tuples)
+    if need > MAX_FOREST_LEVEL_BYTES:
+        raise ValueError(f"{points} pools of {samples} samples and {tuples} tuples would "
+                         f"need about {need / 2**30:.3g} GiB, over the "
+                         f"{MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
+
+
 def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
                 tuples: int, seed: int, mc_steps: int = 0,
                 mc_replicas: int = 0) -> SpeedCurve:
@@ -309,8 +335,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     estimate is attached to every point as a cross-check column; both zero
     leaves it off, and any other pair is refused.
     """
-    if n < 0:
-        raise ValueError(f"truncation depth must be >= 0, got {n}")
+    _check_depth(n)
     if samples < 1 or tuples < 1:
         raise ValueError(f"need samples >= 1 and tuples >= 1, got {samples} and {tuples}")
     if not (mc_steps == mc_replicas == 0 or (mc_steps >= 1 and mc_replicas >= 2)):
@@ -328,25 +353,21 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
             f"grid point {grid[-1]:.9g} is not below mean branching {dist.m:.9g}")
     if dist.has_leaves:
         raise UnsupportedRegimeError("curve scan needs a leafless offspring law")
+    _check_curve_size(dist, n, len(grid), samples, tuples)
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
-    nus, offsets, idx = _draw_tuple_indices(dist, samples, tuples, seed)
-    sum_ranks = _block_plan(nus + 1)[1]
+    tuple_draw = _draw_tuples(dist, samples, tuples, seed)
 
-    lam_star = None
-    if dist.m1 >= 2:
-        lam_star = dist.monotonicity_threshold()
+    lam_star = dist.monotonicity_threshold() if dist.m1 >= 2 else None
 
-    points = []
-    terms = []
-    for pool in pools:
+    points, pairs = [], []
+    terms = np.empty((4, tuples))  # centred speed terms: previous point, this point
+    for i, pool in enumerate(pools):
         lam = pool.lam
-        tp = _bind_tuples(nus, offsets, idx, pool, sum_ranks)
-        terms.append(_speed_terms(tp, lam))
+        tp = TuplePool(*tuple_draw, pool)
+        means, speed, stderr = _delta(_speed_terms(tp, lam, terms[2:]), _ratio)
         if lam == 0.0:
             speed, stderr = 1.0, 0.0
-        else:
-            _, speed, stderr = _delta(terms[-1], _ratio)
         point = SpeedCurvePoint(lam=lam, speed_formula=speed,
                                 speed_formula_stderr=stderr)
         if lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
@@ -355,6 +376,15 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
             point.ineq8_stderr = rep.mc_stderr
             point.ineq8_holds = rep.holds
         points.append(point)
+        if i:
+            _, diff, se = _delta(terms, _ratio_diff, prev_means + means)
+            z = diff / se if se > 0 else (math.inf if diff != 0 else 0.0)
+            within = lam_star is not None and lam <= lam_star + _CERTIFIED_SLACK
+            pairs.append(PairCheck(lam_lo=grid[i - 1], lam_hi=lam, diff=diff,
+                                   stderr=se, z=z, decreasing=diff > 0.0,
+                                   within_certified=within))
+        terms[:2] = terms[2:]
+        prev_means = means
 
     if mc_steps > 0:
         from .walker import simulate_speed
@@ -362,15 +392,6 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
             est = simulate_speed(dist, point.lam, mc_steps, mc_replicas, seed)
             point.speed_mc = est.mean
             point.speed_mc_stderr = est.stderr
-
-    pairs = []
-    for i in range(len(grid) - 1):
-        _, diff, se = _delta(terms[i] + terms[i + 1], _ratio_diff)
-        z = diff / se if se > 0 else (math.inf if diff != 0 else 0.0)
-        within = lam_star is not None and grid[i + 1] <= lam_star + _CERTIFIED_SLACK
-        pairs.append(PairCheck(lam_lo=grid[i], lam_hi=grid[i + 1], diff=diff,
-                               stderr=se, z=z, decreasing=diff > 0.0,
-                               within_certified=within))
 
     if dist.m1 < 2:
         report = MonotonicityReport(

@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _check_depth
 from .offspring import OffspringDistribution
 from .rng import D_TREE, substream
 
@@ -174,8 +174,7 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
                           seed: int) -> QuenchedTree:
     """Fresh tree realization fully materialized to depth n, deterministic in
     (dist, n, seed): a forest of one tree, laid out breadth first."""
-    if n < 0:
-        raise ValueError(f"truncation depth must be >= 0, got {n}")
+    _check_depth(n)
     tree = QuenchedTree(dist, substream(seed, D_TREE, 0))
     layers = _sample_offspring_layers(dist, n, 1, tree._rng)
     widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]

@@ -28,7 +28,6 @@ is the scalar reference for the tree walk.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +254,7 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
 
     indices = list(range(replicas))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         cuts = [c * replicas // workers for c in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_replica_depths, dist.entries, lam, steps, seed,

@@ -384,6 +384,19 @@ def test_pools_refuse_an_over_budget_depth_before_any_draw(monkeypatch):
     assert _trees_per_chunk(demo, 1000) == 1
 
 
+@pytest.mark.parametrize("method", ["tree", "population"])
+def test_pools_refuse_a_negative_depth_before_any_draw(mix23, monkeypatch, method):
+    def never(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(beta_mod, "substream", never)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        sample_pool(mix23, 1.0, -1, 5, 0, method=method)
+    if method == "tree":
+        with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
+            sample_pools_shared_trees(mix23, [0.5, 1.0], -3, 5, 0)
+
+
 def test_chunk_sizes_within_budget_are_unchanged():
     # the pools' draws depend on the chunk size, so the guard must not move it
     for law in ("2:0.5,3:0.5", "2:1", "2:0.3,5:0.7", "2:0.5,40000:0.5"):

@@ -11,6 +11,7 @@ import gwspeed
 from gwspeed import cli as cli_mod
 from gwspeed.cli import DEFAULT_PMF, MAX_GRID_POINTS, _parse_grid, run_cli
 from gwspeed import network as network_mod
+from gwspeed import speed as speed_mod
 from gwspeed import verify as verify_mod
 from gwspeed import walker as walker_mod
 
@@ -277,6 +278,39 @@ def test_curve_refuses_a_forest_level_over_budget(capsys, monkeypatch, flags):
     assert code == 1
     assert out == ""
     assert err.startswith("error: a depth-5 forest level would need")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tuples", "1000000000"),
+    ("--samples", "20000", "--lambda-grid", "0:0.5:0.00001"),
+])
+def test_curve_refuses_pools_and_tuples_over_budget(capsys, monkeypatch, argv):
+    # 10^9 tuples, or 50,001 pools of 20,000 samples: refused from the
+    # predicted size alone, before the header and before any draw
+    def never(*args, **kwargs):
+        raise AssertionError("speed_curve ran")
+
+    monkeypatch.setattr(cli_mod, "speed_curve", never)
+    code, out, err = run(capsys, "speed-curve", "--depth", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "GiB limit" in err
+
+
+@pytest.mark.parametrize("single_depth", [False, True])
+def test_curve_checks_the_size_at_both_depths(capsys, monkeypatch, single_depth):
+    # --samples 200 rescans with 64 samples; only that scan is over budget
+    monkeypatch.setattr(speed_mod, "_curve_bytes",
+                        lambda dist, points, samples, tuples: 2.0**40 if samples == 64 else 0.0)
+    code, out, err = run(capsys, "speed-curve", "--depth", "2", "--samples", "200",
+                         "--tuples", "100", "--lambda-grid", "0:1:0.5",
+                         *(("--single-depth",) if single_depth else ()))
+    if single_depth:
+        assert code == 0 and out.startswith("lambda,")
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 3 pools of 64 samples and 100 tuples would need")
 
 
 def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +14,15 @@ from gwspeed import (
     make_tuple_pool,
     parse_pmf_text,
     sample_pool,
+    sample_pools_shared_trees,
     simulate_speed,
     speed_curve,
     speed_exact_lambda1,
     speed_formula_mc,
 )
-from gwspeed.speed import _delta, _moments, _ratio
+from gwspeed import speed as speed_mod
+from gwspeed.beta import MAX_FOREST_LEVEL_BYTES
+from gwspeed.speed import _curve_bytes, _delta, _draw_tuples, _moments, _ratio, _ratio_diff
 
 
 def constant_pool(beta, dbeta, lam, size=200):
@@ -105,7 +110,7 @@ def test_delta_kernel_ratio_stderr_matches_closed_form():
     for m in (2, 3, 50, 5000):
         den = rng.uniform(0.5, 2.0, m)
         num = 0.4 * den + rng.normal(0.0, 0.3, m)
-        means, r, se = _delta((num, den), _ratio)
+        means, r, se = _delta(np.stack((num, den)), _ratio)
         assert means == [num.mean(), den.mean()]
         assert r == num.mean() / den.mean()
         c = np.cov(num, den, ddof=1)
@@ -134,6 +139,17 @@ def test_degenerate_denominator_raises():
     pool = constant_pool(0.3, -0.1, 0.1)
     with pytest.raises(DegenerateTupleError):
         make_tuple_pool(path, pool, 50, seed=1)
+    # the error names the first bad tuple of a mixed draw
+    law = make_distribution({1: 0.5, 2: 0.5})
+    pool = BetaPool(beta=np.linspace(0.01, 0.9, 200), dbeta=np.full(200, -0.1),
+                    level=0, lam=0.1, method="tree")
+    nus, offsets, idx, _ = _draw_tuples(law, 200, 500, 3)
+    d = 0.1 - 1.0 + np.add.reduceat(pool.beta[idx], offsets)
+    j = int(np.flatnonzero(d <= 0.0)[0])
+    assert j > 0
+    with pytest.raises(DegenerateTupleError) as err:
+        make_tuple_pool(law, pool, 500, seed=3)
+    assert (err.value.index, err.value.nu, err.value.denominator) == (j, nus[j], d[j])
 
 
 def test_tuple_pool_structure(mix23):
@@ -142,6 +158,9 @@ def test_tuple_pool_structure(mix23):
     assert len(tp) == 300
     nu, betas, dbetas = tp.tuple_at(7)
     assert betas.size == nu + 1 and dbetas.size == nu + 1
+    lo = tp.offsets[7]
+    assert np.array_equal(betas, tp.betas[lo:lo + nu + 1])
+    assert np.array_equal(dbetas, tp.dbetas[lo:lo + nu + 1])
     assert (tp.nus + 1).sum() == tp.betas.size
     assert (tp.denominators > 0).all()
 
@@ -281,12 +300,109 @@ def test_moments_match_np_cov_bit_for_bit(k, m):
     for _ in range(5):
         terms = [rng.standard_normal(m) * 10.0 ** rng.integers(-6, 6) + rng.random()
                  for _ in range(k)]
-        mean, sigma = _moments(terms)
+        x = np.stack(terms)
+        mean, sigma = _moments(x)
         assert [float(v) for v in mean] == [float(t.mean()) for t in terms]
         assert np.array_equal(sigma, np.cov(np.stack(terms), ddof=1))
-        assert _delta(terms, lambda *e: (0.0, (1.0,) * k))[0] == [float(v) for v in mean]
+        assert np.array_equal(x, np.stack(terms) - mean[:, None])  # centred in place
+        assert np.array_equal(_moments(x, mean)[1], sigma)
+        assert _delta(np.stack(terms), lambda *e: (0.0, (1.0,) * k))[0] == [float(v) for v in mean]
 
 
 def test_moments_of_one_tuple_have_no_covariance():
-    mean, sigma = _moments([np.array([2.0]), np.array([3.0])])
+    mean, sigma = _moments(np.array([[2.0], [3.0]]))
     assert list(mean) == [2.0, 3.0] and sigma is None
+
+
+def _flat_reference_curve(dist, grid, n, samples, tuples, seed):
+    """speed_curve's floats the plain way: flat member gathers, reduceat
+    sums, np.stack'ed terms and np.cov, every pair re-centred on its own."""
+    def delta(terms, fn):
+        x = np.stack(terms)
+        value, grad = fn(*[float(v) for v in x.mean(axis=1)])
+        if x.shape[1] < 2:
+            return value, 0.0
+        g = np.array(grad)
+        return value, math.sqrt(max(float(g @ np.cov(x, ddof=1) @ g) / x.shape[1], 0.0))
+
+    pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
+    nus, offsets, idx, _ = _draw_tuples(dist, samples, tuples, seed)
+    points, terms = [], []
+    for pool in pools:
+        lam = pool.lam
+        betas, dbetas = pool.beta[idx], pool.dbeta[idx]
+        sb = np.add.reduceat(betas, offsets)
+        d = lam - 1.0 + sb
+        b0 = betas[offsets]
+        terms.append(((nus - lam) * b0 / d, (nus + lam) * b0 / d))
+        point = (1.0, 0.0) if lam == 0.0 else delta(terms[-1], _ratio)
+        if 0.0 < lam < dist.m1 and dist.m1 >= 2:
+            sc = sb + (1.0 - lam) * np.add.reduceat(dbetas, offsets)
+            w_nu, w_one = nus / (nus + 1.0), 1.0 / (nus + 1.0)
+            f, g = sb / d, sc / (d * d)
+            point += delta((w_nu * f, w_one * g, w_one * f, w_nu * g), lambda e1, e2, e3, e4: (
+                e1 * e3 / lam - (e1 * e2 - e3 * e4), (e3 / lam - e2, -e1, e1 / lam + e4, e3)))
+        points.append(point)
+    pairs = [delta(a + b, _ratio_diff) for a, b in zip(terms, terms[1:])]
+    return points, pairs
+
+
+@pytest.mark.parametrize("law, grid", [
+    ("2:0.5,3:0.5", [0.0, 0.3, 0.6, 0.9, 1.17]),
+    ("2:0.3,3:0.3,4:0.4", [0.0, 0.4, 0.8, 1.2]),
+    ("1:0.5,12:0.5", [0.0, 0.3, 0.6, 0.9]),  # 13-member tuples: reduceat
+])
+@pytest.mark.parametrize("tuples", [1, 2, 777, 4000])
+def test_curve_matches_flat_reference(law, grid, tuples):
+    # the pool-indexed plan, the in-place terms and the once-centred rolling
+    # buffer must give every float of the plain computation bit for bit
+    dist = parse_pmf_text(law)
+    for seed in (31, 32):
+        curve = speed_curve(dist, grid, n=4, samples=60, tuples=tuples, seed=seed)
+        points, pairs = _flat_reference_curve(dist, grid, 4, 60, tuples, seed)
+        for point, ref in zip(curve.points, points, strict=True):
+            got = (point.speed_formula, point.speed_formula_stderr)
+            if point.ineq8_margin is not None:
+                got += (point.ineq8_margin, point.ineq8_stderr)
+            assert got == ref
+        assert [(p.diff, p.stderr) for p in curve.report.pairs] == pairs
+
+
+def test_curve_tuple_memory_does_not_grow_with_the_grid(mix23):
+    # only the previous and the current point's terms are kept, so beyond
+    # its pools the scan's peak is the same for 14 and for 56 grid points
+    def peak_beyond_pools(points):
+        grid = [1.1 * i / points for i in range(points)]
+        tracemalloc.start()
+        try:
+            speed_curve(mix23, grid, n=2, samples=20, tuples=20000, seed=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - 16 * points * 20
+
+    assert peak_beyond_pools(56) <= peak_beyond_pools(14) + 20000 * 8
+
+
+def test_curve_size_predictor(mix23):
+    assert _curve_bytes(mix23, 14, 2000, 50_000) < 2**24  # the README curve
+    assert _curve_bytes(mix23, 14, 2000, 10**9) > MAX_FOREST_LEVEL_BYTES
+    assert _curve_bytes(mix23, 10**5, 2000, 50_000) > MAX_FOREST_LEVEL_BYTES
+    assert _curve_bytes(mix23, 10**5, 1000, 50_000) < MAX_FOREST_LEVEL_BYTES
+
+
+def test_curve_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
+    asked = []
+
+    def predict(*args):
+        asked.append(args)
+        return MAX_FOREST_LEVEL_BYTES + 1.0
+
+    def never(*args, **kwargs):
+        raise AssertionError("a pool was drawn")
+
+    monkeypatch.setattr(speed_mod, "_curve_bytes", predict)
+    monkeypatch.setattr(speed_mod, "sample_pools_shared_trees", never)
+    with pytest.raises(ValueError, match="GiB limit"):
+        speed_curve(mix23, [0.0, 0.5, 1.0], 3, 40, 500, seed=1)
+    assert asked == [(mix23, 3, 40, 500)]
