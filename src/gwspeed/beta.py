@@ -18,11 +18,13 @@ with derivative 0 on the boundary. Equivalently
 and one level step evaluates (beta_n, beta_n') this way for every bottom-up
 pass: ``compute_beta`` runs it over the level slices of a breadth-first tree,
 the tree-method pools over the levels of a sampled forest, the population
-method over resampled pool members. ``beta_derivative_path_sum`` re-derives
-the root derivative by unrolling the A/B recursion into a sum over vertices
-of B times the product of A along the ancestor path; it is kept deliberately
-naive (per-vertex parent climbing) to serve as an independent check of the
-recursion.
+method over resampled pool members. Every child sum S, like every tuple sum
+of ``speed``, goes through one ``_block_plan`` of its block layout, read
+through the index of the values below, with reduceat's bits.
+``beta_derivative_path_sum`` re-derives the root derivative by unrolling the
+A/B recursion into a sum over vertices of B times the product of A along the
+ancestor path; it is kept deliberately naive (per-vertex parent climbing,
+plain reduceat) to serve as an independent check of the recursion.
 
 Sample pools of iid root pairs (beta, beta') come in two flavors: ``tree``
 draws genuinely independent truncated trees (unbiased), while ``population``
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,9 @@ from .tree import QuenchedTree, _sample_offspring_layers
 _CHUNK_LEVEL_BUDGET = 6_000_000
 # np.add.reduceat sums a block of at most this many values left to right.
 _SEQUENTIAL_BLOCK = 8
+# Widest block whose ranks a block plan lists: a wider one's shape code in
+# _merge_level, in base 2 or more, does not fit in int64.
+_PLANNED_WIDTH = 62
 # Bytes a forest level holds per vertex while it is drawn and stepped: the
 # uniform (8), the count (up to 8) and the (beta, beta') pair (16).
 _FOREST_BYTES_PER_VERTEX = 32
@@ -74,75 +80,65 @@ class BetaTable:
         return float(self.dbeta[self.tree.root])
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Start of each block of ``counts`` consecutive values."""
-    return np.cumsum(counts, dtype=np.int64) - counts
+class _BlockPlan(NamedTuple):
+    """Bias-independent plan for summing consecutive blocks of values read
+    through ``index`` (None: in place): each block's first value, for each
+    rank 1 <= j < ``_PLANNED_WIDTH`` the blocks that have a rank-j value (a
+    slice when all do) with that value, and the block offsets into
+    ``index``."""
+
+    first: np.ndarray
+    ranks: list
+    off: np.ndarray
+    index: np.ndarray | None
 
 
-def _block_plan(counts: np.ndarray) -> tuple[np.ndarray, list | None]:
-    """Bias-independent plan for summing consecutive blocks of ``counts``
-    values: the block offsets, and for each child rank j >= 1 the blocks that
-    have a rank-j value (a slice when all do) with that value's index. The
-    ranks are None when a block is longer than ``_SEQUENTIAL_BLOCK``."""
-    off = _offsets(counts)
-    width = int(counts.max())
-    if width > _SEQUENTIAL_BLOCK:
-        return off, None
+def _block_plan(counts: np.ndarray, index: np.ndarray | None = None) -> _BlockPlan:
+    """The ``_BlockPlan`` of blocks of ``counts`` values read through ``index``."""
+    off = np.cumsum(counts, dtype=np.int64) - counts
+    first = off if index is None else index[off]
     ranks = []
-    for j in range(1, width):
+    for j in range(1, min(int(counts.max()), _PLANNED_WIDTH)):
         has = np.flatnonzero(counts > j)
-        ranks.append((slice(None) if has.size == counts.size else has, off[has] + j))
-    return off, ranks
+        has = slice(None) if has.size == counts.size else has
+        at = off[has] + j
+        ranks.append((has, at if index is None else index[at]))
+    return _BlockPlan(first, ranks, off, index)
 
 
-def _block_sums(x: np.ndarray, off: np.ndarray, ranks: list | None = None) -> np.ndarray:
-    """``np.add.reduceat(x, off)``, bit for bit.
+def _block_sums(x: np.ndarray, plan: _BlockPlan) -> np.ndarray:
+    """``np.add.reduceat(x[plan.index], plan.off)``, bit for bit.
 
     reduceat adds a block as x0 + tail, where the tail x1 + x2 + ... is summed
     left to right from -0.0 when it has fewer than 8 values, pairwise
-    otherwise. With the ranks of ``_block_plan`` the same additions run as
-    one gather per rank, whose cost is per value rather than per block.
-    Without them (or for blocks longer than ``_SEQUENTIAL_BLOCK``) reduceat
-    does the sum. With ranks, a plan mapped through a gather index sums the
-    gathered blocks straight from the source array ``x``.
+    otherwise. For blocks of at most ``_SEQUENTIAL_BLOCK`` values the same
+    additions run as one gather from ``x`` per rank, whose cost is per value
+    rather than per block; longer blocks fall back to reduceat.
     """
-    if ranks is None:
-        return np.add.reduceat(x, off)
-    if not ranks:
-        return x[off]
-    (has, at), *rest = ranks
-    if isinstance(has, slice):  # -0.0 + x1 is x1
-        tail = x[at]
-    else:
-        tail = np.full(off.size, -0.0)
-        tail[has] = x[at]
-    for has, at in rest:
+    first, ranks, off, index = plan
+    if len(ranks) >= _SEQUENTIAL_BLOCK:
+        return np.add.reduceat(x if index is None else x[index], off)
+    tail = np.full(first.size, -0.0)
+    for has, at in ranks:
         tail[has] += x[at]
-    return x[off] + tail
+    return x[first] + tail
 
 
-def _level_step(counts: np.ndarray, b: np.ndarray | None, db: np.ndarray | None,
-                lam: float, plan: tuple | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One level of the bottom-up recursion.
+def _level_step(counts: np.ndarray, plan: _BlockPlan | None, b: np.ndarray | None,
+                db: np.ndarray | None, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the bottom-up recursion: (beta, beta') of the parents.
 
-    The children's (beta, beta') values ``b`` and ``db`` come in consecutive
-    blocks of ``counts``, one block per parent. ``b is None`` stands for
-    children on the boundary level (beta 1, beta' 0), whose sum is the count.
-    A caller that steps the same level at many biases passes its
-    ``_block_plan`` as ``plan``; without one the offsets are computed here
-    and reduceat sums the blocks, with the same bits either way.
-    Returns (beta, beta', S, lam + S) for the parents.
+    The children's (beta, beta') values ``b`` and ``db`` are summed in the
+    blocks of ``plan``, one block of ``counts`` children per parent. A None
+    plan stands for children on the boundary level (beta 1, beta' 0), whose
+    sum is the count.
     """
-    if b is None:
-        s = counts.astype(np.float64)
-        sp = 0.0
+    if plan is None:
+        s, sp = counts.astype(np.float64), 0.0
     else:
-        off, ranks = plan if plan is not None else (_offsets(counts), None)
-        s = _block_sums(b, off, ranks)
-        sp = _block_sums(db, off, ranks)
+        s, sp = _block_sums(b, plan), _block_sums(db, plan)
     denom = lam + s
-    return s / denom, (lam * sp - s) / (denom * denom), s, denom
+    return s / denom, (lam * sp - s) / (denom * denom)
 
 
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
@@ -153,11 +149,12 @@ def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
     beta, dbeta = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
     beta[start[n]:start[n + 1]] = 1.0
     dbeta[start[n]:start[n + 1]] = 0.0
-    level_b = level_db = None
     for k in range(n - 1, -1, -1):
-        lo, hi = start[k], start[k + 1]
-        beta[lo:hi], dbeta[lo:hi] = _level_step(nu[lo:hi], level_b, level_db, lam)[:2]
-        level_b, level_db = beta[lo:hi], dbeta[lo:hi]
+        lo, hi, below = start[k], start[k + 1], start[k + 2]
+        counts = nu[lo:hi]
+        plan = None if k == n - 1 else _block_plan(counts)
+        beta[lo:hi], dbeta[lo:hi] = _level_step(counts, plan, beta[hi:below],
+                                                dbeta[hi:below], lam)
     return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta)
 
 
@@ -170,19 +167,19 @@ def beta_derivative_path_sum(table: BetaTable) -> float:
     """Root derivative via the unrolled sum over vertices of B times the
     product of A along the strict ancestor path. O(vertices * depth); this is
     the reference the local recursion is checked against. A and B are derived
-    here, level by level, from the table's own beta values."""
+    here, level by level, from the table's own beta values, each child sum S
+    by plain ``np.add.reduceat``."""
     tree, n, lam = table.tree, table.level, table.lam
     start, nu = tree.levels(n)
     parent = tree.parent
     depth = tree.depth
     a, b = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
-    kids = kid_ds = None  # (beta, beta') of the level below; None on the boundary
     for k in range(n - 1, -1, -1):
         lo, hi = start[k], start[k + 1]
-        _, _, s, denom = _level_step(nu[lo:hi], kids, kid_ds, lam)
-        denom *= denom
+        counts = nu[lo:hi]
+        s = np.add.reduceat(table.beta[hi:start[k + 2]], np.cumsum(counts) - counts)
+        denom = (lam + s) ** 2
         a[lo:hi], b[lo:hi] = lam / denom, s / denom
-        kids, kid_ds = table.beta[lo:hi], table.dbeta[lo:hi]
     terms = []
     for v in range(len(tree)):
         dep = depth[v]
@@ -220,29 +217,29 @@ class BetaPool:
                 fh.write(f"{bv:.9g},{dv:.9g}\n")
 
 
-def _merge_level(counts: np.ndarray, kids: np.ndarray | None, n_kid_shapes: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+def _merge_level(counts: np.ndarray, plan: _BlockPlan | None, n_kid_shapes: int
+                 ) -> tuple[np.ndarray, np.ndarray, _BlockPlan | None] | None:
     """Merge the vertices of one level by shape.
 
-    On the lowest level (``kids is None``) a vertex's shape is its offspring
+    On the lowest level (``plan is None``) a vertex's shape is its offspring
     count. Above it, the shape is the ordered sequence of the children's shape
-    ids ``kids``, coded exactly in base ``n_kid_shapes + 1`` with digits
-    id + 1. Returns each vertex's int32 shape id and, per shape, its offspring
-    count and its children's shape ids; or None when the shapes number more
-    than half the level's width or their codes would not fit in int64.
+    ids, read through the level's ``_block_plan`` (its first values and its
+    ranks), coded exactly in base ``n_kid_shapes + 1`` with digits id + 1.
+    Returns each vertex's int32 shape id, and per shape its offspring count
+    and the ``_block_plan`` of its children's shape ids (None on the lowest
+    level); or None when the shapes number more than half the level's width
+    or their codes would not fit in int64.
     """
-    if kids is None:
+    if plan is None:
         code, code_range = counts, int(counts.max()) + 1
     else:
         base, width = n_kid_shapes + 1, int(counts.max())
         code_range = base ** width
         if code_range > np.iinfo(np.int64).max:
             return None
-        off = _offsets(counts)
-        code = np.zeros(counts.size, dtype=np.int64)
-        for j in range(width):  # digit j: the shape of each parent's j-th child
-            has = np.flatnonzero(counts > j)
-            code[has] += (kids[off[has] + j].astype(np.int64) + 1) * base ** j
+        code = plan.first.astype(np.int64) + 1  # digit j: the shape of the j-th child
+        for j, (has, at) in enumerate(plan.ranks, 1):
+            code[has] += (at.astype(np.int64) + 1) * base ** j
     if code_range <= counts.size:  # relabel through a presence table, no sort
         present = np.zeros(code_range, dtype=bool)
         present[code] = True
@@ -253,10 +250,11 @@ def _merge_level(counts: np.ndarray, kids: np.ndarray | None, n_kid_shapes: int
     if 2 * shapes.size > counts.size:
         return None
     ids = ids.astype(np.int32, copy=False)
-    if kids is None:
+    if plan is None:
         return ids, shapes, None
     digits = shapes[:, None] // base ** np.arange(width, dtype=np.int64) % base
-    return ids, np.count_nonzero(digits, axis=1), (digits[digits > 0] - 1).astype(np.int32)
+    counts = np.count_nonzero(digits, axis=1)
+    return ids, counts, _block_plan(counts, (digits[digits > 0] - 1).astype(np.int32))
 
 
 def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | None]:
@@ -270,38 +268,35 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
     bit-identical.
 
     Consumes ``layers``, so that each merged level's counts are freed once it
-    is merged. Returns the levels bottom up as (counts, kids, plan) for
-    ``_level_step``, where ``kids`` indexes each child's value on the level
-    below (None: the values are read in place) and ``plan`` is the level's
-    ``_block_plan`` (None on the bottom level, whose children are all on the
-    boundary), and the index of each root's value on the top level (None
-    when the root level was not merged).
+    is merged. Returns the levels bottom up as (counts, plan) for
+    ``_level_step``, where ``plan`` is the ``_block_plan`` of the children's
+    values on the level below (None on the bottom level, whose children are
+    all on the boundary), and the index of each root's value on the top level
+    (None when the root level was not merged).
     """
     levels, ids, merge = [], None, True
     while layers:
         counts = layers.pop()
-        merged = _merge_level(counts, ids, len(levels[-1][0]) if levels else 0) if merge else None
+        plan = _block_plan(counts, ids) if levels else None
+        merged = _merge_level(counts, plan, len(levels[-1][0]) if levels else 0) if merge else None
         if merged is None:
-            merge = False
-            kids, ids = ids, None
+            merge, ids = False, None
         else:
-            ids, counts, kids = merged
-        levels.append((counts, kids, _block_plan(counts) if levels else None))
+            ids, counts, plan = merged
+        levels.append((counts, plan))
     return levels, ids
 
 
 def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
                         n_trees: int) -> tuple[np.ndarray, np.ndarray]:
     """Root (beta, beta') for every tree of a forest planned by
-    ``_merge_forest``: one value per shape on merged levels, gathered from the
-    children's values through their index arrays."""
+    ``_merge_forest``: one value per shape on merged levels, summed from the
+    children's values through each level's plan."""
     if not levels:
         return np.ones(n_trees), np.zeros(n_trees)
     b = db = None
-    for counts, kids, plan in levels:
-        if kids is not None:
-            b, db = b[kids], db[kids]
-        b, db = _level_step(counts, b, db, lam, plan)[:2]
+    for counts, plan in levels:
+        b, db = _level_step(counts, plan, b, db, lam)
     if top is not None:
         b, db = b[top], db[top]
     return b, db
@@ -355,9 +350,7 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
         rng = substream(seed, D_POOL, ci)
         levels, top = _merge_forest(_sample_offspring_layers(dist, n, hi - lo, rng))
         for j, lam in enumerate(lams):
-            b, db = _forest_root_values(levels, top, lam, hi - lo)
-            betas[j][lo:hi] = b
-            dbetas[j][lo:hi] = db
+            betas[j][lo:hi], dbetas[j][lo:hi] = _forest_root_values(levels, top, lam, hi - lo)
     return [BetaPool(beta=betas[j], dbeta=dbetas[j], level=n, lam=lam, method="tree")
             for j, lam in enumerate(lams)]
 
@@ -387,7 +380,7 @@ def sample_pool(dist: OffspringDistribution, lam: float, n: int, count: int,
     for _ in range(n):
         counts = dist.draw_counts(rng, count)
         idx = rng.integers(0, count, size=int(counts.sum(dtype=np.int64)))
-        b, db = _level_step(counts, b[idx], db[idx], lam)[:2]
+        b, db = _level_step(counts, _block_plan(counts, idx), b, db, lam)
     return BetaPool(beta=b, dbeta=db, level=n, lam=lam, method="population")
 
 

@@ -126,13 +126,11 @@ def _resolve(args, cfg: dict, key: str, default, cast=None):
 
 
 def _resolve_dist(args, cfg: dict) -> OffspringDistribution:
-    sources = [s for s in (getattr(args, "pmf", None),
-                           getattr(args, "pmf_json", None)) if s]
-    if len(sources) > 1:
+    if args.pmf and args.pmf_json:
         raise _CliError("give at most one of --pmf and --pmf-json")
-    if getattr(args, "pmf", None):
+    if args.pmf:
         return parse_pmf_text(args.pmf)
-    if getattr(args, "pmf_json", None):
+    if args.pmf_json:
         with open(args.pmf_json, encoding="utf-8") as fh:
             return parse_pmf_json(fh.read())
     if "pmf" in cfg:
@@ -258,7 +256,7 @@ def cmd_simulate(args, cfg) -> int:
     replicas = _resolve(args, cfg, "replicas", 32, int)
     est = simulate_speed(dist, args.lam, steps, replicas, seed,
                          graph=args.graph, keep_replicas=bool(args.out),
-                         workers=max(1, args.threads))
+                         workers=args.threads)
     print(f"graph={est.graph}")
     print(f"lambda={_fmt(est.lam)}")
     print(f"speed={_fmt(est.mean)}")
@@ -295,6 +293,8 @@ def cmd_beta(args, cfg) -> int:
             raise _CliError(f"{name} must be >= 1, got {value}")
     for lam in grid:
         _check_bias(lam)
+    if dist.has_leaves:
+        raise UnsupportedRegimeError("beta needs a leafless offspring law")
     if args.pool_out and args.method == "tree":
         _check_forest_depth(dist, depth)
 
@@ -407,15 +407,14 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise _CliError(f"--threads must be >= 1, got {args.threads}")
         for path in (getattr(args, key, None) for key in ("out", "dump_tree", "pool_out")):
             if path:
                 _check_output_path(path)
-        cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        cfg = _load_config(args.config) if args.config else {}
         return _COMMANDS[args.command](args, cfg)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, UnsupportedRegimeError, OSError) as exc:
+    except (_CliError, ValueError, UnsupportedRegimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

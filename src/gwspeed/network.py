@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beta import _block_sums, _offsets
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import make_distribution
 from .tree import QuenchedTree, sample_truncated_tree
@@ -88,7 +87,7 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
         else:
             inv = 1.0 / (lam ** (k + 1.0) + resist)
         counts = nu[start[k]:start[k + 1]]
-        resist = 1.0 / _block_sums(inv, _offsets(counts))
+        resist = 1.0 / np.add.reduceat(inv, np.cumsum(counts) - counts)
     root_r = float(resist[0])
     if scaled:
         return 1.0 / (1.0 + lam * root_r)

@@ -16,9 +16,10 @@ are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 Every estimate here (the ratio, the paired difference of two ratios, the
 criterion margin) is a smooth function of the means of paired per-tuple
 terms, and one kernel, ``_delta``, returns it with its delta-method standard
-error. A tuple pool holds its members as pool indices, and one plan per tuple
-draw (``_draw_tuples``) gathers every grid point's beta and beta' sums straight
-from the pool, in reduceat's order, so the values are bit-identical. Callers
+error. A tuple pool holds its members as pool indices, and the
+``beta._block_plan`` of each tuple draw (``_draw_tuples``), read through those
+indices, sums every grid point's beta and beta' straight from the pool, in
+reduceat's order, so the values are bit-identical. Callers
 fill the terms in place, and ``speed_curve`` centres each point's speed terms
 once, in a (4, M) buffer holding the previous point's rows above its own: the
 lower half gives the point's covariance, the whole the pair's. So beyond its
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beta import (MAX_FOREST_LEVEL_BYTES, BetaPool, _block_plan, _block_sums,
+from .beta import (MAX_FOREST_LEVEL_BYTES, BetaPool, _block_plan, _BlockPlan, _block_sums,
                    _check_forest_depth, sample_pools_shared_trees)
 from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias, _check_depth
 from .offspring import OffspringDistribution
@@ -55,7 +56,7 @@ class TuplePool:
     nus: np.ndarray       # (M,)
     offsets: np.ndarray   # (M,) exclusive starts into idx
     idx: np.ndarray       # flat pool indices, length sum(nus + 1)
-    plan: tuple
+    plan: _BlockPlan
     pool: BetaPool
     beta_sums: np.ndarray = field(init=False)
     denominators: np.ndarray = field(init=False)
@@ -77,10 +78,7 @@ class TuplePool:
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Per-tuple member sums of the pool values ``x``, bit for bit reduceat's."""
-        first, ranks = self.plan
-        if ranks is None:
-            return np.add.reduceat(x[self.idx], self.offsets)
-        return _block_sums(x, first, ranks)
+        return _block_sums(x, self.plan)
 
     def tuple_at(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
         lo = int(self.offsets[j])
@@ -89,16 +87,14 @@ class TuplePool:
 
 
 def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Counts, offsets and pool indices of ``count`` tuples, and their sum
-    plan: first members and ``beta._block_plan`` ranks, as pool indices."""
+                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, _BlockPlan]:
+    """Counts, offsets and pool indices of ``count`` tuples, and the
+    ``beta._block_plan`` of their members read through those indices."""
     rng = substream(seed, D_TUPLE, 0)
     nus = dist.draw_counts(rng, count).astype(np.int64)
-    offsets, ranks = _block_plan(nus + 1)
     idx = rng.integers(0, pool_size, size=int((nus + 1).sum()))
-    if ranks is not None:
-        ranks = [(has, idx[at]) for has, at in ranks]
-    return nus, offsets, idx, (idx[offsets], ranks)
+    plan = _block_plan(nus + 1, idx)
+    return nus, plan.off, idx, plan
 
 
 def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
@@ -153,7 +149,7 @@ def _speed_terms(tp: TuplePool, lam: float, out: np.ndarray) -> np.ndarray:
     (nu -+ lam) * beta_0 / (lam - 1 + sum beta_i) of the speed ratio."""
     np.subtract(tp.nus, lam, out=out[0])
     np.add(tp.nus, lam, out=out[1])
-    out *= tp.pool.beta[tp.plan[0]]
+    out *= tp.pool.beta[tp.plan.first]
     out /= tp.denominators
     return out
 

@@ -27,6 +27,7 @@ is the scalar reference for the tree walk.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -235,7 +236,8 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
     """Monte Carlo speed estimate: fresh tree and walk per replica.
 
     Deterministic in (dist, lam, steps, replicas, seed, graph) and independent
-    of ``workers``; replica streams are keyed by index and results are
+    of ``workers``, the cap on worker processes (at most one per replica and
+    per CPU is started); replica streams are keyed by index and results are
     aggregated in index order.
     """
     if graph not in _GRAPH_CODES:
@@ -243,8 +245,8 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
     if dist.has_leaves:
         raise UnsupportedRegimeError("speed simulation needs a leafless offspring law")
     _check_bias(lam)
-    if steps < 1 or replicas < 2:
-        raise ValueError("need steps >= 1 and replicas >= 2")
+    if steps < 1 or replicas < 2 or workers < 1:
+        raise ValueError("need steps >= 1, replicas >= 2 and workers >= 1")
     regime_warning = lam >= dist.m
     if regime_warning:
         warnings.warn(
@@ -253,13 +255,14 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
             UserWarning, stacklevel=2)
 
     indices = list(range(replicas))
+    # the executor may start all of its processes at the first submit
+    workers = min(workers, replicas, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         cuts = [c * replicas // workers for c in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_replica_depths, dist.entries, lam, steps, seed,
-                                graph, indices[a:b])
-                    for a, b in zip(cuts, cuts[1:]) if a < b]
+                                graph, indices[a:b]) for a, b in zip(cuts, cuts[1:])]
             depths = [dep for fut in futs for dep in fut.result()]
     else:
         depths = _replica_depths(dist.entries, lam, steps, seed, graph, indices)

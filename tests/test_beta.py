@@ -16,7 +16,7 @@ from gwspeed import (
 )
 from gwspeed import beta as beta_mod
 from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
-                          _forest_root_values, _merge_forest, _offsets,
+                          _forest_root_values, _merge_forest, _merge_level,
                           _trees_per_chunk, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import substream
@@ -307,13 +307,20 @@ def test_merge_covers_whole_forest_and_stops_at_lowest_level():
     assert merged == 0 and top is None
 
 
-def _assert_block_sums_match_reduceat(x, counts):
-    off = _offsets(counts)
-    ref = np.add.reduceat(x, off)
-    for ranks in (_block_plan(counts)[1], None):
-        got = _block_sums(x, off, ranks)
+def _assert_block_sums_match_reduceat(x, counts, index):
+    # the gathered values summed in place, and the same blocks read through
+    # the index straight from x
+    gathered = x[index]
+    ref = np.add.reduceat(gathered, np.cumsum(counts) - counts)
+    for values, plan in ((gathered, _block_plan(counts)), (x, _block_plan(counts, index))):
+        got = _block_sums(values, plan)
         # bit patterns, so that -0.0 against 0.0 counts as a difference
         assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _gather_index(rng, n_values):
+    # a shuffle with repeats, as in a tuple draw from a pool
+    return rng.integers(0, n_values, n_values)
 
 
 @pytest.mark.parametrize("length", range(1, 21))
@@ -324,7 +331,7 @@ def test_block_sums_match_reduceat_bit_for_bit(length):
     rng = np.random.default_rng(length)
     counts = np.full(500, length, dtype=np.int16)
     x = rng.standard_normal(500 * length) * 10.0 ** rng.integers(-8, 8, 500 * length)
-    _assert_block_sums_match_reduceat(x, counts)
+    _assert_block_sums_match_reduceat(x, counts, _gather_index(rng, x.size))
 
 
 def test_block_sums_match_reduceat_on_mixed_blocks():
@@ -332,7 +339,7 @@ def test_block_sums_match_reduceat_on_mixed_blocks():
     for top in (2, 5, 8, 9, 20):
         counts = rng.integers(1, top + 1, 2000).astype(np.int16)
         x = rng.standard_normal(int(counts.sum())) * 10.0 ** rng.integers(-8, 8, int(counts.sum()))
-        _assert_block_sums_match_reduceat(x, counts)
+        _assert_block_sums_match_reduceat(x, counts, _gather_index(rng, x.size))
 
 
 def test_block_sums_keep_signed_zeros():
@@ -340,22 +347,53 @@ def test_block_sums_keep_signed_zeros():
     for top in (1, 3, 8, 12):
         counts = rng.integers(1, top + 1, 400).astype(np.int16)
         x = rng.choice([-0.0, 0.0, 1.5, -1.5], size=int(counts.sum()), p=[0.6, 0.2, 0.1, 0.1])
-        _assert_block_sums_match_reduceat(x, counts)
-    off, ranks = _block_plan(np.ones(3, dtype=np.int16))
-    assert np.signbit(_block_sums(np.array([-0.0, -0.0, -0.0]), off, ranks)).all()
+        _assert_block_sums_match_reduceat(x, counts, _gather_index(rng, x.size))
+    plan = _block_plan(np.ones(3, dtype=np.int16))
+    assert np.signbit(_block_sums(np.array([-0.0, -0.0, -0.0]), plan)).all()
 
 
-def test_forest_levels_carry_their_block_plans():
-    # the bias-independent plan rides on every level above the boundary;
-    # a law with blocks longer than 8 leaves the sums to reduceat
+def test_a_wide_block_lists_only_the_ranks_a_merge_can_code():
+    # a 40000-value block is summed by reduceat and its level is never
+    # merged, so its plan stops at the 61 ranks of the widest block (62
+    # values) whose shape code fits in int64
+    counts = np.array([2, 40000, 3])
+    plan = _block_plan(counts)
+    assert len(plan.ranks) == 61
+    x = np.random.default_rng(7).standard_normal(int(counts.sum()))
+    assert np.array_equal(_block_sums(x, plan), np.add.reduceat(x, plan.off))
+    assert _merge_level(counts, plan, 1) is None
+
+
+def test_forest_levels_carry_their_block_plans(monkeypatch):
+    # the bias-independent plan rides on every level above the boundary and
+    # holds a rank for every child position; a law with blocks longer than 8
+    # still sums them through reduceat
+    summed = []
+
+    class Numpy:  # numpy, with the blocks that np.add.reduceat sums recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        class add:
+            @staticmethod
+            def reduceat(x, off):
+                summed.append(off.size)
+                return np.add.reduceat(x, off)
+
+    monkeypatch.setattr(beta_mod, "np", Numpy())
     for law in ("2:0.3,3:0.3,4:0.4", "1:0.5,12:0.5"):
         layers = _sample_offspring_layers(parse_pmf_text(law), 3, 20,
                                           np.random.default_rng(3))
         levels, _ = _merge_forest(layers)
-        assert levels[0][2] is None
-        for counts, _, (off, ranks) in levels[1:]:
-            assert np.array_equal(off, _offsets(counts))
-            assert (ranks is None) == (counts.max() > 8)
+        assert levels[0][1] is None
+        for (below, _), (counts, plan) in zip(levels, levels[1:]):
+            assert np.array_equal(plan.off, np.cumsum(counts) - counts)
+            assert len(plan.ranks) == counts.max() - 1
+            x = np.ones(below.size)  # one value per entry of the level below
+            summed.clear()
+            assert np.array_equal(_block_sums(x, plan), counts)
+            assert summed == ([counts.size] if counts.max() > 8 else [])
+    assert max(len(plan.ranks) for _, plan in levels[1:]) == 11
 
 
 def test_forest_level_prediction_is_large_only_for_wide_levels():

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -347,6 +349,66 @@ def test_beta_bad_counts_and_biases_exit_before_any_output(capsys, tmp_path, fla
     code, out, err = run(capsys, "beta", "--depth", "3", "--trials", "10", *flags)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "must be >= " in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--pool-out", "pool.csv"),
+                                   ("--pool-out", "pool.csv", "--method", "population")])
+def test_beta_refuses_a_law_with_leaves_before_any_output(capsys, tmp_path, flags):
+    flags = tuple(str(tmp_path / f) if f.endswith(".csv") else f for f in flags)
+    code, out, err = run(capsys, "beta", "--pmf", "0:0.2,2:0.8", "--depth", "2",
+                         "--trials", "10", "--seed", "3", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: beta needs a leafless offspring law\n"
+    assert not (tmp_path / "pool.csv").exists()
+
+
+@pytest.mark.parametrize("command", [("simulate", "--lambda", "1", "--replicas", "2"),
+                                     ("regular", "--d", "2", "--lambda", "1")])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_one(capsys, command, threads):
+    code, out, err = run(capsys, *command, "--threads", threads)
+    assert (code, out) == (1, "")
+    assert err == f"error: --threads must be >= 1, got {threads}\n"
+
+
+class _InlineExecutor:
+    """A ProcessPoolExecutor stand-in that records its ``max_workers`` and
+    runs each submitted call at once, in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("threads, replicas, cpus, started", [
+    ("5000", "2", 64, [2]),   # one process per replica at most
+    ("8", "10", 3, [3]),      # one per CPU at most
+    ("3", "10", 64, [3]),
+    ("2", "10", 1, []),       # one CPU: run in this process
+    ("1", "10", 64, []),
+])
+def test_simulate_starts_at_most_one_process_per_replica_and_cpu(
+        capsys, monkeypatch, threads, replicas, cpus, started):
+    argv = ("simulate", "--lambda", "1", "--steps", "300", "--replicas", replicas,
+            "--seed", "4")
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlineExecutor, "started", [])
+    assert run(capsys, *argv, "--threads", threads) == serial
+    assert _InlineExecutor.started == started
 
 
 _DEMO = gwspeed.make_distribution({2: 0.5, 3: 0.5})

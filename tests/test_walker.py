@@ -226,6 +226,8 @@ def test_speed_deterministic_and_worker_independent(mix23):
     assert a.mean == b.mean and a.stderr == b.stderr
     c = simulate_speed(mix23, 1.0, 2000, 6, seed=11, workers=2)
     assert c.mean == a.mean and c.stderr == a.stderr
+    with pytest.raises(ValueError, match="workers >= 1"):
+        simulate_speed(mix23, 1.0, 2000, 6, seed=11, workers=0)
 
 
 def test_speed_replica_records(mix23):
