@@ -43,7 +43,7 @@ import numpy as np
 from .errors import UnsupportedRegimeError, _check_bias, _check_depth
 from .offspring import OffspringDistribution
 from .rng import D_POOL, D_POOL_POP, substream
-from .tree import QuenchedTree, _sample_offspring_layers
+from .tree import MAX_FOREST_LEVEL_BYTES, QuenchedTree, _check_budget, _sample_offspring_layers
 
 # Chunking keeps peak forest memory near this many vertices on one level.
 _CHUNK_LEVEL_BUDGET = 6_000_000
@@ -55,8 +55,6 @@ _PLANNED_WIDTH = 62
 # Bytes a forest level holds per vertex while it is drawn and stepped: the
 # uniform (8), the count (up to 8) and the (beta, beta') pair (16).
 _FOREST_BYTES_PER_VERTEX = 32
-# Largest predicted forest level a tree-method pool draws.
-MAX_FOREST_LEVEL_BYTES = 2**31
 
 
 @dataclass
@@ -322,10 +320,7 @@ def forest_level_bytes(dist: OffspringDistribution, n: int) -> float:
 def _check_forest_depth(dist: OffspringDistribution, n: int) -> None:
     """Refuse, before anything is drawn, a depth whose predicted widest
     forest level exceeds ``MAX_FOREST_LEVEL_BYTES``."""
-    need = forest_level_bytes(dist, n)
-    if need > MAX_FOREST_LEVEL_BYTES:
-        raise ValueError(f"a depth-{n} forest level would need about {need / 2**30:.3g} GiB, "
-                         f"over the {MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
+    _check_budget(forest_level_bytes(dist, n), f"a depth-{n} forest level")
 
 
 def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,

@@ -66,15 +66,17 @@ def _json_value(value):
     return float(_fmt(value))
 
 
-def _write_records(path: str, fmt: str, fields: list[str], records: list[dict]):
+def _render(fmt: str, fields: list[str], records: list[dict]) -> str:
+    """The text of a table, as CSV (a header, then one row per record) or as
+    a JSON list of records: every table on stdout and in every --out file."""
     if fmt == "csv":
-        lines = [",".join(fields)]
-        for rec in records:
-            lines.append(",".join(_fmt(rec.get(f)) for f in fields))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = [{f: _json_value(rec.get(f)) for f in fields} for rec in records]
-        text = json.dumps(payload, indent=2) + "\n"
+        rows = [fields] + [[_fmt(rec.get(f)) for f in fields] for rec in records]
+        return "".join(",".join(row) + "\n" for row in rows)
+    payload = [{f: _json_value(rec.get(f)) for f in fields} for rec in records]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -245,7 +247,7 @@ def cmd_regular(args, cfg) -> int:
         fields.append("return_gf_z")
         print(f"Uz={_fmt(uz)}")
     if args.out:
-        _write_records(args.out, args.format, fields, [rec])
+        _write(args.out, _render(args.format, fields, [rec]))
     return 0
 
 
@@ -255,8 +257,7 @@ def cmd_simulate(args, cfg) -> int:
     steps = _resolve(args, cfg, "steps", 100000, int)
     replicas = _resolve(args, cfg, "replicas", 32, int)
     est = simulate_speed(dist, args.lam, steps, replicas, seed,
-                         graph=args.graph, keep_replicas=bool(args.out),
-                         workers=args.threads)
+                         graph=args.graph, workers=args.threads)
     print(f"graph={est.graph}")
     print(f"lambda={_fmt(est.lam)}")
     print(f"speed={_fmt(est.mean)}")
@@ -266,9 +267,9 @@ def cmd_simulate(args, cfg) -> int:
     if est.regime_warning:
         print("warning=bias at or above mean branching; not transient")
     if args.out:
-        records = [{"replica": r, "final_depth": dep, "steps": s, "speed": sp}
-                   for r, dep, s, sp in est.per_replica]
-        _write_records(args.out, args.format, REPLICA_CSV_FIELDS, records)
+        records = [{"replica": i, "final_depth": dep, "steps": steps, "speed": dep / steps}
+                   for i, dep in enumerate(est.depths)]
+        _write(args.out, _render(args.format, REPLICA_CSV_FIELDS, records))
     return 0
 
 
@@ -301,7 +302,6 @@ def cmd_beta(args, cfg) -> int:
     tree = sample_truncated_tree(dist, depth, seed)
     attach_star_root(tree)
     records = []
-    print(",".join(BETA_CSV_FIELDS))
     for i, lam in enumerate(grid):
         rec = {"lambda": lam}
         rec["beta_recursion"] = compute_beta(tree, depth, lam).root_beta
@@ -314,9 +314,9 @@ def cmd_beta(args, cfg) -> int:
         rec["beta_mc"] = est.estimate
         rec["mc_stderr"] = est.stderr
         records.append(rec)
-        print(",".join(_fmt(rec.get(f)) for f in BETA_CSV_FIELDS))
+    sys.stdout.write(_render("csv", BETA_CSV_FIELDS, records))
     if args.out:
-        _write_records(args.out, args.format, BETA_CSV_FIELDS, records)
+        _write(args.out, _render(args.format, BETA_CSV_FIELDS, records))
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8") as fh:
             fh.writelines(tree.adjacency_json_chunks())
@@ -347,18 +347,15 @@ def cmd_speed_curve(args, cfg) -> int:
 
     curve = speed_curve(dist, grid, depth, samples, tuples, seed,
                         mc_steps=args.mc_steps, mc_replicas=args.mc_replicas)
-    records = []
-    print(",".join(CURVE_CSV_FIELDS))
-    for p in curve.points:
-        rec = {"lambda": p.lam, "speed_formula": p.speed_formula,
-               "stderr": p.speed_formula_stderr, "speed_mc": p.speed_mc,
-               "mc_stderr": p.speed_mc_stderr, "ineq8_margin": p.ineq8_margin,
-               "ineq8_stderr": p.ineq8_stderr, "holds": p.ineq8_holds}
-        records.append(rec)
-        print(",".join(_fmt(rec.get(f)) for f in CURVE_CSV_FIELDS))
+    records = [{"lambda": p.lam, "speed_formula": p.speed_formula,
+                "stderr": p.speed_formula_stderr, "speed_mc": p.speed_mc,
+                "mc_stderr": p.speed_mc_stderr, "ineq8_margin": p.ineq8_margin,
+                "ineq8_stderr": p.ineq8_stderr, "holds": p.ineq8_holds}
+               for p in curve.points]
+    sys.stdout.write(_render("csv", CURVE_CSV_FIELDS, records))
     _report_verdict(curve, depth)
     if args.out:
-        _write_records(args.out, args.format, CURVE_CSV_FIELDS, records)
+        _write(args.out, _render(args.format, CURVE_CSV_FIELDS, records))
 
     if not args.single_depth:
         curve2 = speed_curve(dist, grid, depth + 3, samples2, tuples, seed)
@@ -389,8 +386,7 @@ def cmd_verify(args, cfg) -> int:
     report = verify_mod.render_report(results, dist, seed)
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        _write(args.out, report)
     return 0 if all(r.ok for r in results) else 2
 
 

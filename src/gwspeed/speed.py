@@ -16,15 +16,15 @@ are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 Every estimate here (the ratio, the paired difference of two ratios, the
 criterion margin) is a smooth function of the means of paired per-tuple
 terms, and one kernel, ``_delta``, returns it with its delta-method standard
-error. A tuple pool holds its members as pool indices, and the
-``beta._block_plan`` of each tuple draw (``_draw_tuples``), read through those
-indices, sums every grid point's beta and beta' straight from the pool, in
-reduceat's order, so the values are bit-identical. Callers
-fill the terms in place, and ``speed_curve`` centres each point's speed terms
-once, in a (4, M) buffer holding the previous point's rows above its own: the
-lower half gives the point's covariance, the whole the pair's. So beyond its
-pools a scan's memory does not grow with the grid, and ``speed_curve`` refuses
-a scan predicted over ``beta.MAX_FOREST_LEVEL_BYTES`` before any draw.
+error. A tuple pool is its counts and the ``beta._block_plan`` of its draw
+(``_draw_tuples``), which lists the members as pool indices and sums every
+grid point's beta and beta' straight from the pool, in reduceat's order, so
+the values are bit-identical. Callers fill the terms in place, and
+``speed_curve`` centres each point's speed terms once, in a (4, M) buffer
+holding the previous point's rows above its own: the lower half gives the
+point's covariance, the whole the pair's. So beyond its pools a scan's memory
+does not grow with the grid, and ``speed_curve`` refuses a scan predicted over
+``tree.MAX_FOREST_LEVEL_BYTES`` before any draw.
 """
 
 from __future__ import annotations
@@ -35,28 +35,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beta import (MAX_FOREST_LEVEL_BYTES, BetaPool, _block_plan, _BlockPlan, _block_sums,
-                   _check_forest_depth, sample_pools_shared_trees)
+from .beta import (BetaPool, _block_plan, _BlockPlan, _block_sums, _check_forest_depth,
+                   sample_pools_shared_trees)
 from .errors import DegenerateTupleError, UnsupportedRegimeError, _check_bias, _check_depth
 from .offspring import OffspringDistribution
 from .rng import D_TUPLE, substream
+from .tree import _check_budget
 
 _CERTIFIED_SLACK = 1e-12
 
 
 @dataclass
 class TuplePool:
-    """Tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) held as indices
-    ``idx`` into their source pool, so beta and beta' of a member come from
-    the same realization, with the ``_draw_tuples`` plan that the pools of a
-    bias grid share. The beta sums and denominators lam - 1 + sum beta_i are
-    computed once, at construction, straight from the pool; a non-positive
-    denominator raises ``DegenerateTupleError`` for the first such tuple."""
+    """Tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) held as the
+    ``_draw_tuples`` plan that the pools of a bias grid share, whose
+    ``index`` lists members by pool index (so a member's beta and beta' come
+    from one realization) and whose ``off`` starts each tuple. The beta sums
+    and denominators lam - 1 + sum beta_i are computed once, at construction,
+    straight from the pool; a non-positive denominator raises
+    ``DegenerateTupleError`` for the first such tuple."""
 
     nus: np.ndarray       # (M,)
-    offsets: np.ndarray   # (M,) exclusive starts into idx
-    idx: np.ndarray       # flat pool indices, length sum(nus + 1)
-    plan: _BlockPlan
+    plan: _BlockPlan      # blocks of nus + 1 members, length sum(nus + 1)
     pool: BetaPool
     beta_sums: np.ndarray = field(init=False)
     denominators: np.ndarray = field(init=False)
@@ -70,8 +70,8 @@ class TuplePool:
             raise DegenerateTupleError(j, int(self.nus[j]), float(d[j]))
 
     lam = property(lambda self: self.pool.lam)
-    betas = property(lambda self: self.pool.beta[self.idx])
-    dbetas = property(lambda self: self.pool.dbeta[self.idx])
+    betas = property(lambda self: self.pool.beta[self.plan.index])
+    dbetas = property(lambda self: self.pool.dbeta[self.plan.index])
 
     def __len__(self) -> int:
         return self.nus.size
@@ -81,20 +81,18 @@ class TuplePool:
         return _block_sums(x, self.plan)
 
     def tuple_at(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
-        lo = int(self.offsets[j])
-        at = self.idx[lo:lo + int(self.nus[j]) + 1]
+        lo = int(self.plan.off[j])
+        at = self.plan.index[lo:lo + int(self.nus[j]) + 1]
         return int(self.nus[j]), self.pool.beta[at], self.pool.dbeta[at]
 
 
 def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, _BlockPlan]:
-    """Counts, offsets and pool indices of ``count`` tuples, and the
-    ``beta._block_plan`` of their members read through those indices."""
+                 seed: int) -> tuple[np.ndarray, _BlockPlan]:
+    """Counts of ``count`` tuples and the ``beta._block_plan`` of their
+    members, read through the members' pool indices."""
     rng = substream(seed, D_TUPLE, 0)
     nus = dist.draw_counts(rng, count).astype(np.int64)
-    idx = rng.integers(0, pool_size, size=int((nus + 1).sum()))
-    plan = _block_plan(nus + 1, idx)
-    return nus, plan.off, idx, plan
+    return nus, _block_plan(nus + 1, rng.integers(0, pool_size, size=int((nus + 1).sum())))
 
 
 def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
@@ -308,11 +306,8 @@ def _check_curve_size(dist: OffspringDistribution, n: int, points: int, samples:
                       tuples: int) -> None:
     """Refuse, before any draw, a depth-n curve scan over the memory budget."""
     _check_forest_depth(dist, n)
-    need = _curve_bytes(dist, points, samples, tuples)
-    if need > MAX_FOREST_LEVEL_BYTES:
-        raise ValueError(f"{points} pools of {samples} samples and {tuples} tuples would "
-                         f"need about {need / 2**30:.3g} GiB, over the "
-                         f"{MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
+    _check_budget(_curve_bytes(dist, points, samples, tuples),
+                  f"{points} pools of {samples} samples and {tuples} tuples")
 
 
 def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,

@@ -18,6 +18,7 @@ root as its only child.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from functools import cache
 
@@ -30,6 +31,17 @@ from .rng import D_TREE, substream
 ROOT = 0
 _UBUF = 512  # offspring counts drawn per refill for scalar draws
 _DUMP_CHUNK = 4096  # vertices per piece of text the dump yields
+# Largest predicted tree, forest level or curve scan a sampler draws.
+MAX_FOREST_LEVEL_BYTES = 2**31
+# Bytes per vertex of a tree with arrays() and one beta table (107-126 measured).
+_TREE_BYTES_PER_VERTEX = 128
+
+
+def _check_budget(need: float, what: str) -> None:
+    """Refuse, before any draw, ``what`` predicted over ``MAX_FOREST_LEVEL_BYTES``."""
+    if need > MAX_FOREST_LEVEL_BYTES:
+        raise ValueError(f"{what} would need about {need / 2**30:.3g} GiB, "
+                         f"over the {MAX_FOREST_LEVEL_BYTES / 2**30:g} GiB limit")
 
 
 @cache
@@ -173,8 +185,15 @@ def _sample_offspring_layers(dist: OffspringDistribution, depth: int,
 def sample_truncated_tree(dist: OffspringDistribution, n: int,
                           seed: int) -> QuenchedTree:
     """Fresh tree realization fully materialized to depth n, deterministic in
-    (dist, n, seed): a forest of one tree, laid out breadth first."""
+    (dist, n, seed): a forest of one tree, laid out breadth first; refused
+    before any draw when its expected size needs over ``MAX_FOREST_LEVEL_BYTES``."""
     _check_depth(n)
+    m = dist.m
+    try:  # expected vertices: the sum of m**k over k <= n
+        size = n + 1 if m == 1 else (m ** (n + 1) - 1) / (m - 1)
+    except OverflowError:
+        size = math.inf
+    _check_budget(_TREE_BYTES_PER_VERTEX * size, f"a depth-{n} tree")
     tree = QuenchedTree(dist, substream(seed, D_TREE, 0))
     layers = _sample_offspring_layers(dist, n, 1, tree._rng)
     widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]

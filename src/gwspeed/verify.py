@@ -24,7 +24,6 @@ from .speed import make_tuple_pool, speed_curve, speed_exact_lambda1
 from .tree import attach_star_root, sample_truncated_tree
 from .walker import hitting_beta_mc, lemma0_compare
 
-SUITE_NAMES = ("bounds", "oracles", "lemma0", "monotonicity")
 _MC_GATE = 4.0
 
 
@@ -190,22 +189,17 @@ def suite_monotonicity(dist: OffspringDistribution, seed: int) -> list[CheckResu
     return out
 
 
+SUITES = {"bounds": suite_bounds, "oracles": suite_oracles, "lemma0": suite_lemma0,
+          "monotonicity": suite_monotonicity}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, dist: OffspringDistribution, seed: int) -> list[CheckResult]:
-    suites = {
-        "bounds": suite_bounds,
-        "oracles": suite_oracles,
-        "lemma0": suite_lemma0,
-        "monotonicity": suite_monotonicity,
-    }
-    if name == "all":
-        results = []
-        for key in SUITE_NAMES:
-            results.extend(suites[key](dist, seed))
-        return results
-    if name not in suites:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_NAMES + ('all',))}")
-    return suites[name](dist, seed)
+    return [r for key in (SUITES if name == "all" else [name])
+            for r in SUITES[key](dist, seed)]
 
 
 def render_report(results: list[CheckResult], dist: OffspringDistribution,

@@ -6,10 +6,10 @@ vertex it picks a child uniformly. The artificial root, when present, has one
 child, so the walk leaves it deterministically; the same parentless rule
 covers it.
 
-Speed is estimated from the terminal statistic (depth after ``steps`` steps)
-divided by the step count, one independent tree and walk per replica, with
-the standard error taken across replicas. Replicas are iid by construction,
-so no autocorrelation correction is needed.
+Speed is estimated from each replica's final depth (after ``steps`` steps),
+which the estimate keeps, divided by the step count: one independent tree and
+walk per replica, with the standard error taken across replicas. Replicas are
+iid by construction, so no autocorrelation correction is needed.
 
 Speed replicas and annealed hitting trials take one of two paths, chosen by
 the offspring law alone, in ``_final_depth``. On a one-point law
@@ -60,8 +60,8 @@ class SpeedEstimate:
     steps_per_replica: int
     lam: float
     graph: str
+    depths: list  # final depth of each replica, in index order
     regime_warning: bool = False
-    per_replica: list | None = None
 
 
 @dataclass
@@ -232,13 +232,13 @@ def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
 
 def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
                    replicas: int, seed: int, graph: str = "T",
-                   keep_replicas: bool = False, workers: int = 1) -> SpeedEstimate:
+                   workers: int = 1) -> SpeedEstimate:
     """Monte Carlo speed estimate: fresh tree and walk per replica.
 
     Deterministic in (dist, lam, steps, replicas, seed, graph) and independent
     of ``workers``, the cap on worker processes (at most one per replica and
-    per CPU is started); replica streams are keyed by index and results are
-    aggregated in index order.
+    per CPU is started); replica streams are keyed by index, and the final
+    depths are returned and aggregated in index order.
     """
     if graph not in _GRAPH_CODES:
         raise ValueError(f"graph must be one of {sorted(_GRAPH_CODES)}, got {graph!r}")
@@ -254,7 +254,6 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
             "is not transient and the speed estimate is only a finite-time statistic",
             UserWarning, stacklevel=2)
 
-    indices = list(range(replicas))
     # the executor may start all of its processes at the first submit
     workers = min(workers, replicas, os.cpu_count() or 1)
     if workers > 1:
@@ -262,19 +261,17 @@ def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
         cuts = [c * replicas // workers for c in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_replica_depths, dist.entries, lam, steps, seed,
-                                graph, indices[a:b]) for a, b in zip(cuts, cuts[1:])]
+                                graph, range(a, b)) for a, b in zip(cuts, cuts[1:])]
             depths = [dep for fut in futs for dep in fut.result()]
     else:
-        depths = _replica_depths(dist.entries, lam, steps, seed, graph, indices)
+        depths = _replica_depths(dist.entries, lam, steps, seed, graph, range(replicas))
 
     speeds = np.array(depths, dtype=float) / steps
     mean = float(speeds.mean())
     stderr = float(speeds.std(ddof=1) / np.sqrt(replicas))
-    per = ([(i, depths[i], steps, float(speeds[i])) for i in indices]
-           if keep_replicas else None)
     return SpeedEstimate(mean=mean, stderr=stderr, replicas=replicas,
                          steps_per_replica=steps, lam=lam, graph=graph,
-                         regime_warning=regime_warning, per_replica=per)
+                         depths=depths, regime_warning=regime_warning)
 
 
 def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,

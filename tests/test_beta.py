@@ -187,11 +187,17 @@ def test_population_vs_tree_pool_agree(mix23):
 
 
 def test_shared_tree_pools_are_paired(mix23):
-    pools = sample_pools_shared_trees(mix23, [0.5, 1.0], 6, 300, seed=8)
-    solo = sample_pool(mix23, 0.5, 6, 300, seed=8, method="tree")
-    assert np.array_equal(pools[0].beta, solo.beta)
-    # same trees: higher bias gives a smaller escape probability samplewise
-    assert (pools[1].beta < pools[0].beta).all()
+    # every bias's shared pool is its solo pool: the chunk streams do not
+    # depend on the biases, also over several chunks (629 trees each at depth 10)
+    lams = [0.5, 1.0]
+    for n, count in ((6, 300), (10, 1500)):
+        pools = sample_pools_shared_trees(mix23, lams, n, count, seed=8)
+        for pool, lam in zip(pools, lams, strict=True):
+            solo = sample_pool(mix23, lam, n, count, seed=8, method="tree")
+            assert np.array_equal(pool.beta, solo.beta)
+            assert np.array_equal(pool.dbeta, solo.dbeta)
+        # same trees: higher bias gives a smaller escape probability samplewise
+        assert (pools[1].beta < pools[0].beta).all()
 
 
 def test_pool_csv_export(tmp_path, mix23):

@@ -14,6 +14,7 @@ from gwspeed import cli as cli_mod
 from gwspeed.cli import DEFAULT_PMF, MAX_GRID_POINTS, _parse_grid, run_cli
 from gwspeed import network as network_mod
 from gwspeed import speed as speed_mod
+from gwspeed import tree as tree_mod
 from gwspeed import verify as verify_mod
 from gwspeed import walker as walker_mod
 
@@ -329,6 +330,22 @@ def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, t
     assert err.startswith("error: a depth-3 forest level would need")
 
 
+@pytest.mark.parametrize("argv", [
+    ("beta", "--depth", "20"),  # about 1.5e8 vertices on the demo law
+    ("beta", "--pmf", "2:0.5,40000:0.5", "--depth", "4"),
+    ("verify", "--suite", "oracles", "--pmf", "2:0.5,40000:0.5"),
+])
+def test_over_budget_tree_exits_one_before_any_draw(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a tree level was drawn")
+
+    monkeypatch.setattr(tree_mod, "_sample_offspring_layers", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a depth-") and "tree would need" in err
+
+
 def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
                          "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))
@@ -506,9 +523,10 @@ def test_unusable_output_path_exits_before_any_output(capsys, tmp_path, argv):
 
 def test_hitting_round_cap_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(walker_mod, "_MAX_SYNC_ROUNDS", 1)
-    code, _, err = run(capsys, *BETA_SMALL, "--depth", "3")
+    code, out, err = run(capsys, *BETA_SMALL, "--depth", "3")
     assert code == 2
     assert err.startswith("error: ") and "round cap" in err
+    assert out == ""  # the table is printed only once every row is done
 
 
 def test_sandwich_violation_is_a_failed_check(capsys, monkeypatch):
@@ -652,6 +670,13 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "bounds", "--seed", "1")
     assert code == 2
     assert "FAIL stub/check" in out
+
+
+def test_unknown_suite_is_refused_by_name():
+    assert verify_mod.SUITE_NAMES == ("bounds", "oracles", "lemma0", "monotonicity")
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; expected one of "
+                                         r"bounds, oracles, lemma0, monotonicity, all$"):
+        verify_mod.run_suite("nope", gwspeed.parse_pmf_text(DEFAULT_PMF), 1)
 
 
 def test_console_script_entry_point():

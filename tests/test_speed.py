@@ -143,8 +143,8 @@ def test_degenerate_denominator_raises():
     law = make_distribution({1: 0.5, 2: 0.5})
     pool = BetaPool(beta=np.linspace(0.01, 0.9, 200), dbeta=np.full(200, -0.1),
                     level=0, lam=0.1, method="tree")
-    nus, offsets, idx, _ = _draw_tuples(law, 200, 500, 3)
-    d = 0.1 - 1.0 + np.add.reduceat(pool.beta[idx], offsets)
+    nus, plan = _draw_tuples(law, 200, 500, 3)
+    d = 0.1 - 1.0 + np.add.reduceat(pool.beta[plan.index], plan.off)
     j = int(np.flatnonzero(d <= 0.0)[0])
     assert j > 0
     with pytest.raises(DegenerateTupleError) as err:
@@ -158,7 +158,7 @@ def test_tuple_pool_structure(mix23):
     assert len(tp) == 300
     nu, betas, dbetas = tp.tuple_at(7)
     assert betas.size == nu + 1 and dbetas.size == nu + 1
-    lo = tp.offsets[7]
+    lo = tp.plan.off[7]
     assert np.array_equal(betas, tp.betas[lo:lo + nu + 1])
     assert np.array_equal(dbetas, tp.dbetas[lo:lo + nu + 1])
     assert (tp.nus + 1).sum() == tp.betas.size
@@ -166,11 +166,11 @@ def test_tuple_pool_structure(mix23):
 
 
 def test_tuple_denominator_floor(mix23):
-    # lam - 1 + sum beta >= m1 - lam/m1 over a large tuple draw
-    for lam in (0.5, 1.1):
-        pool = sample_pool(mix23, lam, 10, 20000, seed=9, method="tree")
+    # lam - 1 + sum beta >= m1 - lam/m1 over a large tuple draw; the shared
+    # trees give each bias the pool sample_pool would draw on its own
+    for pool in sample_pools_shared_trees(mix23, (0.5, 1.1), 10, 20000, seed=9):
         tp = make_tuple_pool(mix23, pool, 1_000_000, seed=9)
-        assert float(tp.denominators.min()) >= 2 - lam / 2
+        assert float(tp.denominators.min()) >= 2 - pool.lam / 2
 
 
 def test_inequality8_exact_binary_unit_bias(binary):
@@ -326,7 +326,8 @@ def _flat_reference_curve(dist, grid, n, samples, tuples, seed):
         return value, math.sqrt(max(float(g @ np.cov(x, ddof=1) @ g) / x.shape[1], 0.0))
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
-    nus, offsets, idx, _ = _draw_tuples(dist, samples, tuples, seed)
+    nus, plan = _draw_tuples(dist, samples, tuples, seed)
+    offsets, idx = plan.off, plan.index
     points, terms = [], []
     for pool in pools:
         lam = pool.lam

@@ -212,6 +212,26 @@ def test_negative_depth_rejected(mix23):
         sample_truncated_tree(mix23, -1, seed=0)
 
 
+def test_tree_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
+    # expected size times 128 bytes a vertex against 2 GiB: the demo law
+    # samples to depth 17, and a law with m < 1 at any depth
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(tree_mod, "_sample_offspring_layers", drawn)
+    for law, depth in ((mix23, 17), (make_distribution({1: 1.0}), 10**6),
+                       (make_distribution({0: 0.5, 1: 0.5}), 10**9)):
+        with pytest.raises(Drawn):
+            sample_truncated_tree(law, depth, seed=0)
+    for law, depth in ((mix23, 18), (mix23, 20), (make_distribution({2: 0.5, 40000: 0.5}), 4),
+                       (make_distribution({1: 1.0}), 10**8), (make_distribution({2: 1.0}), 10**6)):
+        with pytest.raises(ValueError, match=f"a depth-{depth} tree would need .* GiB limit"):
+            sample_truncated_tree(law, depth, seed=0)
+
+
 def test_missing_vertex_rejected(mix23):
     tree = sample_truncated_tree(mix23, 2, seed=0)
     with pytest.raises(ValueError):

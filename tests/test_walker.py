@@ -118,9 +118,9 @@ def test_chain_matches_tree_walk(law):
     k = dist.m1
     for lam, steps, graph in itertools.product((0.0, 0.25, 1.0, 1.5, float(k), 5.0),
                                                (1, 63, 64, 65, 40_000), ("T", "T_star")):
-        est = simulate_speed(dist, lam, steps, 2, seed=3, graph=graph, keep_replicas=True)
+        est = simulate_speed(dist, lam, steps, 2, seed=3, graph=graph)
         gcode = walker_mod._GRAPH_CODES[graph]
-        for i, depth, _, _ in est.per_replica:
+        for i, depth in enumerate(est.depths):
             assert depth == _walk_final_depth(dist, substream(3, D_WALK_TREE, gcode, i), lam,
                                               steps, substream(3, D_WALK, gcode, i),
                                               graph == "T_star")
@@ -231,12 +231,12 @@ def test_speed_deterministic_and_worker_independent(mix23):
 
 
 def test_speed_replica_records(mix23):
-    est = simulate_speed(mix23, 1.0, 1000, 4, seed=2, keep_replicas=True)
-    assert len(est.per_replica) == 4
-    for i, (ridx, depth, steps, speed) in enumerate(est.per_replica):
-        assert ridx == i
-        assert steps == 1000
-        assert speed == depth / steps
+    # one final depth per replica; on T every step moves the depth by one
+    est = simulate_speed(mix23, 1.0, 1000, 4, seed=2)
+    assert len(est.depths) == 4
+    for depth in est.depths:
+        assert type(depth) is int and 0 <= depth <= 1000 and depth % 2 == 0
+    assert est.mean == float(np.mean(np.array(est.depths, dtype=float) / 1000))
 
 
 def test_hitting_quenched_binary_level_one(binary):
