@@ -3,8 +3,8 @@ exactly on truncated trees, Monte Carlo speed estimation, the annealed speed
 formula, and numerical verification of the strict-decrease criterion."""
 
 from .beta import (BetaPool, BetaTable, BoundReport, beta_derivative_path_sum,
-                   check_bounds, compute_beta, compute_beta_derivative,
-                   sample_pool, sample_pools_shared_trees)
+                   check_bounds, compute_beta, sample_pool,
+                   sample_pools_shared_trees)
 from .errors import (DegenerateTupleError, InvalidStateError,
                      UnsupportedRegimeError, VerificationError)
 from .network import (WeightedTreeNetwork, build_conductances,
@@ -30,8 +30,8 @@ __all__ = [
     "UnsupportedRegimeError", "VerificationError", "WalkState",
     "WeightedTreeNetwork",
     "attach_star_root", "beta_derivative_path_sum", "build_conductances",
-    "check_bounds", "compute_beta", "compute_beta_derivative",
-    "conductance_sandwich", "effective_conductance_to_level",
+    "check_bounds", "compute_beta", "conductance_sandwich",
+    "effective_conductance_to_level",
     "ensure_children", "hitting_beta_mc", "inequality8", "lemma0_compare",
     "make_distribution", "make_tuple_pool", "parse_pmf_json", "parse_pmf_text",
     "regular_escape_probability", "regular_return_gf", "sample_pool",

@@ -156,11 +156,6 @@ def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
     return BetaTable(tree=tree, level=n, lam=lam, beta=beta, dbeta=dbeta)
 
 
-def compute_beta_derivative(table: BetaTable) -> BetaTable:
-    """The table itself: ``compute_beta`` already fills the derivative."""
-    return table
-
-
 def beta_derivative_path_sum(table: BetaTable) -> float:
     """Root derivative via the unrolled sum over vertices of B times the
     product of A along the strict ancestor path. O(vertices * depth); this is
@@ -207,12 +202,6 @@ class BetaPool:
 
     def __len__(self) -> int:
         return self.beta.size
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("beta,dbeta\n")
-            for bv, dv in zip(self.beta, self.dbeta):
-                fh.write(f"{bv:.9g},{dv:.9g}\n")
 
 
 def _merge_level(counts: np.ndarray, plan: _BlockPlan | None, n_kid_shapes: int
@@ -404,7 +393,7 @@ class BoundReport:
                                             self.denominator_violations))
 
 
-def check_bounds(pool_or_table, m1: int, m2: int, lam: float) -> BoundReport:
+def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     """Count violations of the proven sample-level bounds.
 
     Checks, per (beta, beta') pair:
@@ -414,17 +403,12 @@ def check_bounds(pool_or_table, m1: int, m2: int, lam: float) -> BoundReport:
                     case over every tuple that could be drawn from the pool
                     (needs lam < m1)
 
-    A BetaTable contributes its root pair only; a BetaPool contributes every
-    sample. Checks whose precondition fails are recorded in ``skipped``.
+    Every sample of the pool is checked. Checks whose precondition fails are
+    recorded in ``skipped``.
     """
-    if isinstance(pool_or_table, BetaTable):
-        beta = np.array([pool_or_table.root_beta])
-        dbeta = np.array([pool_or_table.root_dbeta])
-    elif isinstance(pool_or_table, BetaPool):
-        beta = pool_or_table.beta
-        dbeta = pool_or_table.dbeta
-    else:
-        raise TypeError("expected a BetaPool or BetaTable")
+    if not isinstance(pool, BetaPool):
+        raise TypeError(f"expected a BetaPool, got {type(pool).__name__}")
+    beta, dbeta = pool.beta, pool.dbeta
 
     report = BoundReport(lam=lam, m1=m1, m2=m2, samples=int(beta.size))
     if lam > m2:

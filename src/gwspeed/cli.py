@@ -38,6 +38,7 @@ CURVE_CSV_FIELDS = ["lambda", "speed_formula", "stderr", "speed_mc", "mc_stderr"
 REPLICA_CSV_FIELDS = ["replica", "final_depth", "steps", "speed"]
 BETA_CSV_FIELDS = ["lambda", "beta_recursion", "beta_conductance", "beta_mc",
                    "mc_stderr"]
+POOL_CSV_FIELDS = ["beta", "dbeta"]
 
 
 class _CliError(Exception):
@@ -66,12 +67,14 @@ def _json_value(value):
     return float(_fmt(value))
 
 
-def _render(fmt: str, fields: list[str], records: list[dict]) -> str:
+def _render(fmt: str, fields: list[str], records) -> str:
     """The text of a table, as CSV (a header, then one row per record) or as
-    a JSON list of records: every table on stdout and in every --out file."""
+    a JSON list of records: every table on stdout and in every --out file.
+    ``records`` is read once, so it may be a generator."""
     if fmt == "csv":
-        rows = [fields] + [[_fmt(rec.get(f)) for f in fields] for rec in records]
-        return "".join(",".join(row) + "\n" for row in rows)
+        lines = [",".join(fields)]
+        lines += (",".join(_fmt(rec.get(f)) for f in fields) for rec in records)
+        return "\n".join(lines) + "\n"
     payload = [{f: _json_value(rec.get(f)) for f in fields} for rec in records]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -322,7 +325,8 @@ def cmd_beta(args, cfg) -> int:
             fh.writelines(tree.adjacency_json_chunks())
     if args.pool_out:
         pool = sample_pool(dist, grid[0], depth, samples, seed, method=args.method)
-        pool.write_csv(args.pool_out)
+        records = ({"beta": b, "dbeta": db} for b, db in zip(pool.beta, pool.dbeta))
+        _write(args.pool_out, _render("csv", POOL_CSV_FIELDS, records))
     return 0
 
 

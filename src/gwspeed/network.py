@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
-from .offspring import make_distribution
-from .tree import QuenchedTree, sample_truncated_tree
+from .tree import QuenchedTree
 
 SMALL_LAMBDA = 0.1
 
@@ -34,20 +32,6 @@ class WeightedTreeNetwork:
 
     tree: QuenchedTree
     lam: float
-
-    def edge_conductance(self, x: int, y: int) -> float:
-        """Conductance of the edge {x, y}; the pair must be parent/child.
-
-        The edge above a depth-k vertex carries lam**(-k), inf where that
-        overflows; the edge from the root to the artificial root carries 1.
-        """
-        parent = self.tree.parent
-        if parent[x] == y:
-            x, y = y, x
-        elif parent[y] != x:
-            raise ValueError(f"({x}, {y}) is not an edge")
-        with np.errstate(over="ignore"):
-            return float(np.float64(self.lam) ** -self.tree.depth[y])
 
 
 def build_conductances(tree: QuenchedTree, lam: float) -> WeightedTreeNetwork:
@@ -121,10 +105,19 @@ def regular_escape_probability(d: int, lam: float) -> float:
     return 1.0 - min(lam, d) / d
 
 
-@lru_cache(maxsize=128)
 def _regular_conductance(d: int, lam: float, n: int) -> float:
-    tree = sample_truncated_tree(make_distribution({d: 1.0}), n, seed=0)
-    return _conductance_to_level(tree, lam, n)
+    """``_conductance_to_level`` on the d-regular tree to depth n, bit for bit,
+    with no tree: every vertex of a level has the same subtree, so one value
+    per level goes through the same arithmetic, its d children's terms summed
+    by the same ``np.add.reduceat`` over one block of d."""
+    resist = 0.0
+    scaled = lam < SMALL_LAMBDA
+    for k in range(n - 1, -1, -1):
+        inv = 1.0 / (1.0 + lam * resist) if scaled else 1.0 / (lam ** (k + 1.0) + resist)
+        resist = float(1.0 / np.add.reduceat(np.full(d, inv), [0])[0])
+    if scaled:
+        return 1.0 / (1.0 + lam * resist)
+    return 1.0 / (1.0 + resist)
 
 
 def conductance_sandwich(tree: QuenchedTree, lam: float,

@@ -70,8 +70,6 @@ class TuplePool:
             raise DegenerateTupleError(j, int(self.nus[j]), float(d[j]))
 
     lam = property(lambda self: self.pool.lam)
-    betas = property(lambda self: self.pool.beta[self.plan.index])
-    dbetas = property(lambda self: self.pool.dbeta[self.plan.index])
 
     def __len__(self) -> int:
         return self.nus.size
@@ -79,11 +77,6 @@ class TuplePool:
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Per-tuple member sums of the pool values ``x``, bit for bit reduceat's."""
         return _block_sums(x, self.plan)
-
-    def tuple_at(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
-        lo = int(self.plan.off[j])
-        at = self.plan.index[lo:lo + int(self.nus[j]) + 1]
-        return int(self.nus[j]), self.pool.beta[at], self.pool.dbeta[at]
 
 
 def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int,

@@ -36,11 +36,13 @@ import numpy as np
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
-from .tree import _UBUF, ROOT, QuenchedTree, sample_truncated_tree
+from .tree import _UBUF, ROOT, QuenchedTree, _check_budget, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
 _MAX_SYNC_ROUNDS = 10_000_000
+# Bytes an arena entry holds: one pointer in each of the two lists.
+_ARENA_BYTES_PER_ENTRY = 16
 
 
 @dataclass
@@ -126,9 +128,10 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
 
     The walk owns its arena: ``first_child`` and ``nu`` per vertex (-1 until
     drawn), in lists that double when a growth would overflow them, laid out
-    as QuenchedTree would lay them out. The ancestors of the current vertex
-    sit on a path stack, so a step up pops it and an empty stack means no
-    parent; the artificial root, vertex 1, is at its bottom."""
+    as QuenchedTree would lay them out; a growth that would take the two
+    lists past ``MAX_FOREST_LEVEL_BYTES`` raises ValueError. The ancestors of
+    the current vertex sit on a path stack, so a step up pops it and an empty
+    stack means no parent; the artificial root, vertex 1, is at its bottom."""
     cap = 1024
     first_child = [-1] * cap
     nu_list = [-1] * cap
@@ -159,6 +162,8 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
                 ni += 1
                 if size + k > cap:
                     grow = max(cap, size + k - cap)
+                    _check_budget(_ARENA_BYTES_PER_ENTRY * (cap + grow),
+                                  f"a walk arena of {cap + grow} vertices")
                     first_child.extend([-1] * grow)
                     nu_list.extend([-1] * grow)
                     cap += grow

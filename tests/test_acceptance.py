@@ -18,7 +18,6 @@ from gwspeed import (
     beta_derivative_path_sum,
     check_bounds,
     compute_beta,
-    compute_beta_derivative,
     build_conductances,
     effective_conductance_to_level,
     hitting_beta_mc,
@@ -115,14 +114,14 @@ def test_criterion_4_derivative_correctness():
     for i in range(30):
         tree = sample_truncated_tree(MIX, 6, seed=SEED + i)
         for lam in (0.25, 0.5, 1.0, 1.5):
-            table = compute_beta_derivative(compute_beta(tree, 6, lam))
+            table = compute_beta(tree, 6, lam)
             ps = beta_derivative_path_sum(table)
             worst_rel = max(worst_rel, abs(table.root_dbeta - ps) / abs(ps))
     tree = sample_truncated_tree(MIX, 10, seed=SEED)
     h = 1e-4
     worst_fd = 0.0
     for lam in (0.25, 0.5, 1.0, 1.5):
-        table = compute_beta_derivative(compute_beta(tree, 10, lam))
+        table = compute_beta(tree, 10, lam)
         fd = (compute_beta(tree, 10, lam + h).root_beta
               - compute_beta(tree, 10, lam - h).root_beta) / (2 * h)
         worst_fd = max(worst_fd, abs(fd - table.root_dbeta))

@@ -7,7 +7,6 @@ from gwspeed import (
     beta_derivative_path_sum,
     check_bounds,
     compute_beta,
-    compute_beta_derivative,
     ensure_children,
     sample_pool,
     sample_pools_shared_trees,
@@ -36,19 +35,19 @@ def test_root_value_closed_form_binary(binary):
     # one level below the boundary: beta = 2/(lam+2), derivative -2/(lam+2)^2
     tree = sample_truncated_tree(binary, 1, seed=1)
     for lam in (0.0, 0.5, 1.0, 1.7):
-        table = compute_beta_derivative(compute_beta(tree, 1, lam))
+        table = compute_beta(tree, 1, lam)
         assert table.root_beta == pytest.approx(2 / (lam + 2), abs=1e-15)
         assert table.root_dbeta == pytest.approx(-2 / (lam + 2) ** 2, abs=1e-15)
 
 
 def test_derivative_boundary_and_known_values(binary):
     tree = sample_truncated_tree(binary, 2, seed=1)
-    t0 = compute_beta_derivative(compute_beta(tree, 0, 1.0))
+    t0 = compute_beta(tree, 0, 1.0)
     assert t0.root_dbeta == 0.0
-    t1 = compute_beta_derivative(compute_beta(tree, 1, 0.0))
+    t1 = compute_beta(tree, 1, 0.0)
     assert t1.root_dbeta == pytest.approx(-0.5, abs=1e-15)
     # two levels: beta_2(lam) = 4/(lam^2 + 2 lam + 4), derivative by hand
-    t2 = compute_beta_derivative(compute_beta(tree, 2, 1.0))
+    t2 = compute_beta(tree, 2, 1.0)
     assert t2.root_dbeta == pytest.approx(-16 / 49, abs=1e-14)
 
 
@@ -61,9 +60,9 @@ def test_lambda_zero_is_exact(mix23):
 
 def test_path_sum_oracle_values(binary):
     tree = sample_truncated_tree(binary, 1, seed=1)
-    table = compute_beta_derivative(compute_beta(tree, 1, 1.0))
+    table = compute_beta(tree, 1, 1.0)
     assert beta_derivative_path_sum(table) == pytest.approx(-2 / 9, abs=1e-15)
-    t0 = compute_beta_derivative(compute_beta(tree, 0, 1.0))
+    t0 = compute_beta(tree, 0, 1.0)
     assert beta_derivative_path_sum(t0) == 0.0
 
 
@@ -71,7 +70,7 @@ def test_path_sum_matches_recursion_on_random_trees(mix23):
     for i in range(20):
         tree = sample_truncated_tree(mix23, 6, seed=1000 + i)
         for lam in LAM_GRID:
-            table = compute_beta_derivative(compute_beta(tree, 6, lam))
+            table = compute_beta(tree, 6, lam)
             ps = beta_derivative_path_sum(table)
             assert table.root_dbeta == pytest.approx(ps, rel=1e-12)
 
@@ -80,7 +79,7 @@ def test_finite_difference_matches_derivative(mix23):
     tree = sample_truncated_tree(mix23, 10, seed=55)
     h = 1e-4
     for lam in LAM_GRID:
-        table = compute_beta_derivative(compute_beta(tree, 10, lam))
+        table = compute_beta(tree, 10, lam)
         up = compute_beta(tree, 10, lam + h).root_beta
         down = compute_beta(tree, 10, lam - h).root_beta
         fd = (up - down) / (2 * h)
@@ -138,7 +137,7 @@ def test_tree_pool_deterministic_distribution(binary):
 def test_tree_pool_matches_arena_route(ternary):
     pool = sample_pool(ternary, 1.0, 3, 10, seed=2, method="tree")
     tree = sample_truncated_tree(ternary, 3, seed=2)
-    table = compute_beta_derivative(compute_beta(tree, 3, 1.0))
+    table = compute_beta(tree, 3, 1.0)
     assert np.allclose(pool.beta, table.root_beta, atol=1e-15)
     assert np.allclose(pool.dbeta, table.root_dbeta, atol=1e-15)
 
@@ -200,17 +199,6 @@ def test_shared_tree_pools_are_paired(mix23):
         assert (pools[1].beta < pools[0].beta).all()
 
 
-def test_pool_csv_export(tmp_path, mix23):
-    pool = sample_pool(mix23, 1.0, 4, 50, seed=5, method="tree")
-    path = tmp_path / "pool.csv"
-    pool.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "beta,dbeta"
-    assert len(lines) == 51
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == pytest.approx(pool.beta[0], rel=1e-8)
-
-
 # Bounds --------------------------------------------------------------------
 
 
@@ -256,12 +244,10 @@ def test_check_bounds_flags_planted_violation():
     assert not rep.ok
 
 
-def test_check_bounds_accepts_table(mix23):
-    tree = sample_truncated_tree(mix23, 6, seed=2)
-    table = compute_beta_derivative(compute_beta(tree, 6, 1.0))
-    rep = check_bounds(table, mix23.m1, mix23.m2, 1.0)
-    assert rep.samples == 1
-    assert rep.ok
+def test_check_bounds_refuses_a_table(mix23):
+    tree = sample_truncated_tree(mix23, 2, seed=2)
+    with pytest.raises(TypeError, match="expected a BetaPool, got BetaTable"):
+        check_bounds(compute_beta(tree, 2, 1.0), mix23.m1, mix23.m2, 1.0)
 
 
 def _plain_root_values(layers, lam, n_trees):

@@ -346,6 +346,26 @@ def test_over_budget_tree_exits_one_before_any_draw(capsys, monkeypatch, argv):
     assert err.startswith("error: a depth-") and "tree would need" in err
 
 
+def test_simulate_refuses_a_walk_arena_over_budget(capsys, monkeypatch):
+    # a vertex of this law has 40,000 children half the time; at the default
+    # 100,000 steps its arena would need tens of GB
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 2**20)
+    code, out, err = run(capsys, "simulate", "--pmf", "2:0.5,40000:0.5", "--lambda", "1",
+                         "--replicas", "2", "--steps", "1000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a walk arena of") and "GiB limit" in err
+
+
+def test_oracles_on_a_law_with_a_wide_maximum_branching(capsys):
+    # the sandwich's 30-regular bracket is reduced one level at a time; a
+    # sampled depth-5 tree of it would need about 3 GiB
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--pmf", "2:0.9,30:0.1",
+                       "--seed", "7")
+    assert code == 0
+    assert "PASS oracles/conductance-sandwich" in out
+    assert out.rstrip().endswith("7/7 checks passed")
+
+
 def test_curve_out_into_missing_directory_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "50",
                          "--tuples", "500", "--out", str(tmp_path / "absent" / "c.csv"))

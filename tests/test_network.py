@@ -17,6 +17,7 @@ from gwspeed import (
     regular_return_gf,
     sample_truncated_tree,
 )
+from gwspeed.network import SMALL_LAMBDA, _conductance_to_level, _regular_conductance
 from gwspeed.rng import substream
 from gwspeed.tree import QuenchedTree
 
@@ -27,22 +28,6 @@ def _starred(dist, n, seed):
     tree = sample_truncated_tree(dist, n, seed)
     attach_star_root(tree)
     return tree
-
-
-def test_conductance_values_binary(binary):
-    tree = _starred(binary, 1, seed=1)
-    net = build_conductances(tree, 1.0)
-    star, root = tree.star_root, tree.root
-    assert net.edge_conductance(star, root) == 1.0
-    assert net.edge_conductance(root, 1) == 1.0
-    assert net.edge_conductance(root, 2) == 1.0
-    net2 = build_conductances(tree, 2.0)
-    assert net2.edge_conductance(star, root) == 1.0
-    assert net2.edge_conductance(root, 1) == 0.5
-    # lam**(-200) overflows a double: the deepest edge of a path is inf
-    path = _starred(make_distribution({1: 1.0}), 200, seed=1)
-    assert path.depth[200] == 200
-    assert build_conductances(path, 0.01).edge_conductance(199, 200) == math.inf
 
 
 def test_conductance_rejects_bad_input(binary):
@@ -222,6 +207,17 @@ def test_gf_escape_complement_exact():
     for d in (1, 2, 3, 7):
         for lam in (0.0, 0.3, 1.0, 1.5, 4.0):
             assert regular_return_gf(d, lam, 1.0) + regular_escape_probability(d, lam) == 1.0
+
+
+def test_regular_conductance_equals_the_tree_reduction():
+    # the level-per-value reduction against the reduction on a sampled
+    # d-regular tree, bit for bit, at biases on both sides of SMALL_LAMBDA
+    lams = [SMALL_LAMBDA * f for f in (0.05, 0.5, 0.999, 1.0, 1.001, 3.0, 10.0, 25.0)]
+    for d in range(1, 10):
+        tree = sample_truncated_tree(make_distribution({d: 1.0}), 6, seed=0)
+        for n in range(7):
+            for lam in lams:
+                assert _regular_conductance(d, lam, n) == _conductance_to_level(tree, lam, n)
 
 
 def test_sandwich_regular_collapses(binary):

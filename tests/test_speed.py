@@ -156,12 +156,12 @@ def test_tuple_pool_structure(mix23):
     pool = sample_pool(mix23, 1.0, 6, 2000, seed=8, method="tree")
     tp = make_tuple_pool(mix23, pool, 300, seed=8)
     assert len(tp) == 300
-    nu, betas, dbetas = tp.tuple_at(7)
-    assert betas.size == nu + 1 and dbetas.size == nu + 1
-    lo = tp.plan.off[7]
-    assert np.array_equal(betas, tp.betas[lo:lo + nu + 1])
-    assert np.array_equal(dbetas, tp.dbetas[lo:lo + nu + 1])
-    assert (tp.nus + 1).sum() == tp.betas.size
+    # tuple j lists its nu_j + 1 members as pool indices from plan.off[j] on
+    index, off = tp.plan.index, tp.plan.off
+    assert (tp.nus + 1).sum() == index.size
+    assert np.array_equal(off, np.cumsum(tp.nus + 1) - (tp.nus + 1))
+    assert ((0 <= index) & (index < len(pool))).all()
+    assert np.array_equal(tp.beta_sums, np.add.reduceat(pool.beta[index], off))
     assert (tp.denominators > 0).all()
 
 

@@ -18,6 +18,7 @@ from gwspeed import (
     simulate_speed,
     transition_step,
 )
+from gwspeed import tree as tree_mod
 from gwspeed import walker as walker_mod
 from gwspeed.tree import QuenchedTree
 from gwspeed.rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
@@ -364,3 +365,15 @@ def test_lemma0_lambda_zero_short_circuit(binary):
 def test_lemma0_z_reasonable(mix23):
     _, _, z = lemma0_compare(mix23, 0.5, 20000, 16, seed=12)
     assert z < 4
+
+
+@pytest.mark.parametrize("budget, refused", [(16 * 2048, False), (16 * 2048 - 1, True)])
+def test_walk_arena_refuses_a_growth_past_the_budget(mix23, monkeypatch, budget, refused):
+    # at this seed the walk's arena grows once, from 1,024 to 2,048 entries
+    # of 16 bytes (one pointer in each of its two lists)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", budget)
+    if refused:
+        with pytest.raises(ValueError, match=r"^a walk arena of 2048 vertices would need"):
+            simulate_speed(mix23, 0.5, 600, 2, seed=1)
+    else:
+        simulate_speed(mix23, 0.5, 600, 2, seed=1)
