@@ -20,14 +20,14 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .beta import _check_forest_depth, compute_beta, sample_pool
+from .beta import _check_pool_size, compute_beta, sample_pool
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .network import (build_conductances, effective_conductance_to_level,
                       regular_escape_probability, regular_return_gf)
 from .offspring import OffspringDistribution, parse_pmf_json, parse_pmf_text
 from .speed import _check_curve_size, speed_curve
 from .tree import attach_star_root, sample_truncated_tree
-from .walker import hitting_beta_mc, simulate_speed
+from .walker import _check_hitting_size, hitting_beta_mc, simulate_speed
 
 DEFAULT_SEED = 1729
 DEFAULT_PMF = "2:0.5,3:0.5"
@@ -299,8 +299,9 @@ def cmd_beta(args, cfg) -> int:
         _check_bias(lam)
     if dist.has_leaves:
         raise UnsupportedRegimeError("beta needs a leafless offspring law")
-    if args.pool_out and args.method == "tree":
-        _check_forest_depth(dist, depth)
+    if args.pool_out:
+        _check_pool_size(dist, depth, samples, args.method)
+    _check_hitting_size(args.trials)
 
     tree = sample_truncated_tree(dist, depth, seed)
     attach_star_root(tree)
@@ -345,17 +346,23 @@ def cmd_speed_curve(args, cfg) -> int:
         else:
             top = 0.95 * dist.m
         grid = [round(top * i / 13, 12) for i in range(14)]
+    steps, replicas = args.mc_steps, args.mc_replicas
+    if not (steps == replicas == 0 or (steps >= 1 and replicas >= 2)):
+        raise _CliError("the walker cross-check needs steps >= 1 and replicas >= 2, "
+                        f"or both 0; got {steps} and {replicas}")
     samples2 = max(64, samples // 8)
     for n, count in [(depth, samples)] + ([] if args.single_depth else [(depth + 3, samples2)]):
         _check_curve_size(dist, n, len(grid), count, tuples)
 
-    curve = speed_curve(dist, grid, depth, samples, tuples, seed,
-                        mc_steps=args.mc_steps, mc_replicas=args.mc_replicas)
+    curve = speed_curve(dist, grid, depth, samples, tuples, seed)
     records = [{"lambda": p.lam, "speed_formula": p.speed_formula,
-                "stderr": p.speed_formula_stderr, "speed_mc": p.speed_mc,
-                "mc_stderr": p.speed_mc_stderr, "ineq8_margin": p.ineq8_margin,
+                "stderr": p.speed_formula_stderr, "ineq8_margin": p.ineq8_margin,
                 "ineq8_stderr": p.ineq8_stderr, "holds": p.ineq8_holds}
                for p in curve.points]
+    if steps:  # the walker's independent estimate of each point's speed
+        for rec in records:
+            est = simulate_speed(dist, rec["lambda"], steps, replicas, seed)
+            rec["speed_mc"], rec["mc_stderr"] = est.mean, est.stderr
     sys.stdout.write(_render("csv", CURVE_CSV_FIELDS, records))
     _report_verdict(curve, depth)
     if args.out:

@@ -149,9 +149,6 @@ def _speed_terms(tp: TuplePool, lam: float, out: np.ndarray) -> np.ndarray:
 class FormulaSpeed:
     speed: float
     stderr: float
-    lam: float
-    level: int
-    tuples: int
 
 
 def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
@@ -166,8 +163,7 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
     _, speed, stderr = _delta(_speed_terms(tp, lam, np.empty((2, tuples))), _ratio)
-    return FormulaSpeed(speed=speed, stderr=stderr, lam=lam, level=pool.level,
-                        tuples=tuples)
+    return FormulaSpeed(speed=speed, stderr=stderr)
 
 
 def speed_exact_lambda1(dist: OffspringDistribution) -> float:
@@ -198,8 +194,6 @@ class Ineq8Report:
     margin: float
     mc_stderr: float
     holds: bool
-    lam: float
-    tuples: int
 
 
 def inequality8(dist: OffspringDistribution, lam: float,
@@ -212,8 +206,6 @@ def inequality8(dist: OffspringDistribution, lam: float,
     if dist.m1 < 2:
         raise UnsupportedRegimeError(
             f"criterion needs minimum branching >= 2, got m1={dist.m1}")
-    if lam == 0.0:
-        raise UnsupportedRegimeError("criterion is undefined at zero bias")
     if not (0.0 < lam < dist.m1):
         raise UnsupportedRegimeError(
             f"criterion needs bias in (0, m1), got {lam:.9g} with m1={dist.m1}")
@@ -241,8 +233,7 @@ def inequality8(dist: OffspringDistribution, lam: float,
     lhs = e1 * e2 - e3 * e4
     rhs = e1 * e3 / lam
     return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
-                       margin=value, mc_stderr=stderr, holds=lhs < rhs,
-                       lam=lam, tuples=len(tp))
+                       margin=value, mc_stderr=stderr, holds=lhs < rhs)
 
 
 # Curve scan ----------------------------------------------------------------
@@ -253,8 +244,6 @@ class SpeedCurvePoint:
     lam: float
     speed_formula: float
     speed_formula_stderr: float
-    speed_mc: float | None = None
-    speed_mc_stderr: float | None = None
     ineq8_margin: float | None = None
     ineq8_stderr: float | None = None
     ineq8_holds: bool | None = None
@@ -283,9 +272,6 @@ class MonotonicityReport:
 class SpeedCurve:
     points: list
     report: MonotonicityReport
-    level: int
-    samples: int
-    tuples: int
 
 
 def _curve_bytes(dist: OffspringDistribution, points: int, samples: int, tuples: int) -> float:
@@ -304,27 +290,20 @@ def _check_curve_size(dist: OffspringDistribution, n: int, points: int, samples:
 
 
 def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
-                tuples: int, seed: int, mc_steps: int = 0,
-                mc_replicas: int = 0) -> SpeedCurve:
+                tuples: int, seed: int) -> SpeedCurve:
     """Scan the speed formula over a bias grid with common random numbers.
 
     One set of ``samples`` trees and one tuple stream are drawn once; every
     grid point re-runs the recursions on the same trees and reassembles the
-    same tuples, so consecutive-point comparisons share all randomness. The
-    zero-bias point is pinned to its exact value 1. The monotonicity verdict
+    same tuples, so consecutive-point comparisons share all randomness. At
+    zero bias every beta is 1, so each tuple's two terms are nu/nu and the
+    point comes out as exactly 1 with stderr 0. The monotonicity verdict
     covers consecutive pairs up to the certified threshold and is refused
     when the minimum branching number is below 2.
-
-    With mc_steps positive and mc_replicas at least 2, an independent walker
-    estimate is attached to every point as a cross-check column; both zero
-    leaves it off, and any other pair is refused.
     """
     _check_depth(n)
     if samples < 1 or tuples < 1:
         raise ValueError(f"need samples >= 1 and tuples >= 1, got {samples} and {tuples}")
-    if not (mc_steps == mc_replicas == 0 or (mc_steps >= 1 and mc_replicas >= 2)):
-        raise ValueError("the walker cross-check needs steps >= 1 and replicas >= 2, "
-                         f"or both 0; got {mc_steps} and {mc_replicas}")
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("empty bias grid")
@@ -350,8 +329,6 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
         lam = pool.lam
         tp = TuplePool(*tuple_draw, pool)
         means, speed, stderr = _delta(_speed_terms(tp, lam, terms[2:]), _ratio)
-        if lam == 0.0:
-            speed, stderr = 1.0, 0.0
         point = SpeedCurvePoint(lam=lam, speed_formula=speed,
                                 speed_formula_stderr=stderr)
         if lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
@@ -370,13 +347,6 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
         terms[:2] = terms[2:]
         prev_means = means
 
-    if mc_steps > 0:
-        from .walker import simulate_speed
-        for point in points:
-            est = simulate_speed(dist, point.lam, mc_steps, mc_replicas, seed)
-            point.speed_mc = est.mean
-            point.speed_mc_stderr = est.stderr
-
     if dist.m1 < 2:
         report = MonotonicityReport(
             lambda_star=None, pairs=pairs, strictly_decreasing=None,
@@ -387,6 +357,5 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
         verdict = all(p.decreasing for p in eligible) if eligible else None
         report = MonotonicityReport(lambda_star=lam_star, pairs=pairs,
                                     strictly_decreasing=verdict)
-    return SpeedCurve(points=points, report=report, level=n,
-                      samples=samples, tuples=tuples)
+    return SpeedCurve(points=points, report=report)
 

@@ -58,3 +58,21 @@ def test_traced_beta_call_runs(tracing, tmp_path):
     assert {"beta.compute_beta", "network.effective_conductance_to_level",
             "walker.hit_quenched"} <= names
     tracer.metrics(0, 0.0)
+
+
+def test_traced_speed_curve_call_runs(tracing):
+    # the walker columns are the command's own: both estimators show up as
+    # spans of their own layers
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.kind = "curve"
+        code = run_cli(["speed-curve", "--depth", "2", "--samples", "64", "--tuples", "200",
+                        "--mc-steps", "50", "--mc-replicas", "2", "--single-depth"])
+    finally:
+        tracer.kind = None
+        tracer.uninstall()
+    assert code == 0
+    names = {span.name for span in tracer.spans}
+    assert {"speed.speed_curve", "walker.simulate_speed"} <= names
+    tracer.metrics(0, 0.0)

@@ -14,6 +14,7 @@ from gwspeed import (
     speed_curve,
 )
 from gwspeed import beta as beta_mod
+from gwspeed import tree as tree_mod
 from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
                           _forest_root_values, _merge_forest, _merge_level,
                           _trees_per_chunk, forest_level_bytes)
@@ -425,6 +426,24 @@ def test_pools_refuse_a_negative_depth_before_any_draw(mix23, monkeypatch, metho
     if method == "tree":
         with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
             sample_pools_shared_trees(mix23, [0.5, 1.0], -3, 5, 0)
+
+
+@pytest.mark.parametrize("pmf, bytes_per_sample", [("2:1", 128), ("1:0.5,12:0.5", 272)])
+def test_population_pool_refuses_an_over_budget_size_before_any_draw(
+        monkeypatch, pmf, bytes_per_sample):
+    # 64 bytes a sample and 32 a member: 1,000 samples are refused one byte
+    # below that, and reach the sampler at exactly that
+    def never(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    dist = parse_pmf_text(pmf)
+    monkeypatch.setattr(beta_mod, "substream", never)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 1000 * bytes_per_sample - 1)
+    with pytest.raises(ValueError, match="^a population pool of 1000 samples would need"):
+        sample_pool(dist, 1.0, 3, 1000, 0, method="population")
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 1000 * bytes_per_sample)
+    with pytest.raises(AssertionError, match="a stream was drawn"):
+        sample_pool(dist, 1.0, 3, 1000, 0, method="population")
 
 
 def test_chunk_sizes_within_budget_are_unchanged():

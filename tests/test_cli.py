@@ -113,6 +113,45 @@ def test_beta_table_consistency(capsys):
     assert abs(float(row[3]) - float(row[1])) < 4 * float(row[4])
 
 
+def test_beta_at_zero_bias_and_its_out_file(capsys, tmp_path):
+    # at zero bias the walk never steps up: every column is exactly 1, and
+    # the unit conductance needs no network
+    out_path = tmp_path / "beta.csv"
+    code, out, _ = run(capsys, "beta", "--lambda", "0", "--depth", "3", "--trials", "50",
+                       "--seed", "3", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == out
+    assert out.splitlines()[1] == "0,1,1,1,0"
+
+
+def test_beta_refuses_a_bias_and_a_grid_together(capsys):
+    code, out, err = run(capsys, "beta", "--lambda", "1", "--lambda-grid", "0:1:0.5",
+                         "--depth", "3", "--trials", "50")
+    assert (code, out) == (1, "")
+    assert err == "error: give either --lambda or --lambda-grid, not both\n"
+
+
+def test_pmf_json_reads_the_same_law_as_pmf(capsys, tmp_path):
+    pmf_file = tmp_path / "pmf.json"
+    pmf_file.write_text('{"pmf": {"2": 0.5, "3": 0.5}}')
+    argv = ("beta", "--depth", "4", "--trials", "200", "--seed", "5")
+    code, out, _ = run(capsys, *argv, "--pmf-json", str(pmf_file))
+    assert code == 0
+    assert out == run(capsys, *argv, "--pmf", "2:0.5,3:0.5")[1]
+
+
+def test_regular_return_gf_at_z_and_its_out_file(capsys, tmp_path):
+    out_path = tmp_path / "f.json"
+    code, out, _ = run(capsys, "regular", "--d", "2", "--lambda", "1", "--z", "0.5",
+                       "--format", "json", "--out", str(out_path))
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    [rec] = json.loads(out_path.read_text())
+    assert list(rec) == ["d", "lambda", "escape", "speed", "return_gf_1", "return_gf_z"]
+    assert rec["return_gf_z"] == float(values["Uz"])
+    assert 0.0 < rec["return_gf_z"] < rec["return_gf_1"] == float(values["U1"])
+
+
 def test_beta_with_counts_beyond_int16(capsys):
     # a depth-1 tree: beta_1 = k/(1 + k) for a root with k children
     for seed in range(1, 4):
@@ -150,7 +189,7 @@ def test_speed_curve_csv_header_and_verdict(capsys, tmp_path):
     assert lines[0] == "lambda,speed_formula,stderr,speed_mc,mc_stderr,ineq8_margin,ineq8_stderr,holds"
     assert len(lines) == 5
     assert "monotonicity_depth_5=strictly-decreasing" in out
-    # lam=0 row pins the exact value and leaves criterion columns empty
+    # lam=0 row is exactly 1 and leaves the walker and criterion columns empty
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1" and first[5] == ""
 
@@ -162,6 +201,42 @@ def test_speed_curve_two_depth_stability(capsys):
     assert code == 0
     assert "monotonicity_depth_4=" in out
     assert "monotonicity_depth_7=" in out
+
+
+def test_speed_curve_attaches_walker_estimates(capsys, tmp_path):
+    out_path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, "speed-curve", "--lambda-grid", "0:0.5:0.5", "--depth", "5",
+                       "--samples", "200", "--tuples", "1000", "--seed", "18",
+                       "--mc-steps", "2000", "--mc-replicas", "4", "--single-depth",
+                       "--out", str(out_path))
+    assert code == 0
+    assert out.startswith(out_path.read_text())
+    rows = list(csv.DictReader(out_path.open()))
+    assert [row["lambda"] for row in rows] == ["0", "0.5"]
+    for row in rows:
+        assert float(row["mc_stderr"]) >= 0.0
+        assert abs(float(row["speed_mc"]) - float(row["speed_formula"])) < 0.05
+
+
+def test_speed_curve_verdicts_that_disagree_exit_two(capsys, monkeypatch):
+    # the depth+3 rescan reports the opposite verdict: the output is still
+    # printed in full, then flagged unstable
+    def flipped(dist, grid, n, *args):
+        curve = speed_curve(dist, grid, n, *args)
+        if n == 7:
+            curve.report.strictly_decreasing = not curve.report.strictly_decreasing
+        return curve
+
+    speed_curve = cli_mod.speed_curve
+    monkeypatch.setattr(cli_mod, "speed_curve", flipped)
+    code, out, err = run(capsys, "speed-curve", "--lambda-grid", "0:1.17:0.39",
+                         "--depth", "4", "--samples", "200", "--tuples", "2000",
+                         "--seed", "4")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-3].startswith("monotonicity_depth_4=strictly-decreasing")
+    assert lines[-2].startswith("monotonicity_depth_7=VIOLATED")
+    assert lines[-1] == "verdict_stability=UNSTABLE"
 
 
 def test_speed_curve_csv_json_same_numbers(capsys, tmp_path):
@@ -328,6 +403,26 @@ def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, t
     assert code == 1
     assert out == ""
     assert err.startswith("error: a depth-3 forest level would need")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--trials", "10", "--pool-out", "p.csv", "--method", "population",
+     "--samples", "10000000000"),
+    ("--trials", "1000000000",),
+])
+def test_beta_refuses_an_over_budget_pool_or_trial_count_before_any_draw(
+        capsys, monkeypatch, tmp_path, argv):
+    # 10^10 population samples need about 1.3 TiB, 10^9 hitting trials about
+    # 60 GiB: refused before the table's tree is sampled
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was sampled")
+
+    monkeypatch.setattr(cli_mod, "sample_truncated_tree", never)
+    argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)
+    code, out, err = run(capsys, "beta", "--depth", "2", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "GiB limit" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -275,13 +275,24 @@ def test_curve_refuses_verdict_for_small_m1():
     assert curve.points[1].ineq8_margin is None
 
 
-def test_curve_attaches_walker_estimates(mix23):
-    grid = [0.0, 0.5]
-    curve = speed_curve(mix23, grid, n=5, samples=200, tuples=1000, seed=18,
-                        mc_steps=2000, mc_replicas=4)
-    for point in curve.points:
-        assert point.speed_mc is not None
-        assert abs(point.speed_mc - point.speed_formula) < 0.05
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+@pytest.mark.parametrize("pmf", ["2:1", "2:0.5,3:0.5", "1:0.5,4:0.5", "1:0.5,12:0.5",
+                                 "2:0.3,3:0.3,4:0.4"])
+def test_zero_bias_speed_is_exactly_one(pmf, n):
+    # every beta is S/(0 + S) = 1, so each tuple's two terms are nu/nu = 1.0
+    # and the delta method has nothing to spread: +0.0, with no special case
+    dist = parse_pmf_text(pmf)
+    pools = [sample_pool(dist, 0.0, n, 20, seed=n, method=method)
+             for method in ("tree", "population")]
+    for tuples in (1, 2, 1000):
+        point = speed_curve(dist, [0.0], n, 20, tuples, seed=n).points[0]
+        estimates = [(point.speed_formula, point.speed_formula_stderr)]
+        for pool in pools:
+            fs = speed_formula_mc(dist, 0.0, pool, tuples, seed=n)
+            estimates.append((fs.speed, fs.stderr))
+        for speed, stderr in estimates:
+            assert speed == 1.0
+            assert stderr == 0.0 and math.copysign(1.0, stderr) == 1.0
 
 
 def test_curve_determinism(mix23):

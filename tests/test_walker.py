@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -377,3 +378,42 @@ def test_walk_arena_refuses_a_growth_past_the_budget(mix23, monkeypatch, budget,
             simulate_speed(mix23, 0.5, 600, 2, seed=1)
     else:
         simulate_speed(mix23, 0.5, 600, 2, seed=1)
+
+
+def test_walk_arena_peak_is_what_its_budget_counts(monkeypatch):
+    # half the fresh vertices of this law have 40,000 children, so the arena
+    # grows to about 78 MiB in 250 steps; its lists extend in place, with no
+    # temporary list, so the traced peak stays at the largest counted growth
+    counted = []
+    check = walker_mod._check_budget
+    monkeypatch.setattr(walker_mod, "_check_budget",
+                        lambda need, what: counted.append(need) or check(need, what))
+    dist = parse_pmf_text("2:0.5,40000:0.5")
+    tracemalloc.start()
+    try:
+        walker_mod._final_depth(dist, 1.0, 250, substream(1, D_WALK, 0, 0), False,
+                                (1, D_WALK_TREE, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(counted) > 2**26
+    assert peak <= 1.05 * max(counted)
+
+
+def test_quenched_hitting_refuses_an_over_budget_trial_count_before_any_draw(
+        mix23, monkeypatch):
+    # 1,000 trials need 64 bytes each: refused one byte below that, before
+    # the tree is sampled or a fixed tree walked; annealed trials hold nothing
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was sampled")
+
+    tree = sample_truncated_tree(mix23, 2, seed=1)
+    monkeypatch.setattr(walker_mod, "sample_truncated_tree", never)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 64 * 1000 - 1)
+    for target in (mix23, tree):
+        with pytest.raises(ValueError, match="^1000 quenched hitting trials would need"):
+            hitting_beta_mc(target, 1.0, 2, 1000, seed=1)
+    hitting_beta_mc(mix23, 1.0, 2, 1000, seed=1, mode="annealed")
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 64 * 1000)
+    with pytest.raises(AssertionError, match="a tree was sampled"):
+        hitting_beta_mc(mix23, 1.0, 2, 1000, seed=1)
