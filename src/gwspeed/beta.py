@@ -312,15 +312,20 @@ def _check_forest_depth(dist: OffspringDistribution, n: int) -> None:
     _check_budget(forest_level_bytes(dist, n), f"a depth-{n} forest level")
 
 
-def _check_pool_size(dist: OffspringDistribution, n: int, count: int, method: str) -> None:
+def _check_pool_size(dist: OffspringDistribution, n: int, count: int, method: str,
+                     sample_bytes: float = 16.0) -> None:
     """Refuse, before any draw, a pool over the memory budget: a tree-method
-    pool by its widest forest level, a population pool at 64 bytes a sample
+    pool by its widest forest level and at ``sample_bytes`` a sample (16, the
+    beta and beta' floats of one bias), a population pool at 64 bytes a sample
     and 32 a member drawn (tracemalloc peaks: 106 bytes a sample on 2:1, 379
-    on 2:0.5,20:0.5)."""
+    on 2:0.5,20:0.5) or at ``sample_bytes`` if more. A caller that holds more
+    per sample than the pool passes its own figure."""
     if method == "tree":
         _check_forest_depth(dist, n)
+        _check_budget(sample_bytes * count, f"a tree-method pool of {count} samples")
     else:
-        _check_budget((64.0 + 32.0 * dist.m) * count, f"a population pool of {count} samples")
+        _check_budget(max(64.0 + 32.0 * dist.m, sample_bytes) * count,
+                      f"a population pool of {count} samples")
 
 
 def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
@@ -336,7 +341,7 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     for lam in lams:
         _check_bias(lam)
     _check_depth(n)
-    _check_forest_depth(dist, n)
+    _check_pool_size(dist, n, count, "tree", 16.0 * len(lams))
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
     chunk = _trees_per_chunk(dist, n)

@@ -32,6 +32,8 @@ from .walker import _check_hitting_size, hitting_beta_mc, simulate_speed
 DEFAULT_SEED = 1729
 DEFAULT_PMF = "2:0.5,3:0.5"
 MAX_GRID_POINTS = 10**5  # largest --lambda-grid accepted
+# Peak bytes per sample while --pool-out renders its CSV (146-149 measured).
+_POOL_CSV_BYTES_PER_SAMPLE = 160
 
 CURVE_CSV_FIELDS = ["lambda", "speed_formula", "stderr", "speed_mc", "mc_stderr",
                     "ineq8_margin", "ineq8_stderr", "holds"]
@@ -300,7 +302,7 @@ def cmd_beta(args, cfg) -> int:
     if dist.has_leaves:
         raise UnsupportedRegimeError("beta needs a leafless offspring law")
     if args.pool_out:
-        _check_pool_size(dist, depth, samples, args.method)
+        _check_pool_size(dist, depth, samples, args.method, _POOL_CSV_BYTES_PER_SAMPLE)
     _check_hitting_size(args.trials)
 
     tree = sample_truncated_tree(dist, depth, seed)

@@ -153,17 +153,25 @@ class QuenchedTree:
 
     def adjacency_json_chunks(self) -> Iterator[str]:
         """Yield the text of ``json.dumps(self.to_adjacency(), indent=2)``
-        piece by piece, ``_DUMP_CHUNK`` vertices per piece, straight from the
-        arena lists: one ``%`` of the chunk's row templates over the chunk's
-        ids, so only one piece is held at a time, never the whole-tree dict."""
+        piece by piece, ``_DUMP_CHUNK`` vertices per piece, from the
+        ``arrays()`` snapshot: one ``%`` of the chunk's row templates over the
+        chunk's arguments, so only one piece is held at a time, never the
+        whole-tree dict. A vertex's arguments are its id, parent, children and
+        depth, ``max(nu, 0) + 3`` slots, scattered into place with numpy."""
+        parent, depth, first_child, nu = self.arrays()
         lead = "{\n"
-        for lo in range(0, len(self.parent), _DUMP_CHUNK):
+        for lo in range(0, len(parent), _DUMP_CHUNK):
             hi = lo + _DUMP_CHUNK
-            args = []
-            for v, par, fc, k, dep in zip(range(lo, hi), self.parent[lo:hi],
-                                          self.first_child[lo:hi], self.nu[lo:hi],
-                                          self.depth[lo:hi]):
-                args += (v, "null" if par < 0 else par, *range(fc, fc + k), dep)
+            slots = np.maximum(nu[lo:hi], 0) + 3
+            starts = np.cumsum(slots) - slots
+            # count on from each first child, then overwrite id, parent, depth
+            args = np.repeat(first_child[lo:hi] - starts - 2, slots) + np.arange(slots.sum())
+            args[starts] = np.arange(lo, lo + slots.size)
+            args[starts + 1] = parent[lo:hi]
+            args[starts + slots - 1] = depth[lo:hi]
+            args = args.tolist()
+            for i in np.flatnonzero(parent[lo:hi] < 0):
+                args[starts[i] + 1] = "null"
             yield lead + ",\n".join(map(_dump_row, self.nu[lo:hi])) % tuple(args)
             lead = ",\n"
         yield "\n}"

@@ -44,16 +44,20 @@ def test_uninstall_restores_every_patched_attribute(tracing):
 
 
 def test_traced_beta_call_runs(tracing, tmp_path):
+    argv = ["beta", "--depth", "3", "--lambda", "1", "--trials", "50", "--seed", "3",
+            "--dump-tree"]
     tracer = tracing.Tracer()
     try:
         tracer.install()
         tracer.kind = "beta"
-        code = run_cli(["beta", "--depth", "3", "--lambda", "1", "--trials", "50",
-                        "--seed", "3", "--dump-tree", str(tmp_path / "tree.json")])
+        code = run_cli(argv + [str(tmp_path / "tree.json")])
     finally:
         tracer.kind = None
         tracer.uninstall()
     assert code == 0
+    # the dump reads arrays(), which the tracer wraps: the bytes are the same
+    assert run_cli(argv + [str(tmp_path / "plain.json")]) == 0
+    assert (tmp_path / "tree.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
     names = {span.name for span in tracer.spans}
     assert {"beta.compute_beta", "network.effective_conductance_to_level",
             "walker.hit_quenched"} <= names

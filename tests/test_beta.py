@@ -446,6 +446,24 @@ def test_population_pool_refuses_an_over_budget_size_before_any_draw(
         sample_pool(dist, 1.0, 3, 1000, 0, method="population")
 
 
+@pytest.mark.parametrize("lams", [[1.0], [0.5, 1.0, 1.5]])
+def test_tree_pool_refuses_an_over_budget_size_before_any_draw(monkeypatch, mix23, lams):
+    # 16 bytes a sample per bias: 1,000 samples are refused one byte below
+    # that, and reach the sampler at exactly that. The forest level, far over
+    # so small a budget, has its own check, switched off here.
+    def never(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(beta_mod, "substream", never)
+    monkeypatch.setattr(beta_mod, "_check_forest_depth", lambda dist, n: None)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 16 * len(lams) * 1000 - 1)
+    with pytest.raises(ValueError, match="^a tree-method pool of 1000 samples would need"):
+        sample_pools_shared_trees(mix23, lams, 2, 1000, 0)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 16 * len(lams) * 1000)
+    with pytest.raises(AssertionError, match="a stream was drawn"):
+        sample_pools_shared_trees(mix23, lams, 2, 1000, 0)
+
+
 def test_chunk_sizes_within_budget_are_unchanged():
     # the pools' draws depend on the chunk size, so the guard must not move it
     for law in ("2:0.5,3:0.5", "2:1", "2:0.3,5:0.7", "2:0.5,40000:0.5"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gwspeed
+from gwspeed import beta as beta_mod
 from gwspeed import cli as cli_mod
 from gwspeed.cli import DEFAULT_PMF, MAX_GRID_POINTS, _parse_grid, run_cli
 from gwspeed import network as network_mod
@@ -408,12 +409,14 @@ def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, t
 @pytest.mark.parametrize("argv", [
     ("--trials", "10", "--pool-out", "p.csv", "--method", "population",
      "--samples", "10000000000"),
+    ("--trials", "10", "--pool-out", "p.csv", "--samples", "10000000000"),
     ("--trials", "1000000000",),
 ])
 def test_beta_refuses_an_over_budget_pool_or_trial_count_before_any_draw(
         capsys, monkeypatch, tmp_path, argv):
-    # 10^10 population samples need about 1.3 TiB, 10^9 hitting trials about
-    # 60 GiB: refused before the table's tree is sampled
+    # 10^10 population samples need about 1.3 TiB, as many tree-method
+    # samples about 1.5 TiB for their CSV, 10^9 hitting trials about 60 GiB:
+    # refused before the table's tree is sampled
     def never(*args, **kwargs):
         raise AssertionError("a tree was sampled")
 
@@ -422,6 +425,28 @@ def test_beta_refuses_an_over_budget_pool_or_trial_count_before_any_draw(
     code, out, err = run(capsys, "beta", "--depth", "2", *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "GiB limit" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["tree", "population"])
+def test_beta_pool_out_budgets_its_rendered_csv(capsys, monkeypatch, tmp_path, method):
+    # 160 bytes a sample while the CSV is rendered, over the demo law's 144
+    # for a population pool: 1,000 samples are refused one byte below that,
+    # and reach the table's tree at exactly that
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was sampled")
+
+    monkeypatch.setattr(cli_mod, "sample_truncated_tree", never)
+    monkeypatch.setattr(beta_mod, "_check_forest_depth", lambda dist, n: None)
+    argv = ("beta", "--depth", "2", "--trials", "10", "--method", method,
+            "--samples", "1000", "--pool-out", str(tmp_path / "p.csv"))
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 160 * 1000 - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: a {method}") and "pool of 1000 samples would need" in err
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 160 * 1000)
+    with pytest.raises(AssertionError, match="a tree was sampled"):
+        run_cli(list(argv))
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -683,6 +708,21 @@ def test_pinned_outputs_are_byte_identical(capsys, tmp_path):
         "254fe9a689368fd87c361572a19ddc789e9ea850f0cf426ea5c0bf7fb4ddc33a")
     assert _sha256(tree_path.read_bytes()) == (
         "35081d9e7e5856332b37d4b60057e5f524cc97aa4781659ecd40a16bc86b03d6")
+
+
+def test_pinned_bench_sized_tree_dump(capsys, tmp_path):
+    # the benchmark's beta task: 15,403 vertices, four default chunks, the
+    # star root alone near the end of the last; digests recorded while the
+    # dump gathered its arguments vertex by vertex
+    tree_path = tmp_path / "tree.json"
+    code, out, _ = run(capsys, "beta", "--pmf", "2:0.5,3:0.5", "--lambda-grid", "0.25:1.5:0.25",
+                       "--depth", "10", "--trials", "50", "--seed", "11",
+                       "--dump-tree", str(tree_path))
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "21f1c14c2f484949d41eadb7f8486256c12d2a4efc5202bbbc01361b7ae44266")
+    assert _sha256(tree_path.read_bytes()) == (
+        "74d748b6a3a12ba240eb010dd46df891eedba4648a66996c0f961b0c49be68c6")
 
 
 def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):

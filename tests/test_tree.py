@@ -168,6 +168,46 @@ def test_streamed_dump_of_lazily_grown_tree(mix23, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, tree_mod._DUMP_CHUNK])
+def test_streamed_dump_edge_trees(chunk, monkeypatch):
+    monkeypatch.setattr(tree_mod, "_DUMP_CHUNK", chunk)
+    trees = []
+    for star in (False, True):  # depth 0: the root's children are unborn
+        tree = sample_truncated_tree(make_distribution({2: 0.5, 3: 0.5}), 0, seed=1)
+        if star:
+            attach_star_root(tree)
+        trees.append(tree)
+    # a path of two whole chunks: the star root is the last chunk's only vertex
+    tree = sample_truncated_tree(make_distribution({1: 1.0}), 2 * chunk - 1, seed=2)
+    attach_star_root(tree)
+    assert len(tree) == 2 * chunk + 1
+    trees.append(tree)
+    for tree in trees:
+        pieces = list(tree.adjacency_json_chunks())
+        assert len(pieces) == -(-len(tree) // chunk) + 1
+        assert "".join(pieces) == json.dumps(tree.to_adjacency(), indent=2)
+    assert pieces[-2].endswith('"parent": null,\n    "children": [\n      0\n    ],\n'
+                               '    "depth": -1\n  }')
+
+
+@pytest.mark.parametrize("snapshot", [False, True])
+def test_dump_mutates_nothing(mix23, snapshot):
+    tree = sample_truncated_tree(mix23, 5, seed=4)
+    attach_star_root(tree)
+    for v in range(tree.level_start[5], tree.level_start[6], 3):
+        tree.children(v)  # unborn vertices beside grown ones
+    before = [list(a) for a in (tree.parent, tree.depth, tree.first_child, tree.nu)]
+    size = len(tree)
+    snap = tree.arrays() if snapshot else None
+    "".join(tree.adjacency_json_chunks())
+    assert [tree.parent, tree.depth, tree.first_child, tree.nu] == before
+    assert len(tree) == size
+    if snapshot:
+        after = tree.arrays()
+        assert all(a is b for a, b in zip(after, snap))
+        assert not any(a.flags.writeable for a in after)
+
+
 def test_dump_after_snapshot_and_lazy_growth(mix23):
     # the dump reads the lists, which the snapshot taken before growth no
     # longer matches
