@@ -132,6 +132,13 @@ def _resolve(args, cfg: dict, key: str, default, cast=None):
                     f"a valid {cast.__name__}")
 
 
+def _resolve_seed(args, cfg: dict) -> int:
+    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
+    if seed < 0:
+        raise _CliError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _resolve_dist(args, cfg: dict) -> OffspringDistribution:
     if args.pmf and args.pmf_json:
         raise _CliError("give at most one of --pmf and --pmf-json")
@@ -258,7 +265,7 @@ def cmd_regular(args, cfg) -> int:
 
 def cmd_simulate(args, cfg) -> int:
     dist = _resolve_dist(args, cfg)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
+    seed = _resolve_seed(args, cfg)
     steps = _resolve(args, cfg, "steps", 100000, int)
     replicas = _resolve(args, cfg, "replicas", 32, int)
     est = simulate_speed(dist, args.lam, steps, replicas, seed,
@@ -280,7 +287,7 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_beta(args, cfg) -> int:
     dist = _resolve_dist(args, cfg)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
+    seed = _resolve_seed(args, cfg)
     depth = _resolve(args, cfg, "depth", 10, int)
     if args.lam is not None and args.lambda_grid:
         raise _CliError("give either --lambda or --lambda-grid, not both")
@@ -335,7 +342,7 @@ def cmd_beta(args, cfg) -> int:
 
 def cmd_speed_curve(args, cfg) -> int:
     dist = _resolve_dist(args, cfg)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
+    seed = _resolve_seed(args, cfg)
     depth = _resolve(args, cfg, "depth", 10, int)
     samples = _resolve(args, cfg, "samples", 2000, int)
     tuples = _resolve(args, cfg, "tuples", 50000, int)
@@ -394,7 +401,7 @@ def _report_verdict(curve, depth: int) -> None:
 
 def cmd_verify(args, cfg) -> int:
     dist = _resolve_dist(args, cfg)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
+    seed = _resolve_seed(args, cfg)
     results = verify_mod.run_suite(args.suite, dist, seed)
     report = verify_mod.render_report(results, dist, seed)
     sys.stdout.write(report)

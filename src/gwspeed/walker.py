@@ -15,12 +15,12 @@ Speed replicas and annealed hitting trials take one of two paths, chosen by
 the offspring law alone, in ``_final_depth``. On a one-point law
 (``m1 == m2``, the regular tree) every vertex looks the same, so
 ``_chain_final_depth`` walks the depth as a reflected +-1 chain and grows no
-tree. On every other law
+tree (in numpy blocks for a speed replica). On every other law
 ``_walk_final_depth`` walks a lazily grown tree that it keeps itself: a
 two-list arena (first child and offspring count per vertex) and a stack of the
-current vertex's ancestors, with no QuenchedTree behind it. Both read the walk
-stream identically, so the chain's depths equal the tree walk's bit for bit;
-the tree walk is the reference the chain is tested against, and
+current vertex's ancestors, with no QuenchedTree behind it. Both read the same
+uniforms in the same order, so the chain's depths equal the tree walk's bit
+for bit; the tree walk is the reference the chain is tested against, and
 ``transition_step`` on a lazily grown QuenchedTree, fed the same tree stream,
 is the scalar reference for the tree walk.
 """
@@ -30,13 +30,14 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import OffspringDistribution
-from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream
+from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream, substreams
 from .tree import _UBUF, ROOT, QuenchedTree, _check_budget, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
@@ -105,10 +106,10 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
 
 
 def _walk_pieces(rng: np.random.Generator, steps: int):
-    """The walk stream as the walk kernels read it: lists of 64 uniforms,
-    doubling up to _BLOCK and capped by the steps left, so a short walk draws
-    few uniforms and memory stays flat. Both kernels read this one schedule,
-    which is what makes the chain's depths equal the tree walk's."""
+    """The walk stream as the scalar loops read it: lists of 64 uniforms,
+    doubling up to _BLOCK and capped by the steps left. The grouping changes no
+    value (float64 draws concatenate across calls); it bounds what a walk that
+    stops early draws past its end, and keeps memory flat."""
     block = 64
     while steps > 0:
         us = rng.random(min(block, steps)).tolist()
@@ -196,20 +197,26 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     Every vertex has k children, so the depth is a +-1 chain: down exactly
     when the tree walk would step to the parent (``u*(lam + k) - lam < 0.0``),
     except at the parentless vertex, where every step goes to a child.
-    With ``stop >= 1`` (T_star only) the walk returns at its first arrival at
-    depth ``stop`` or at the artificial root, -1."""
+    Without ``stop`` it sums blocks of up to _BLOCK uniforms with numpy; with
+    ``stop >= 1`` (T_star only) it steps one uniform at a time and returns at
+    its first arrival at depth ``stop`` or at the artificial root, -1."""
     floor = -1 if star else 0  # depth of the parentless vertex
-    dep = 0
     c = lam + k
+    if stop < 1:
+        h = -floor  # height above the parentless vertex, where x <- |x + s|
+        for done in range(0, steps, _BLOCK):
+            us = rng.random(min(_BLOCK, steps - done))
+            free = h + np.cumsum(np.where(us * c - lam < 0.0, -1, 1))
+            # each new odd low point of the free path is a reflection, +2
+            h = int(free[-1]) + 2 * max(0, (1 - int(free.min())) // 2)
+        return h + floor
+    dep = 0
     for us in _walk_pieces(rng, steps):
         for u in us:
             if u * c - lam < 0.0:
                 dep -= 1
                 if dep <= floor:
-                    if stop >= 1:
-                        return dep
-                    if dep < floor:
-                        dep = floor + 1
+                    return dep
             else:
                 dep += 1
                 if dep == stop:
@@ -218,14 +225,14 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
 
 
 def _final_depth(dist: OffspringDistribution, lam: float, steps: int,
-                 rng: np.random.Generator, star: bool, tree_key: tuple,
+                 rng: np.random.Generator, star: bool, tree_stream,
                  stop: int = -2) -> int:
     """The one choice of walk kernel: the depth chain on a one-point law, else
-    the tree walk on a tree grown from ``substream(*tree_key)``, a stream the
-    chain never creates."""
+    the tree walk on a tree grown from ``tree_stream()``, which the chain never
+    calls, so it derives no tree stream."""
     if dist.m1 == dist.m2:
         return _chain_final_depth(dist.m1, lam, steps, rng, star, stop)
-    return _walk_final_depth(dist, substream(*tree_key), lam, steps, rng, star, stop)
+    return _walk_final_depth(dist, tree_stream(), lam, steps, rng, star, stop)
 
 
 def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
@@ -233,7 +240,7 @@ def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
     gcode = _GRAPH_CODES[graph]
     star = graph == "T_star"
     return [_final_depth(dist, lam, steps, substream(seed, D_WALK, gcode, i), star,
-                         (seed, D_WALK_TREE, gcode, i)) for i in indices]
+                         partial(substream, seed, D_WALK_TREE, gcode, i)) for i in indices]
 
 
 def simulate_speed(dist: OffspringDistribution, lam: float, steps: int,
@@ -308,9 +315,9 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
     if mode == "annealed":
         successes = 0
-        for t in range(trials):
-            end = _final_depth(dist, lam, _MAX_SYNC_ROUNDS, substream(seed, D_HIT, t),
-                               True, (seed, D_TREE, t), n)
+        trees = partial(next, substreams(seed, D_TREE, count=trials))
+        for rng in substreams(seed, D_HIT, count=trials):
+            end = _final_depth(dist, lam, _MAX_SYNC_ROUNDS, rng, True, trees, n)
             if end != n and end != -1:
                 raise VerificationError("hitting walk failed to absorb within the round cap")
             successes += end == n

@@ -295,6 +295,14 @@ def test_malformed_config_value_exits_one(capsys, tmp_path, cfg):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [("simulate", "--lambda", "1"), ("beta",),
+                                  ("speed-curve",), ("verify",)])
+def test_negative_seed_is_refused_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 BETA_SMALL = ("beta", "--trials", "100")  # bias 1 by default
 
 

@@ -128,6 +128,24 @@ def test_chain_matches_tree_walk(law):
                                               graph == "T_star")
 
 
+@pytest.mark.filterwarnings("ignore:bias")
+@pytest.mark.parametrize("law", ["1:1", "2:1", "3:1"])
+def test_speed_chain_matches_tree_walk_across_numpy_blocks(law):
+    # the speed chain sums whole blocks of up to _BLOCK uniforms and counts
+    # the reflections of each; step counts on both sides of one and two
+    # block boundaries
+    dist = parse_pmf_text(law)
+    k = dist.m1
+    block = walker_mod._BLOCK
+    for lam, steps, star in itertools.product((0.0, k / 2, float(k), 5.0),
+                                              (block - 1, block, block + 1, 2 * block + 1),
+                                              (False, True)):
+        depth = walker_mod._chain_final_depth(k, lam, steps, substream(8, D_WALK, 0), star)
+        assert type(depth) is int
+        assert depth == _walk_final_depth(dist, substream(8, D_WALK_TREE, 0), lam, steps,
+                                          substream(8, D_WALK, 0), star)
+
+
 def test_one_point_laws_grow_no_tree(binary, mix23, monkeypatch):
     def no_tree(*args):
         raise AssertionError("grew a tree")
@@ -392,7 +410,7 @@ def test_walk_arena_peak_is_what_its_budget_counts(monkeypatch):
     tracemalloc.start()
     try:
         walker_mod._final_depth(dist, 1.0, 250, substream(1, D_WALK, 0, 0), False,
-                                (1, D_WALK_TREE, 0, 0))
+                                lambda: substream(1, D_WALK_TREE, 0, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
