@@ -15,8 +15,7 @@ from .offspring import (OffspringDistribution, make_distribution,
 from .speed import (FormulaSpeed, Ineq8Report, MonotonicityReport, SpeedCurve,
                     SpeedCurvePoint, TuplePool, inequality8, make_tuple_pool,
                     speed_curve, speed_exact_lambda1, speed_formula_mc)
-from .tree import (QuenchedTree, attach_star_root, ensure_children,
-                   sample_truncated_tree)
+from .tree import QuenchedTree, attach_star_root, sample_truncated_tree
 from .walker import (HittingEstimate, SpeedEstimate, WalkState, hitting_beta_mc,
                      lemma0_compare, simulate_speed, transition_step)
 
@@ -32,7 +31,7 @@ __all__ = [
     "attach_star_root", "beta_derivative_path_sum", "build_conductances",
     "check_bounds", "compute_beta", "conductance_sandwich",
     "effective_conductance_to_level",
-    "ensure_children", "hitting_beta_mc", "inequality8", "lemma0_compare",
+    "hitting_beta_mc", "inequality8", "lemma0_compare",
     "make_distribution", "make_tuple_pool", "parse_pmf_json", "parse_pmf_text",
     "regular_escape_probability", "regular_return_gf", "sample_pool",
     "sample_pools_shared_trees", "sample_truncated_tree", "simulate_speed",

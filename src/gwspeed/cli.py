@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -182,6 +183,7 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="gwspeed", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)

@@ -3,8 +3,8 @@
 An offspring law is an explicit pmf ``{k: p_k}`` on nonnegative integers with
 finite support. From it we expose the mean ``m``, the support extremes ``m1``
 and ``m2``, the extinction probability q (smallest fixed point of the
-generating function), the positivity window for the walk speed and the bias
-threshold up to which strict speed decrease is certified.
+generating function) and the bias threshold up to which strict speed
+decrease is certified.
 """
 
 from __future__ import annotations
@@ -102,23 +102,6 @@ class OffspringDistribution:
                 f"monotonicity threshold needs minimum branching >= 2, got m1={self.m1}"
             )
         return self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))
-
-    def positivity_window(self, tol: float = DEFAULT_FIXED_POINT_TOL) -> tuple[float, float]:
-        """Open bias interval on which the walk speed is positive.
-
-        Lower endpoint is sum(k * p_k * q**(k-1)) with the convention
-        0**0 = 1 for the k = 1 term when q = 0; upper endpoint is m.
-        """
-        qv = self.extinction_probability(tol)
-        lower = 0.0
-        for k, p in self.entries:
-            if k == 0:
-                continue
-            if k == 1:
-                lower += p  # q**0 with 0**0 = 1
-            else:
-                lower += k * p * qv ** (k - 1)
-        return lower, self.m
 
     # Sampling ------------------------------------------------------------
 

@@ -216,13 +216,6 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
     return tree
 
 
-def ensure_children(tree: QuenchedTree, v: int) -> list[int]:
-    """Children of v, generated exactly once and cached thereafter."""
-    if not (0 <= v < len(tree)):
-        raise ValueError(f"vertex {v} does not exist")
-    return tree.children(v)
-
-
 def attach_star_root(tree: QuenchedTree) -> int:
     """Add the artificial parent of the root (depth -1, single child).
 

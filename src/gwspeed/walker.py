@@ -15,22 +15,28 @@ Speed replicas and annealed hitting trials take one of two paths, chosen by
 the offspring law alone, in ``_final_depth``. On a one-point law
 (``m1 == m2``, the regular tree) every vertex looks the same, so
 ``_chain_final_depth`` walks the depth as a reflected +-1 chain and grows no
-tree (in numpy blocks for a speed replica). On every other law
-``_walk_final_depth`` walks a lazily grown tree that it keeps itself: a
-two-list arena (first child and offspring count per vertex) and a stack of the
-current vertex's ancestors, with no QuenchedTree behind it. Both read the same
-uniforms in the same order, so the chain's depths equal the tree walk's bit
-for bit; the tree walk is the reference the chain is tested against, and
-``transition_step`` on a lazily grown QuenchedTree, fed the same tree stream,
-is the scalar reference for the tree walk.
+tree (in numpy blocks for a speed replica). On every other law the one walk
+loop, ``_walk_final_depth``, walks a lazily grown tree that it keeps itself.
+For each piece of uniforms numpy first fills step tables (an int32 column per
+support count, and one for T's root) from the scalar step's float expression,
+so a step is a table read, a push or pop and an arena lookup. That costs O(S)
+per uniform on a law with S support points: the tables beat a scalar float
+loop below about 20 points (0.75 of its time on 2 points, 1.09 on 25), and
+an annealed trial, which reads about two dozen uniforms of its first 64, pays
+one fill (1.3 times its time on 2). Both paths read the same uniforms in the
+same order, so the chain's depths equal the tree walk's bit for bit; the tree
+walk is the reference the chain is tested against, and ``transition_step`` on
+a lazily grown QuenchedTree, fed the same tree stream, is the scalar
+reference for the tree walk.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -43,8 +49,10 @@ from .tree import _UBUF, ROOT, QuenchedTree, _check_budget, sample_truncated_tre
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
 _MAX_SYNC_ROUNDS = 10_000_000
-# Bytes an arena entry holds: one pointer in each of the two lists.
-_ARENA_BYTES_PER_ENTRY = 16
+_TABLE_ENTRIES = 1 << 18  # a piece's columns times uniforms: about 4 MiB of tables
+_FRESH = array("i", [-2]) * _BLOCK  # the step column of a vertex not drawn yet
+_ZEROS = array("i", [0]) * _BLOCK  # the artificial root's: to its one child
+_ARENA_BYTES_PER_ENTRY = 16  # one pointer in each of the walk arena's two lists
 
 
 @dataclass
@@ -105,17 +113,40 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
     return state
 
 
-def _walk_pieces(rng: np.random.Generator, steps: int):
-    """The walk stream as the scalar loops read it: lists of 64 uniforms,
-    doubling up to _BLOCK and capped by the steps left. The grouping changes no
-    value (float64 draws concatenate across calls); it bounds what a walk that
-    stops early draws past its end, and keeps memory flat."""
-    block = 64
+def _walk_pieces(rng: np.random.Generator, steps: int, most: int = _BLOCK):
+    """The walk stream in the pieces the loops read: 64 uniforms, doubling up
+    to ``most`` and capped by the steps left. The grouping changes no value
+    (float64 draws concatenate across calls); it bounds what a walk that stops
+    early draws past its end, and the memory its step tables take."""
+    block = min(64, most)
     while steps > 0:
-        us = rng.random(min(block, steps)).tolist()
-        steps -= len(us)
-        block = min(2 * block, _BLOCK)
+        us = rng.random(min(block, steps))
+        steps -= us.size
+        block = min(2 * block, most)
         yield us
+
+
+@lru_cache(maxsize=64)
+def _step_rows(dist: OffspringDistribution, lam: float, free: int):
+    """(counts, scale, shift, top) for ``_fill_tables``: a row per support
+    count, then, when ``free``, a parentless vertex's with ``free`` children."""
+    ks = [k for k, _ in dist.entries]
+    rows = [[lam + k, lam, k - 1] for k in ks] + [[free, 0.0, free - 1]] * (free > 0)
+    return ks, *np.array(rows).T[..., None]
+
+
+def _fill_tables(us, scale, shift, top, cols: list) -> None:
+    """Refill each int32 column in place with each uniform's step there,
+    ``clip(floor(u * scale - shift), -1, top)``: -1 (up) exactly when
+    ``u * (lam + k) - lam < 0.0``, else that float's int clipped to k - 1."""
+    t = us * scale - shift
+    np.minimum(t, top, out=t)
+    np.floor(t, out=t)
+    if shift[0, 0] > 1.0:  # t >= -lam, so floor(t) >= -1 already when lam <= 1
+        np.maximum(t, -1.0, out=t)
+    for col, row in zip(cols, t.astype(np.int32)):
+        del col[:]
+        col.frombytes(row.tobytes())
 
 
 def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator,
@@ -128,35 +159,35 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
     walk returns early: ``stop`` on its first arrival at that depth, -1 on its
     first arrival at the artificial root.
 
-    The walk owns its arena: ``first_child`` and ``nu`` per vertex (-1 until
-    drawn), in lists that double when a growth would overflow them, laid out
-    as QuenchedTree would lay them out; a growth that would take the two
-    lists past ``MAX_FOREST_LEVEL_BYTES`` raises ValueError. The ancestors of
-    the current vertex sit on a path stack, so a step up pops it and an empty
-    stack means no parent; the artificial root, vertex 1, is at its bottom."""
+    The arena holds ``first_child`` and the step column ``rules`` per vertex
+    (``_FRESH`` until its count is drawn), laid out as in QuenchedTree, in
+    lists that double on overflow; a growth past ``MAX_FOREST_LEVEL_BYTES``
+    raises ValueError. The depth is the length of the path stack of ancestors
+    (the artificial root, vertex 1, at its bottom). T's root reads its own
+    column, set for the first count drawn."""
+    nus = memoryview(dist.draw_counts(tree_rng, _UBUF))  # no tolist(): a first passage reads few
+    ni = 0  # offspring counts, refilled _UBUF at a time as QuenchedTree does
+    ks, scale, shift, top = _step_rows(dist, lam, 0 if star else nus[0])
     cap = 1024
     first_child = [-1] * cap
-    nu_list = [-1] * cap
-    if star:
+    rules = [_FRESH] * cap
+    cols = [array("i") for _ in scale]
+    by_count = dict(zip(ks, cols))
+    if star:  # _FRESH at the artificial root ends a first passage
         first_child[1] = ROOT
-        nu_list[1] = 1
-        path = [1]
-        size = 2
-    else:
-        path = []
-        size = 1
-    push = path.append
-    pop = path.pop
-    nus = []
-    ni = _UBUF  # offspring counts, refilled _UBUF at a time as QuenchedTree does
+        rules[1] = _FRESH if stop >= 1 else _ZEROS
+    path = [1] if star else []
+    size = len(path) + 1
+    halt = stop + star  # the path length at depth stop
     pos = ROOT
-    dep = 0
-    for us in _walk_pieces(rng, steps):
-        for u in us:
-            k = nu_list[pos]
-            if k < 0:
-                if dep == stop:
-                    return dep
+    push, pop = path.append, path.pop
+    for us in _walk_pieces(rng, steps, min(_BLOCK, max(1, _TABLE_ENTRIES // len(cols)))):
+        _fill_tables(us, scale, shift, top, cols)
+        for i in range(us.size):
+            j = rules[pos][i]
+            if j == -2:  # a fresh vertex: stop before it, or draw its count
+                if stop > 0 and (len(path) == halt or (not path and star)):
+                    return len(path) - star
                 if ni == _UBUF:
                     nus = dist.draw_counts(tree_rng, _UBUF).tolist()
                     ni = 0
@@ -167,26 +198,18 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
                     _check_budget(_ARENA_BYTES_PER_ENTRY * (cap + grow),
                                   f"a walk arena of {cap + grow} vertices")
                     first_child.extend(repeat(-1, grow))
-                    nu_list.extend(repeat(-1, grow))
+                    rules.extend(repeat(_FRESH, grow))
                     cap += grow
                 first_child[pos] = size
-                nu_list[pos] = k
+                rules[pos] = rule = by_count[k] if path else cols[-1]
                 size += k
-            if path:
-                t = u * (lam + k) - lam
-                if t < 0.0:
-                    pos = pop()
-                    dep -= 1
-                    continue
-                j = int(t)
+                j = rule[i]
+            if j < 0:
+                pos = pop()
             else:
-                if dep < 0 < stop:  # at the artificial root
-                    return dep
-                j = int(u * k)
-            push(pos)
-            pos = first_child[pos] + (j if j < k else k - 1)
-            dep += 1
-    return dep
+                push(pos)
+                pos = first_child[pos] + j
+    return len(path) - star
 
 
 def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
@@ -212,7 +235,7 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
         return h + floor
     dep = 0
     for us in _walk_pieces(rng, steps):
-        for u in us:
+        for u in us.tolist():
             if u * c - lam < 0.0:
                 dep -= 1
                 if dep <= floor:

@@ -7,7 +7,6 @@ from gwspeed import (
     beta_derivative_path_sum,
     check_bounds,
     compute_beta,
-    ensure_children,
     sample_pool,
     sample_pools_shared_trees,
     sample_truncated_tree,
@@ -113,7 +112,7 @@ def test_rejects_lazily_grown_tree(mix23):
     # levels 0..2 are fully generated, but not laid out breadth first
     tree = QuenchedTree(mix23, substream(5, 1, 0))
     for v in range(40):
-        ensure_children(tree, v)
+        tree.children(v)
     with pytest.raises(ValueError, match="materialized"):
         compute_beta(tree, 1, 1.0)
     assert compute_beta(tree, 0, 1.0).root_beta == 1.0

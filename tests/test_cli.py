@@ -63,6 +63,28 @@ def test_unknown_subcommand_exits_one(capsys):
     assert "usage" in err.lower()
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; each call through it gives the
+    # stdout, stderr and exit code that a freshly built parser gives
+    calls = (("regular", "--d", "3", "--lambda", "0.5"),
+             ("regular", "--d", "2", "--warp", "9"),
+             ("--help",),
+             ("simulate", "--pmf", "2:0.5,3:0.5", "--lambda", "1", "--steps", "200",
+              "--replicas", "3", "--seed", "4"),
+             ("beta", "--pmf", "2:0.5,3:0.5", "--lambda-grid", "0.5:1:0.5", "--depth", "3",
+              "--trials", "20", "--seed", "4"))
+    alone = []
+    for argv in calls:
+        cli_mod.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli_mod.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli_mod.build_parser.cache_info().misses == 1
+    assert shared == alone
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0]
+    assert "usage" in shared[1][2] and "usage" in shared[2][1]
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run(capsys, "regular", "--d", "2", "--lambda", "1",
                        "--warp", "9")

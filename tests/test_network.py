@@ -10,7 +10,6 @@ from gwspeed import (
     compute_beta,
     conductance_sandwich,
     effective_conductance_to_level,
-    ensure_children,
     hitting_beta_mc,
     make_distribution,
     regular_escape_probability,
@@ -109,7 +108,7 @@ def _fixed_trees():
     trees.append((_starred(mix23, 2, 5), 2))
     lazy = QuenchedTree(mix23, substream(5, 1, 0))
     for v in range(40):
-        ensure_children(lazy, v)
+        lazy.children(v)
     attach_star_root(lazy)
     trees.append((lazy, max(lazy.depth)))
     return trees

@@ -91,21 +91,6 @@ def test_monotonicity_threshold_rejects_m1_below_2():
         make_distribution({1: 0.5, 3: 0.5}).monotonicity_threshold()
 
 
-def test_positivity_window(mix23, binary, leafy):
-    assert mix23.positivity_window() == (0.0, 2.5)
-    assert binary.positivity_window() == (0.0, 2.0)
-    lower, upper = leafy.positivity_window()
-    assert abs(lower - 0.5) < 1e-9  # 2 * 0.75 * q with q = 1/3
-    assert upper == 1.5
-
-
-def test_positivity_window_zero_zero_convention():
-    # k=1 term must contribute p_1 * q**0 = p_1 even when q = 0
-    dist = make_distribution({1: 0.5, 4: 0.5})
-    lower, _ = dist.positivity_window()
-    assert abs(lower - (0.5 + 0.0)) < 1e-12
-
-
 def test_pmf_text_round_trip(mix23):
     assert parse_pmf_text("2:0.5,3:0.5").entries == mix23.entries
     assert parse_pmf_text(mix23.to_text()).entries == mix23.entries
@@ -141,8 +126,6 @@ def test_pgf_monotone_and_normalized(dist, s):
 def test_leafless_has_zero_extinction(dist):
     if dist.m > 1.0:
         assert dist.extinction_probability() == 0.0
-        assert dist.positivity_window()[0] == (
-            dist.entries[0][1] if dist.m1 == 1 else 0.0)
 
 
 def test_draw_counts_support(mix23):

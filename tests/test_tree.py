@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gwspeed import (InvalidStateError, attach_star_root, ensure_children,
-                     make_distribution, sample_truncated_tree)
+from gwspeed import (InvalidStateError, attach_star_root, make_distribution,
+                     sample_truncated_tree)
 from gwspeed import tree as tree_mod
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
 from gwspeed.rng import D_TREE, D_WALK, D_WALK_TREE, substream
@@ -33,21 +33,21 @@ def test_determinism(mix23):
     assert c.nu != a.nu or len(c) != len(a)
 
 
-def test_ensure_children_caches(mix23):
+def test_children_caches(mix23):
     tree = QuenchedTree(mix23, substream(5, 1, 0))
-    first = ensure_children(tree, 0)
-    again = ensure_children(tree, 0)
+    first = tree.children(0)
+    again = tree.children(0)
     assert first == again
     assert len(first) in (2, 3)
     size_before = len(tree)
-    ensure_children(tree, 0)
+    tree.children(0)
     assert len(tree) == size_before
 
 
-def test_ensure_children_on_materialized_leaves_rng_untouched(binary):
+def test_children_on_materialized_leaves_rng_untouched(binary):
     tree = sample_truncated_tree(binary, 2, seed=3)
     state_before = tree._rng.bit_generator.state
-    kids = ensure_children(tree, 0)
+    kids = tree.children(0)
     assert kids == [1, 2]
     assert tree._rng.bit_generator.state == state_before
 
@@ -93,7 +93,7 @@ def test_attach_star_root(binary):
     assert len(tree) == 16
     assert tree.depth[star] == -1
     assert tree.parent[tree.root] == star
-    assert ensure_children(tree, star) == [tree.root]
+    assert tree.children(star) == [tree.root]
     with pytest.raises(InvalidStateError):
         attach_star_root(tree)
 
@@ -106,7 +106,7 @@ def test_lazy_growth_is_quenched(mix23):
     for _ in range(4):
         nxt = []
         for v in reversed(frontier):
-            nxt.extend(ensure_children(tree, v))
+            nxt.extend(tree.children(v))
         frontier = nxt
     for v in range(len(tree)):
         if tree.nu[v] >= 0:
@@ -271,8 +271,3 @@ def test_tree_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
         with pytest.raises(ValueError, match=f"a depth-{depth} tree would need .* GiB limit"):
             sample_truncated_tree(law, depth, seed=0)
 
-
-def test_missing_vertex_rejected(mix23):
-    tree = sample_truncated_tree(mix23, 2, seed=0)
-    with pytest.raises(ValueError):
-        ensure_children(tree, len(tree) + 5)

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def test_fast_loop_matches_reference_kernel():
         depth = _walk_final_depth(dist, tree_rng, lam, steps, substream(42, 2, 0), star)
         return depth, tree_rng.bit_generator.state
 
-    for law, lam, star in itertools.product(("2:0.5,3:0.5", "1:0.5,12:0.5"),
+    for law, lam, star in itertools.product(("2:0.5,3:0.5", "1:0.5,12:0.5",
+                                             "2:0.2,3:0.3,7:0.5"),
                                             (0.0, 0.7, 1.5), (False, True)):
         dist = parse_pmf_text(law)
         ref_tree = substream(42, 1, 0)
@@ -108,6 +110,86 @@ def test_fast_loop_matches_reference_kernel():
         ref_tree = substream(42, 1, 0)
         *_, depth = _reference_depths(dist, lam, 40_000, star, ref_tree, substream(42, 2, 0))
         assert fast(40_000) == (depth, ref_tree.bit_generator.state)
+
+
+class _Uniforms:
+    """A generator stub whose ``random(n)`` hands out chosen uniforms in order."""
+
+    def __init__(self, us):
+        self.us = np.array(us)
+        self.taken = 0
+
+    def random(self, n):
+        self.taken += n
+        return self.us[self.taken - n:self.taken]
+
+
+def _scalar_step(u, k, lam, parentless):
+    """The step transition_step takes from a vertex with k children: -1 up,
+    else the child's rank."""
+    t = u * k if parentless else u * (lam + k) - lam
+    if t < 0.0:
+        return -1
+    j = int(t)
+    return j if j < k else k - 1
+
+
+def test_step_tables_match_the_scalar_step():
+    # uniforms on either side of each up/down and child-rank boundary of
+    # every count, at a vertex with a parent and at a parentless one. At k = 3
+    # and the last bias, (1 - 2**-53) * (lam + 3) - lam is exactly 3.0: only
+    # the clip to k - 1 keeps that step inside the children block.
+    edge = 0.22266235716704297
+    assert np.nextafter(1.0, 0.0) * (edge + 3) - edge == 3.0
+    for law in ("2:0.2,3:0.3,7:0.5", "1:0.5,12:0.5"):
+        dist = parse_pmf_text(law)
+        ks = [k for k, _ in dist.entries]
+        for lam in sorted({0.0, 0.5, 1.0, 2.5, edge, *map(float, ks)}):
+            us = [0.0, np.nextafter(1.0, 0.0)]
+            for k in ks:
+                for b in [lam / (lam + k)] + [(lam + j) / (lam + k) for j in range(1, k)] + \
+                         [j / k for j in range(1, k)]:
+                    us += [np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)]
+            for k0 in [1] + ks:  # the parentless row, for each count T's root can have
+                _, scale, shift, top = walker_mod._step_rows(dist, lam, k0)
+                cols = [array("i") for _ in range(len(ks) + 1)]
+                rng = _Uniforms(us)
+                for piece in walker_mod._walk_pieces(rng, len(us), 8):
+                    walker_mod._fill_tables(piece, scale, shift, top, cols)
+                    for i, u in enumerate(piece.tolist()):
+                        assert [col[i] for col in cols] == \
+                            [_scalar_step(u, k, lam, False) for k in ks] + \
+                            [_scalar_step(u, k0, lam, True)]
+                assert rng.taken == len(us)
+
+
+def test_wide_laws_fill_small_pieces(monkeypatch):
+    # a piece's tables hold (support size + 1) * piece entries, under
+    # _TABLE_ENTRIES: a wide law walks in smaller pieces, down to one uniform
+    # when its columns alone pass the budget, and reaches the same depth
+    # with the same tree draws
+    sizes = []
+    pieces = walker_mod._walk_pieces
+
+    def spy(rng, steps, most):
+        for us in pieces(rng, steps, most):
+            sizes.append(us.size)
+            yield us
+
+    dist = parse_pmf_text(",".join(f"{k}:0.01" for k in range(1, 101)))
+
+    def walk():
+        tree_rng = substream(6, D_WALK_TREE, 0)
+        depth = _walk_final_depth(dist, tree_rng, 1.0, 3000, substream(6, D_WALK, 0), False)
+        return depth, tree_rng.bit_generator.state
+
+    wide = walk()
+    monkeypatch.setattr(walker_mod, "_walk_pieces", spy)
+    for budget, largest in ((1 << 18, 1024), (1000, 9), (50, 1)):
+        monkeypatch.setattr(walker_mod, "_TABLE_ENTRIES", budget)
+        sizes.clear()
+        assert walk() == wide
+        assert (sum(sizes), max(sizes)) == (3000, largest)
 
 
 @pytest.mark.filterwarnings("ignore:bias")
@@ -173,7 +255,8 @@ def _reference_annealed_successes(dist, lam, n, trials, seed):
     return successes
 
 
-@pytest.mark.parametrize("law", ["2:1", "3:1", "2:0.5,3:0.5", "1:0.2,4:0.8"])
+@pytest.mark.parametrize("law", ["2:1", "3:1", "2:0.5,3:0.5", "1:0.2,4:0.8",
+                                 "2:0.2,3:0.3,7:0.5"])
 def test_annealed_hitting_matches_reference_loop(law):
     dist = parse_pmf_text(law)
     for lam in (0.0, 0.5, 1.0, 2.5):
