@@ -318,14 +318,12 @@ def _check_pool_size(dist: OffspringDistribution, n: int, count: int, method: st
     pool by its widest forest level and at ``sample_bytes`` a sample (16, the
     beta and beta' floats of one bias), a population pool at 64 bytes a sample
     and 32 a member drawn (tracemalloc peaks: 106 bytes a sample on 2:1, 379
-    on 2:0.5,20:0.5) or at ``sample_bytes`` if more. A caller that holds more
-    per sample than the pool passes its own figure."""
+    on 2:0.5,20:0.5)."""
     if method == "tree":
         _check_forest_depth(dist, n)
         _check_budget(sample_bytes * count, f"a tree-method pool of {count} samples")
     else:
-        _check_budget(max(64.0 + 32.0 * dist.m, sample_bytes) * count,
-                      f"a population pool of {count} samples")
+        _check_budget((64.0 + 32.0 * dist.m) * count, f"a population pool of {count} samples")
 
 
 def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,

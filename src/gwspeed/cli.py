@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import verify as verify_mod
 from .beta import _check_pool_size, compute_beta, sample_pool
@@ -33,8 +34,7 @@ from .walker import _check_hitting_size, hitting_beta_mc, simulate_speed
 DEFAULT_SEED = 1729
 DEFAULT_PMF = "2:0.5,3:0.5"
 MAX_GRID_POINTS = 10**5  # largest --lambda-grid accepted
-# Peak bytes per sample while --pool-out renders its CSV (146-149 measured).
-_POOL_CSV_BYTES_PER_SAMPLE = 160
+_POOL_CHUNK = 4096  # --pool-out rows per write
 
 CURVE_CSV_FIELDS = ["lambda", "speed_formula", "stderr", "speed_mc", "mc_stderr",
                     "ineq8_margin", "ineq8_stderr", "holds"]
@@ -70,14 +70,20 @@ def _json_value(value):
     return float(_fmt(value))
 
 
+def _csv_lines(fields: list[str], records):
+    """The lines of a CSV table, each with its newline: a header, then one row
+    per record, made as they are read."""
+    yield ",".join(fields) + "\n"
+    for rec in records:
+        yield ",".join(_fmt(rec.get(f)) for f in fields) + "\n"
+
+
 def _render(fmt: str, fields: list[str], records) -> str:
-    """The text of a table, as CSV (a header, then one row per record) or as
-    a JSON list of records: every table on stdout and in every --out file.
-    ``records`` is read once, so it may be a generator."""
+    """The text of a table, as CSV (``_csv_lines``) or as a JSON list of
+    records: every table on stdout and in every --out file. ``records`` is
+    read once, so it may be a generator."""
     if fmt == "csv":
-        lines = [",".join(fields)]
-        lines += (",".join(_fmt(rec.get(f)) for f in fields) for rec in records)
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_lines(fields, records))
     payload = [{f: _json_value(rec.get(f)) for f in fields} for rec in records]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -311,7 +317,7 @@ def cmd_beta(args, cfg) -> int:
     if dist.has_leaves:
         raise UnsupportedRegimeError("beta needs a leafless offspring law")
     if args.pool_out:
-        _check_pool_size(dist, depth, samples, args.method, _POOL_CSV_BYTES_PER_SAMPLE)
+        _check_pool_size(dist, depth, samples, args.method)
     _check_hitting_size(args.trials)
 
     tree = sample_truncated_tree(dist, depth, seed)
@@ -338,7 +344,10 @@ def cmd_beta(args, cfg) -> int:
     if args.pool_out:
         pool = sample_pool(dist, grid[0], depth, samples, seed, method=args.method)
         records = ({"beta": b, "dbeta": db} for b, db in zip(pool.beta, pool.dbeta))
-        _write(args.pool_out, _render("csv", POOL_CSV_FIELDS, records))
+        lines = _csv_lines(POOL_CSV_FIELDS, records)
+        with open(args.pool_out, "w", encoding="utf-8") as fh:
+            while chunk := "".join(islice(lines, _POOL_CHUNK)):
+                fh.write(chunk)
     return 0
 
 

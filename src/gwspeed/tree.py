@@ -131,14 +131,18 @@ class QuenchedTree:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(parent, depth, first_child, nu) as read-only int64 numpy arrays:
-        the one numpy view of the arena, built on first use and rebuilt only
-        after the tree grows."""
+        the one numpy view of the arena. A sampled tree carries it from birth
+        (``attach_star_root`` extends it); otherwise it is built on first use,
+        and it is rebuilt only after the tree grows."""
         if self._arrays is None:
-            self._arrays = tuple(np.asarray(a, dtype=np.int64) for a in
-                                 (self.parent, self.depth, self.first_child, self.nu))
-            for a in self._arrays:
-                a.flags.writeable = False
+            self._set_arrays(self.parent, self.depth, self.first_child, self.nu)
         return self._arrays
+
+    def _set_arrays(self, *columns) -> None:
+        """Store ``columns``, which equal the four lists, as the snapshot."""
+        self._arrays = tuple(np.asarray(a, dtype=np.int64) for a in columns)
+        for a in self._arrays:
+            a.flags.writeable = False
 
     def to_adjacency(self) -> dict:
         """Debug dump {"id": {"parent": id|None, "children": [...], "depth": d}}."""
@@ -207,11 +211,14 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
     widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]
     counts = np.concatenate([np.zeros(0, dtype=np.int64), *layers])
     # every non-root vertex's parent, in id order: siblings share one int object
-    unborn = [-1] * widths[-1]
     tree.parent = [-1] + np.repeat(np.arange(counts.size).astype(object), counts).tolist()
-    tree.depth = np.repeat(np.arange(n + 1), widths).tolist()
-    tree.first_child = (1 + np.cumsum(counts) - counts).tolist() + unborn
-    tree.nu = counts.tolist() + unborn
+    unborn = np.full(widths[-1], -1)
+    parent = np.concatenate([[-1], np.repeat(np.arange(counts.size), counts)])
+    depth = np.repeat(np.arange(n + 1), widths)
+    first_child = np.concatenate([1 + np.cumsum(counts) - counts, unborn])
+    nu = np.concatenate([counts, unborn])
+    tree.depth, tree.first_child, tree.nu = depth.tolist(), first_child.tolist(), nu.tolist()
+    tree._set_arrays(parent, depth, first_child, nu)
     tree.level_start = np.cumsum([0] + widths).tolist()
     return tree
 
@@ -230,5 +237,12 @@ def attach_star_root(tree: QuenchedTree) -> int:
     tree.nu.append(1)
     tree.parent[ROOT] = star
     tree.star_root = star
-    tree._arrays = None
+    if tree._arrays is not None:  # extend the snapshot by the star's row
+        # a column at a time, each old one freed at once: 8 bytes a vertex
+        # over what the tree holds, below compute_beta's peak
+        cols, tree._arrays = list(tree._arrays), None
+        for i, x in enumerate((-1, -1, ROOT, 1)):
+            cols[i] = np.append(cols[i], x)
+        cols[0][ROOT] = star
+        tree._set_arrays(*cols)
     return star

@@ -49,6 +49,9 @@ from .tree import _UBUF, ROOT, QuenchedTree, _check_budget, sample_truncated_tre
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
 _MAX_SYNC_ROUNDS = 10_000_000
+# Quenched hitting walkers left when the scalar rounds take over: a numpy round
+# costs about 7 us up to 128 walkers, a scalar one about 0.2 us a walker.
+_TAIL_WALKERS = 64
 _TABLE_ENTRIES = 1 << 18  # a piece's columns times uniforms: about 4 MiB of tables
 _FRESH = array("i", [-2]) * _BLOCK  # the step column of a vertex not drawn yet
 _ZEROS = array("i", [0]) * _BLOCK  # the artificial root's: to its one child
@@ -356,32 +359,76 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
 def _check_hitting_size(trials: int) -> None:
     """Refuse, before any draw, quenched hitting trials over the memory budget,
-    at 64 bytes a trial (tracemalloc peaks: 49-51)."""
+    at 64 bytes a trial (tracemalloc peak: 32, in the first round)."""
     _check_budget(64.0 * trials, f"{trials} quenched hitting trials")
 
 
 def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
                           rng: np.random.Generator) -> int:
+    """Successes of ``trials`` walkers from the root of a tree laid out to
+    depth n, absorbed at depth n (a success) or on a step above the root (a
+    failure, with or without the artificial root). Each round draws one
+    uniform per walker still moving and hands them out in walker order.
+
+    The walkers move from the ids below ``goal``. Each such vertex gets a row
+    ``[parent, child 0, ..., child k-1, child k-1]`` of the neighbour table
+    ``nb``, at whose child 0 ``base`` points, so a round is a few whole-array
+    calls: ``floor(u * (lam + k) - lam)``, the loop's own float, clamped at
+    -1 (up), indexes the row from child 0. The repeated last child takes the
+    rare float that rounds to k itself, as ``min(j, k - 1)`` does. Once
+    ``_TAIL_WALKERS`` or fewer are left, the same rounds run one walker at a
+    time on the tree's lists, where numpy's fixed cost per call would
+    outweigh the work. Both phases share the round cap."""
     start, _ = tree.levels(n)
-    goal = start[n]  # walkers move from depths < n, the ids below goal
+    goal = start[n]
     parent, _, first_child, nu = (a[:goal] for a in tree.arrays())
-    up = parent.copy()
-    up[ROOT] = -1  # a step above the root is a failure; no artificial root
-    scale, top = lam + nu, nu - 1
-    pos = np.full(trials, ROOT, dtype=np.int64)
-    successes = 0
-    for _ in range(_MAX_SYNC_ROUNDS):
-        if pos.size == 0:
-            return successes
-        t = rng.random(pos.size) * scale[pos] - lam  # = u * (lam + k) - lam
-        j = t.astype(np.int64)  # a child's rank when t >= 0
-        np.minimum(j, top[pos], out=j)
-        pos = np.where(t >= 0.0, first_child[pos] + j, up[pos])
-        pos = pos[pos >= 0]
-        succ = pos >= goal
-        successes += int(np.count_nonzero(succ))
-        pos = pos[~succ]
-    raise VerificationError("hitting walk failed to absorb within the round cap")
+    width = nu + 2
+    ends = np.cumsum(width)
+    base = ends - width + 1
+    # count on from each row's child 0, then overwrite the parent slots
+    nb = np.repeat(first_child - base, width) + np.arange(ends[-1])
+    nb[base - 1] = parent
+    nb[ROOT] = -1  # a step above the root is a failure
+    nb[ends - 1] -= 1
+    base = base.astype(float)
+    scale = lam + nu
+    pos = np.full(trials, ROOT, dtype=np.intp)
+    failures = 0
+    rounds = _MAX_SYNC_ROUNDS
+    while pos.size > _TAIL_WALKERS and rounds:
+        rounds -= 1
+        s = scale[pos]
+        s *= rng.random(pos.size)
+        s -= lam  # = u * (lam + k) - lam
+        np.floor(s, out=s)
+        if lam > 1.0:  # s >= -lam, so floor(s) >= -1 already when lam <= 1
+            np.maximum(s, -1.0, out=s)
+        s += base[pos]
+        pos = nb[s.astype(np.intp)]
+        failures += int(np.count_nonzero(pos < 0))
+        pos = pos[pos.view(np.uintp) < goal]  # neither failed nor at depth n
+    nus, fcs, parents = tree.nu, tree.first_child, tree.parent
+    pos = pos.tolist()
+    while pos and rounds:
+        rounds -= 1
+        moving = []
+        for v, u in zip(pos, rng.random(len(pos)).tolist()):
+            k = nus[v]
+            t = u * (lam + k) - lam
+            if t >= 0.0:
+                j = int(t)
+                v = fcs[v] + (j if j < k else k - 1)
+            elif v == ROOT:
+                failures += 1
+                continue
+            else:
+                v = parents[v]
+            if v < goal:
+                moving.append(v)
+        pos = moving
+    if pos:
+        raise VerificationError("hitting walk failed to absorb within the round cap")
+    return trials - failures
 
 
 def lemma0_compare(dist: OffspringDistribution, lam: float, steps: int,

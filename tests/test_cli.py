@@ -445,7 +445,7 @@ def test_beta_pool_out_refuses_a_forest_level_over_budget(capsys, monkeypatch, t
 def test_beta_refuses_an_over_budget_pool_or_trial_count_before_any_draw(
         capsys, monkeypatch, tmp_path, argv):
     # 10^10 population samples need about 1.3 TiB, as many tree-method
-    # samples about 1.5 TiB for their CSV, 10^9 hitting trials about 60 GiB:
+    # samples about 149 GiB, 10^9 hitting trials about 60 GiB:
     # refused before the table's tree is sampled
     def never(*args, **kwargs):
         raise AssertionError("a tree was sampled")
@@ -458,11 +458,12 @@ def test_beta_refuses_an_over_budget_pool_or_trial_count_before_any_draw(
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("method", ["tree", "population"])
-def test_beta_pool_out_budgets_its_rendered_csv(capsys, monkeypatch, tmp_path, method):
-    # 160 bytes a sample while the CSV is rendered, over the demo law's 144
-    # for a population pool: 1,000 samples are refused one byte below that,
-    # and reach the table's tree at exactly that
+@pytest.mark.parametrize("method,sample_bytes", [("tree", 16), ("population", 144)])
+def test_beta_pool_out_budgets_only_the_pool(capsys, monkeypatch, tmp_path, method, sample_bytes):
+    # the CSV is written a chunk at a time, so --pool-out counts the pool's
+    # own bytes a sample, 16 for the tree method and 64 + 32 m for a
+    # population pool (144 on the demo law): 1,000 samples are refused one
+    # byte below that, and reach the table's tree at exactly that
     def never(*args, **kwargs):
         raise AssertionError("a tree was sampled")
 
@@ -470,11 +471,11 @@ def test_beta_pool_out_budgets_its_rendered_csv(capsys, monkeypatch, tmp_path, m
     monkeypatch.setattr(beta_mod, "_check_forest_depth", lambda dist, n: None)
     argv = ("beta", "--depth", "2", "--trials", "10", "--method", method,
             "--samples", "1000", "--pool-out", str(tmp_path / "p.csv"))
-    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 160 * 1000 - 1)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", sample_bytes * 1000 - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: a {method}") and "pool of 1000 samples would need" in err
-    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 160 * 1000)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", sample_bytes * 1000)
     with pytest.raises(AssertionError, match="a tree was sampled"):
         run_cli(list(argv))
     assert not (tmp_path / "p.csv").exists()

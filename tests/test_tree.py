@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,40 @@ def test_attach_star_root(binary):
     assert tree.children(star) == [tree.root]
     with pytest.raises(InvalidStateError):
         attach_star_root(tree)
+
+
+@pytest.mark.parametrize("pmf", [{2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.5, 12: 0.5}, {0: 0.25, 2: 0.75}])
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_sampled_tree_carries_its_arrays_from_birth(pmf, depth):
+    def assert_snapshot_is_the_lists():
+        for a, lst in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(a, np.asarray(lst))
+
+    tree = sample_truncated_tree(make_distribution(pmf), depth, seed=9)
+    snap = tree._arrays
+    assert snap is not None and tree.arrays() is snap
+    assert_snapshot_is_the_lists()
+    star = attach_star_root(tree)
+    assert tree._arrays is not None and tree._arrays is not snap
+    assert_snapshot_is_the_lists()
+    assert tree.parent[tree.root] == star == tree.arrays()[0][tree.root]
+    tree.children(tree.level_start[depth])  # the first vertex at the sampled depth
+    assert tree._arrays is None
+    assert_snapshot_is_the_lists()
+
+
+def test_sampling_and_star_root_peak_within_the_tree_budget(binary):
+    # the snapshot held from birth and its extension by the star's row stay
+    # under the bytes a vertex that the tree budget counts
+    tracemalloc.start()
+    try:
+        tree = sample_truncated_tree(binary, 14, seed=3)
+        attach_star_root(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tree_mod._TREE_BYTES_PER_VERTEX * len(tree)
 
 
 def test_lazy_growth_is_quenched(mix23):

@@ -406,16 +406,55 @@ def _reference_quenched_successes(tree, lam, n, trials, rng):
 @pytest.mark.parametrize("law", ["2:1", "2:0.5,3:0.5", "1:0.5,12:0.5"])
 @pytest.mark.parametrize("star", [False, True])
 def test_quenched_hitting_matches_reference_loop(law, star):
+    # trial counts on both sides of the switch to scalar rounds; at bias 2.5
+    # a step's floor is clamped at -1; the second pass walks the tree after
+    # lazy growth past every level walked has dropped its snapshot
     dist = parse_pmf_text(law)
     tree = sample_truncated_tree(dist, 6, seed=17)
     if star:
         attach_star_root(tree)
-    for lam in (0.0, 0.5, 1.0, 1.5):
-        for n in range(1, 7):
-            est = hitting_beta_mc(tree, lam, n, 200, seed=n)
-            ref = _reference_quenched_successes(tree, lam, n, 200,
-                                                substream(n, D_HIT, 0))
-            assert est.successes == ref, (lam, n)
+    tail = walker_mod._TAIL_WALKERS
+    for grown in (False, True):
+        if grown:
+            for v in range(tree.level_start[6], tree.level_start[7], 3):
+                tree.children(v)
+            assert tree._arrays is None
+        for lam in (0.0, 0.5, 1.0, 1.5, 2.5):
+            for n in range(1, 7):
+                for trials in (1, tail, tail + 1, 200) + (4000,) * (n == 6 and not grown):
+                    est = hitting_beta_mc(tree, lam, n, trials, seed=n)
+                    ref = _reference_quenched_successes(tree, lam, n, trials,
+                                                        substream(n, D_HIT, 0))
+                    assert est.successes == ref, (grown, lam, n, trials)
+
+
+def test_quenched_round_lands_where_the_loop_does_at_float_boundaries(monkeypatch):
+    # every round in numpy, one walker: the root's first step takes each float
+    # on either side of the up/down and child-rank boundaries. The root has
+    # children with 3, 3 and 1 children; the second uniform sends a walker on
+    # the 1-child vertex up and one on a 3-child vertex down, and every later
+    # step is up, so (successes, rounds) at level 2 tells where the first step
+    # landed. At bias 0.22266235716704297 the uniform 1 - 2**-53 makes the
+    # loop's float exactly 3.0, which must still land on the last child.
+    def outcome(hit, lam, u, u2):
+        rng = _Uniforms([u, u2] + [0.0] * 8)
+        return hit(tree, lam, 2, 1, rng), rng.taken
+
+    monkeypatch.setattr(walker_mod, "_TAIL_WALKERS", 0)
+    tree = sample_truncated_tree(parse_pmf_text("1:0.5,3:0.5"), 2, seed=3)
+    assert tree.nu[:4] == [3, 3, 3, 1]
+    kernel = walker_mod._hit_level_vectorized
+    below_one = np.nextafter(1.0, 0.0)
+    for lam in (0.0, 0.22266235716704297, 1.0, 2.5):
+        bounds = [(lam + j) / (lam + 3) for j in range(4)]
+        firsts = {0.0, below_one} | {min(u, below_one) for b in bounds
+                                     for u in (np.nextafter(b, 0.0), b, np.nextafter(b, 1.0))}
+        for u in sorted(firsts):
+            assert outcome(kernel, lam, u, lam / (lam + 2)) == \
+                outcome(_reference_quenched_successes, lam, u, lam / (lam + 2)), (lam, u)
+    lam = 0.22266235716704297
+    assert below_one * (lam + 3) - lam == 3.0
+    assert outcome(kernel, lam, below_one, 0.1) == outcome(kernel, lam, 0.99, 0.1) == (0, 3)
 
 
 def test_fixed_tree_is_not_mutated(mix23):
@@ -499,6 +538,18 @@ def test_walk_arena_peak_is_what_its_budget_counts(monkeypatch):
         tracemalloc.stop()
     assert max(counted) > 2**26
     assert peak <= 1.05 * max(counted)
+
+
+def test_quenched_hitting_peak_is_within_its_budget(mix23):
+    # _check_hitting_size counts 64 bytes a trial
+    tree = sample_truncated_tree(mix23, 3, seed=5)
+    tracemalloc.start()
+    try:
+        hitting_beta_mc(tree, 1.0, 3, 400_000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 400_000
 
 
 def test_quenched_hitting_refuses_an_over_budget_trial_count_before_any_draw(
