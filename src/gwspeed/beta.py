@@ -164,8 +164,7 @@ def beta_derivative_path_sum(table: BetaTable) -> float:
     by plain ``np.add.reduceat``."""
     tree, n, lam = table.tree, table.level, table.lam
     start, nu = tree.levels(n)
-    parent = tree.parent
-    depth = tree.depth
+    parent, depth = tree.parent.tolist(), tree.depth.tolist()
     a, b = np.full(len(tree), np.nan), np.full(len(tree), np.nan)
     for k in range(n - 1, -1, -1):
         lo, hi = start[k], start[k + 1]

@@ -297,14 +297,13 @@ def cmd_beta(args, cfg) -> int:
     dist = _resolve_dist(args, cfg)
     seed = _resolve_seed(args, cfg)
     depth = _resolve(args, cfg, "depth", 10, int)
-    if args.lam is not None and args.lambda_grid:
-        raise _CliError("give either --lambda or --lambda-grid, not both")
-    if args.lambda_grid:
-        grid = _parse_grid(args.lambda_grid)
-    elif args.lam is not None:
-        grid = [args.lam]
-    else:
-        grid = [_resolve(args, cfg, "lambda", 1.0, float)]
+    flags = args.lam is not None or args.lambda_grid  # flags win over both config keys
+    lam = args.lam if flags else _resolve(args, cfg, "lambda", None, float)
+    grid_text = args.lambda_grid if flags else _resolve(args, cfg, "lambda_grid", None, str)
+    if lam is not None and grid_text:
+        raise _CliError("give either " + ("--lambda or --lambda-grid" if flags else
+                                          "lambda or lambda_grid in the config") + ", not both")
+    grid = _parse_grid(grid_text) if grid_text else [1.0 if lam is None else lam]
     # every count and bias is checked before the table header is printed;
     # --samples sizes only the --pool-out pool
     samples = _resolve(args, cfg, "samples", 100000, int) if args.pool_out else 1

@@ -1,16 +1,18 @@
 """Arena storage for one quenched tree realization.
 
-Vertices are integer ids into parallel arrays. ``sample_truncated_tree`` lays
-a tree out breadth first, one level after another: level k occupies the ids
+Vertices are column ids of one int64 arena with rows parent, depth,
+first_child and nu. ``sample_truncated_tree`` lays a tree out breadth first,
+one level after another: level k occupies the ids
 ``[level_start[k], level_start[k + 1])`` and its children, taken in parent
 order, are exactly level k + 1. So the children of a vertex are always a
 contiguous id block ``[first_child, first_child + nu)``, and a level-wise pass
 reads whole levels as slices. Lazy growth (``children``, as the reference
 walk ``transition_step`` uses it) appends each new child block at the end of
-the arena; it keeps the block property, and the recorded levels (only the
-root, for a tree grown lazily from scratch) are left as they were. Once a
-vertex's children have been generated they are fixed for the lifetime of the
-tree (quenched environment): revisits see the same branching.
+the arena, doubling its capacity when full; it keeps the block property, and
+the recorded levels (only the root, for a tree grown lazily from scratch) are
+left as they were. Once a vertex's children have been generated they are
+fixed for the lifetime of the tree (quenched environment): revisits see the
+same branching.
 
 The artificial parent of the root, when attached, sits at depth -1 and has the
 root as its only child.
@@ -33,7 +35,8 @@ _UBUF = 512  # offspring counts drawn per refill for scalar draws
 _DUMP_CHUNK = 4096  # vertices per piece of text the dump yields
 # Largest predicted tree, forest level or curve scan a sampler draws.
 MAX_FOREST_LEVEL_BYTES = 2**31
-# Bytes per vertex of a tree with arrays() and one beta table (107-126 measured).
+# Bytes per vertex of a tree with its star root and one beta table: 48 held
+# and 58-60 at peak were measured (tracemalloc, demo law, depths 12 and 14).
 _TREE_BYTES_PER_VERTEX = 128
 
 
@@ -53,54 +56,66 @@ def _dump_row(k: int) -> str:
     return f'  "%d": {{\n    "parent": %s,\n    "children": {kids},\n    "depth": %d\n  }}'
 
 
+def _count_stream(dist: OffspringDistribution, rng: np.random.Generator) -> Iterator[int]:
+    """Offspring counts for scalar draws, drawn ``_UBUF`` at a time."""
+    while True:
+        yield from dist.draw_counts(rng, _UBUF).tolist()
+
+
+def _column(row: int) -> property:
+    """A read-only view of one arena row over the vertices, as in arrays()."""
+    def get(tree: QuenchedTree) -> np.ndarray:
+        col = tree._arena[row, :tree._size]
+        col.setflags(write=False)
+        return col
+    return property(get)
+
+
 class QuenchedTree:
     """One realization of the branching tree, grown lazily from its root."""
 
-    __slots__ = ("dist", "parent", "depth", "first_child", "nu", "star_root",
-                 "level_start", "_rng", "_nus", "_ni", "_arrays")
+    __slots__ = ("dist", "star_root", "level_start", "_rng", "_counts", "_arena", "_size")
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
-        self.parent = [-1]
-        self.depth = [0]
-        self.first_child = [-1]
-        self.nu = [-1]          # -1 marks children not yet generated
+        # the root: no parent, depth 0, children not yet generated (nu -1)
+        self._arena = np.array([[-1], [0], [-1], [-1]], dtype=np.int64)
+        self._size = 1
         self.star_root: int | None = None
         self.level_start = [0, 1]  # breadth-first level bounds, root only
         self._rng = rng
-        self._nus: list[int] = []  # buffered offspring counts, next at _ni
-        self._ni = 0
-        self._arrays = None  # numpy snapshot of the lists, dropped on growth
+        self._counts = _count_stream(dist, rng)  # drawn at the first lazy growth
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return self._size
+
+    parent, depth, first_child = _column(0), _column(1), _column(2)
+    nu = _column(3)  # -1 marks children not yet generated
 
     @property
     def root(self) -> int:
         return ROOT
 
-    def _draw_nu(self) -> int:
-        if self._ni >= len(self._nus):
-            self._nus = self.dist.draw_counts(self._rng, _UBUF).tolist()
-            self._ni = 0
-        self._ni += 1
-        return self._nus[self._ni - 1]
+    def _append(self, k: int, parent: int, depth: int) -> int:
+        """Append k vertices with this parent and depth and no children yet,
+        doubling the arena's capacity when it is full; return the first id."""
+        lo, hi = self._size, self._size + k
+        if hi > self._arena.shape[1]:
+            grown = np.empty((4, max(hi, 2 * self._arena.shape[1])), dtype=np.int64)
+            grown[:, :lo] = self._arena[:, :lo]
+            self._arena = grown
+        self._arena[:, lo:hi] = [[parent], [depth], [-1], [-1]]
+        self._size = hi
+        return lo
 
     def children(self, v: int) -> list[int]:
         """Ids of v's children, generating them on first access."""
-        k = self.nu[v]
+        k = self._arena.item(3, v)
         if k < 0:
-            k = self._draw_nu()
-            fc = len(self.parent)
-            dep = self.depth[v] + 1
-            self.parent.extend([v] * k)
-            self.depth.extend([dep] * k)
-            self.first_child.extend([-1] * k)
-            self.nu.extend([-1] * k)
-            self.first_child[v] = fc
-            self.nu[v] = k
-            self._arrays = None
-        fc = self.first_child[v]
+            k = next(self._counts)
+            fc = self._append(k, v, self._arena.item(1, v) + 1)
+            self._arena[2:, v] = fc, k  # after _append, which may move the arena
+        fc = self._arena.item(2, v)
         return list(range(fc, fc + k))
 
     def is_materialized_to(self, n: int) -> bool:
@@ -116,7 +131,7 @@ class QuenchedTree:
             raise ValueError(f"level must be >= 0, got {n}")
         if not self.is_materialized_to(n):
             raise ValueError(f"tree is not materialized to depth {n}")
-        nu = self.arrays()[3]
+        nu = self.nu
         if (nu[:self.level_start[n]] < 1).any():
             raise ValueError("tree has an internal vertex without children; "
                              "a leafless offspring law is required")
@@ -130,35 +145,23 @@ class QuenchedTree:
         return [np.arange(start[k], start[k + 1]) for k in range(n + 1)]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(parent, depth, first_child, nu) as read-only int64 numpy arrays:
-        the one numpy view of the arena. A sampled tree carries it from birth
-        (``attach_star_root`` extends it); otherwise it is built on first use,
-        and it is rebuilt only after the tree grows."""
-        if self._arrays is None:
-            self._set_arrays(self.parent, self.depth, self.first_child, self.nu)
-        return self._arrays
-
-    def _set_arrays(self, *columns) -> None:
-        """Store ``columns``, which equal the four lists, as the snapshot."""
-        self._arrays = tuple(np.asarray(a, dtype=np.int64) for a in columns)
-        for a in self._arrays:
-            a.flags.writeable = False
+        """(parent, depth, first_child, nu): the four attributes, read-only int64
+        views of the arena's first ``len(self)`` columns. A view is valid until
+        the tree next grows: growth may move the arena, and it changes the
+        grown vertex's first_child and nu in place."""
+        return self.parent, self.depth, self.first_child, self.nu
 
     def to_adjacency(self) -> dict:
         """Debug dump {"id": {"parent": id|None, "children": [...], "depth": d}}."""
-        out = {}
-        for v in range(len(self.parent)):
-            k = self.nu[v]
-            kids = list(range(self.first_child[v], self.first_child[v] + k)) if k >= 0 else []
-            par = self.parent[v]
-            out[str(v)] = {"parent": None if par < 0 else par,
-                           "children": kids, "depth": self.depth[v]}
-        return out
+        columns = zip(*(a.tolist() for a in self.arrays()))
+        return {str(v): {"parent": None if par < 0 else par,
+                         "children": list(range(fc, fc + max(k, 0))), "depth": dep}
+                for v, (par, dep, fc, k) in enumerate(columns)}
 
     def adjacency_json_chunks(self) -> Iterator[str]:
         """Yield the text of ``json.dumps(self.to_adjacency(), indent=2)``
         piece by piece, ``_DUMP_CHUNK`` vertices per piece, from the
-        ``arrays()`` snapshot: one ``%`` of the chunk's row templates over the
+        ``arrays()`` views: one ``%`` of the chunk's row templates over the
         chunk's arguments, so only one piece is held at a time, never the
         whole-tree dict. A vertex's arguments are its id, parent, children and
         depth, ``max(nu, 0) + 3`` slots, scattered into place with numpy."""
@@ -176,7 +179,7 @@ class QuenchedTree:
             args = args.tolist()
             for i in np.flatnonzero(parent[lo:hi] < 0):
                 args[starts[i] + 1] = "null"
-            yield lead + ",\n".join(map(_dump_row, self.nu[lo:hi])) % tuple(args)
+            yield lead + ",\n".join(map(_dump_row, memoryview(nu[lo:hi]))) % tuple(args)
             lead = ",\n"
         yield "\n}"
 
@@ -210,15 +213,13 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
     layers = _sample_offspring_layers(dist, n, 1, tree._rng)
     widths = [1] + [int(c.sum(dtype=np.int64)) for c in layers]
     counts = np.concatenate([np.zeros(0, dtype=np.int64), *layers])
-    # every non-root vertex's parent, in id order: siblings share one int object
-    tree.parent = [-1] + np.repeat(np.arange(counts.size).astype(object), counts).tolist()
-    unborn = np.full(widths[-1], -1)
-    parent = np.concatenate([[-1], np.repeat(np.arange(counts.size), counts)])
-    depth = np.repeat(np.arange(n + 1), widths)
-    first_child = np.concatenate([1 + np.cumsum(counts) - counts, unborn])
-    nu = np.concatenate([counts, unborn])
-    tree.depth, tree.first_child, tree.nu = depth.tolist(), first_child.tolist(), nu.tolist()
-    tree._set_arrays(parent, depth, first_child, nu)
+    inner, tree._size = counts.size, counts.size + widths[-1]  # inner: above depth n
+    # -1 where no parent or no children yet, and a spare column for the star root
+    tree._arena = arena = np.full((4, tree._size + 1), -1, dtype=np.int64)
+    arena[0, 1:tree._size] = np.repeat(np.arange(inner), counts)
+    arena[1, :tree._size] = np.repeat(np.arange(n + 1), widths)
+    arena[2, :inner] = 1 + np.cumsum(counts) - counts
+    arena[3, :inner] = counts
     tree.level_start = np.cumsum([0] + widths).tolist()
     return tree
 
@@ -230,19 +231,8 @@ def attach_star_root(tree: QuenchedTree) -> int:
     """
     if tree.star_root is not None:
         raise InvalidStateError("artificial root already attached")
-    star = len(tree.parent)
-    tree.parent.append(-1)
-    tree.depth.append(-1)
-    tree.first_child.append(ROOT)
-    tree.nu.append(1)
-    tree.parent[ROOT] = star
+    star = tree._append(1, -1, -1)
+    tree._arena[2:, star] = ROOT, 1
+    tree._arena[0, ROOT] = star
     tree.star_root = star
-    if tree._arrays is not None:  # extend the snapshot by the star's row
-        # a column at a time, each old one freed at once: 8 bytes a vertex
-        # over what the tree holds, below compute_beta's peak
-        cols, tree._arrays = list(tree._arrays), None
-        for i, x in enumerate((-1, -1, ROOT, 1)):
-            cols[i] = np.append(cols[i], x)
-        cols[0][ROOT] = star
-        tree._set_arrays(*cols)
     return star

@@ -96,7 +96,7 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
     pos = state.position
     kids = tree.children(pos)
     k = len(kids)
-    par = tree.parent[pos]
+    par = tree.parent.item(pos)
     u = state.rng.random()
     if k == 0:
         if par < 0:
@@ -376,9 +376,9 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
     calls: ``floor(u * (lam + k) - lam)``, the loop's own float, clamped at
     -1 (up), indexes the row from child 0. The repeated last child takes the
     rare float that rounds to k itself, as ``min(j, k - 1)`` does. Once
-    ``_TAIL_WALKERS`` or fewer are left, the same rounds run one walker at a
-    time on the tree's lists, where numpy's fixed cost per call would
-    outweigh the work. Both phases share the round cap."""
+    ``_TAIL_WALKERS`` or fewer are left, the same rounds read the same tables
+    one walker at a time, where numpy's fixed cost per call would outweigh
+    the work. Both phases share the round cap."""
     start, _ = tree.levels(n)
     goal = start[n]
     parent, _, first_child, nu = (a[:goal] for a in tree.arrays())
@@ -390,7 +390,6 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
     nb[base - 1] = parent
     nb[ROOT] = -1  # a step above the root is a failure
     nb[ends - 1] -= 1
-    base = base.astype(float)
     scale = lam + nu
     pos = np.full(trials, ROOT, dtype=np.intp)
     failures = 0
@@ -403,27 +402,20 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
         np.floor(s, out=s)
         if lam > 1.0:  # s >= -lam, so floor(s) >= -1 already when lam <= 1
             np.maximum(s, -1.0, out=s)
-        s += base[pos]
-        pos = nb[s.astype(np.intp)]
+        pos = nb[s.astype(np.intp) + base[pos]]
         failures += int(np.count_nonzero(pos < 0))
         pos = pos[pos.view(np.uintp) < goal]  # neither failed nor at depth n
-    nus, fcs, parents = tree.nu, tree.first_child, tree.parent
+    nb, base, scale = memoryview(nb), memoryview(base), memoryview(scale)
     pos = pos.tolist()
     while pos and rounds:
         rounds -= 1
         moving = []
         for v, u in zip(pos, rng.random(len(pos)).tolist()):
-            k = nus[v]
-            t = u * (lam + k) - lam
-            if t >= 0.0:
-                j = int(t)
-                v = fcs[v] + (j if j < k else k - 1)
-            elif v == ROOT:
+            t = u * scale[v] - lam
+            v = nb[base[v] + (int(t) if t >= 0.0 else -1)]
+            if v < 0:
                 failures += 1
-                continue
-            else:
-                v = parents[v]
-            if v < goal:
+            elif v < goal:
                 moving.append(v)
         pos = moving
     if pos:

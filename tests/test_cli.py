@@ -262,6 +262,21 @@ def test_speed_curve_verdicts_that_disagree_exit_two(capsys, monkeypatch):
     assert lines[-1] == "verdict_stability=UNSTABLE"
 
 
+def test_speed_curve_prints_a_false_report_as_violated(capsys, monkeypatch):
+    def violated(*args):
+        curve = speed_curve(*args)
+        curve.report.strictly_decreasing = False
+        return curve
+
+    speed_curve = cli_mod.speed_curve
+    monkeypatch.setattr(cli_mod, "speed_curve", violated)
+    code, out, err = run(capsys, "speed-curve", "--lambda-grid", "0:1.17:0.39",
+                         "--depth", "4", "--samples", "200", "--tuples", "2000",
+                         "--seed", "4", "--single-depth")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("monotonicity_depth_4=VIOLATED lambda_star=")
+
+
 def test_speed_curve_csv_json_same_numbers(capsys, tmp_path):
     base = ["speed-curve", "--lambda-grid", "0:1.17:0.39", "--depth", "4",
             "--samples", "150", "--tuples", "1500", "--seed", "9",
@@ -344,6 +359,34 @@ def test_config_integral_float_is_an_integer(capsys, tmp_path):
     code, out, _ = run(capsys, *BETA_SMALL, "--config", str(path))
     assert code == 0
     assert out == run(capsys, *BETA_SMALL, "--seed", "7", "--depth", "2")[1]
+
+
+def test_beta_reads_the_lambda_grid_config_key(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lambda_grid": "0.5:1.0:0.25", "depth": 3}))
+    code, out, err = run(capsys, *BETA_SMALL, "--config", str(path))
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0.5", "0.75", "1"]
+    assert out == run(capsys, *BETA_SMALL, "--depth", "3", "--lambda-grid", "0.5:1.0:0.25")[1]
+
+
+def test_beta_lambda_flags_win_over_both_config_keys(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    for cfg in ({"lambda": 0.25}, {"lambda_grid": "0.5:1.0:0.25"},
+                {"lambda": 0.25, "lambda_grid": "0.5:1.0:0.25"}):
+        path.write_text(json.dumps({"depth": 3, **cfg}))
+        for flags in (("--lambda", "0.75"), ("--lambda-grid", "0.25:0.5:0.25")):
+            code, out, _ = run(capsys, *BETA_SMALL, "--config", str(path), *flags)
+            assert code == 0
+            assert out == run(capsys, *BETA_SMALL, "--depth", "3", *flags)[1]
+
+
+def test_beta_refuses_lambda_and_lambda_grid_in_one_config(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lambda": 1.0, "lambda_grid": "0.5:1.0:0.25", "depth": 3}))
+    code, out, err = run(capsys, *BETA_SMALL, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: give either lambda or lambda_grid in the config, not both\n"
 
 
 def test_dump_tree_into_missing_directory_exits_one(capsys, tmp_path):
@@ -717,6 +760,25 @@ def test_sandwich_ordering_within_slack_is_a_failed_check(capsys, monkeypatch):
     assert code == 2
     assert ("FAIL oracles/conductance-sandwich: tree=0 ordering held only "
             "within float slack") in out
+
+
+def test_verify_criterion_margin_under_three_stderr_fails(capsys, monkeypatch):
+    # every point's margin is 2 stderr, and every pair decreases: only the
+    # margin gate can fail, and verify must exit 2
+    def thin_margins(dist, grid, n, *args):
+        points = [speed_mod.SpeedCurvePoint(lam, 1.0 - lam / 4, 0.01, 2e-3, 1e-3, True)
+                  for lam in grid]
+        pairs = [speed_mod.PairCheck(a, b, 0.1, 0.01, 10.0, True, True)
+                 for a, b in zip(grid, grid[1:])]
+        return speed_mod.SpeedCurve(points, speed_mod.MonotonicityReport(grid[-1], pairs, True))
+
+    monkeypatch.setattr(verify_mod, "speed_curve", thin_margins)
+    code, out, _ = run(capsys, "verify", "--suite", "monotonicity", "--seed", "7")
+    assert code == 2
+    for n in (7, 10):
+        assert f"PASS monotonicity/strict-decrease: depth={n} pairs=13 min_pair_z=10\n" in out
+        assert (f"FAIL monotonicity/criterion-margin: depth={n} points=14 "
+                "min_margin_over_stderr=2\n") in out
 
 
 def _sha256(data: bytes) -> str:

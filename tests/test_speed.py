@@ -232,6 +232,18 @@ def test_curve_deterministic_binary(binary):
     assert curve.report.lambda_star == pytest.approx(1.1715729, abs=1e-6)
 
 
+def test_equal_speeds_are_not_a_decrease(mix23):
+    # at biases 0 and 1e-17 every formula term is the same float, so the
+    # first pair's difference is exactly 0.0: an eligible pair that does not
+    # decrease, which makes the verdict False
+    curve = speed_curve(mix23, [0.0, 1e-17, 0.5], 3, 64, 500, 1)
+    tie, step = curve.report.pairs
+    assert tie.within_certified and tie.diff == 0.0
+    assert tie.decreasing is False
+    assert step.within_certified and step.decreasing is True
+    assert curve.report.strictly_decreasing is False
+
+
 def test_curve_mix_verdict_and_margins(mix23):
     grid = [round(0.13 * i, 10) for i in range(10)]  # 0 .. 1.17
     curve = speed_curve(mix23, grid, n=8, samples=1500, tuples=20000, seed=15)

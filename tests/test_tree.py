@@ -22,16 +22,16 @@ def test_binary_truncation_counts(binary):
 def test_depth_zero_truncation(binary):
     tree = sample_truncated_tree(binary, 0, seed=1)
     assert len(tree) == 1
-    assert tree.depth == [0]
+    assert tree.depth.tolist() == [0]
 
 
 def test_determinism(mix23):
     a = sample_truncated_tree(mix23, 6, seed=99)
     b = sample_truncated_tree(mix23, 6, seed=99)
-    assert a.parent == b.parent
-    assert a.nu == b.nu
+    assert a.parent.tolist() == b.parent.tolist()
+    assert a.nu.tolist() == b.nu.tolist()
     c = sample_truncated_tree(mix23, 6, seed=100)
-    assert c.nu != a.nu or len(c) != len(a)
+    assert c.nu.tolist() != a.nu.tolist()
 
 
 def test_children_caches(mix23):
@@ -102,27 +102,92 @@ def test_attach_star_root(binary):
 @pytest.mark.parametrize("pmf", [{2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.5, 12: 0.5}, {0: 0.25, 2: 0.75}])
 @pytest.mark.parametrize("depth", [0, 1, 4])
 def test_sampled_tree_carries_its_arrays_from_birth(pmf, depth):
-    def assert_snapshot_is_the_lists():
-        for a, lst in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
-            assert a.dtype == np.int64 and not a.flags.writeable
-            assert np.array_equal(a, np.asarray(lst))
+    def assert_arrays_are_the_columns():
+        for a, col in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
+            assert a.dtype == col.dtype == np.int64
+            assert not a.flags.writeable and not col.flags.writeable
+            assert len(a) == len(tree) and a.tolist() == col.tolist()
 
     tree = sample_truncated_tree(make_distribution(pmf), depth, seed=9)
-    snap = tree._arrays
-    assert snap is not None and tree.arrays() is snap
-    assert_snapshot_is_the_lists()
+    assert_arrays_are_the_columns()
     star = attach_star_root(tree)
-    assert tree._arrays is not None and tree._arrays is not snap
-    assert_snapshot_is_the_lists()
+    assert_arrays_are_the_columns()
     assert tree.parent[tree.root] == star == tree.arrays()[0][tree.root]
     tree.children(tree.level_start[depth])  # the first vertex at the sampled depth
-    assert tree._arrays is None
-    assert_snapshot_is_the_lists()
+    assert_arrays_are_the_columns()
+
+
+def test_lazy_growth_across_capacity_doublings_matches_a_list_reference(mix23):
+    # children of random vertices, grown or not, from one root up to 5,000
+    # vertices, against lists grown by appending from the same count stream
+    tree = QuenchedTree(mix23, substream(7, 1, 0))
+    ref_rng = substream(7, 1, 0)
+
+    def counts():  # refilled _UBUF at a time, as the tree draws them
+        while True:
+            yield from mix23.draw_counts(ref_rng, tree_mod._UBUF).tolist()
+
+    draw = counts()
+    parent, depth, first_child, nu = [-1], [0], [-1], [-1]
+    capacities = set()
+    pick = np.random.default_rng(3)
+    while len(parent) < 5000:
+        v = int(pick.integers(len(parent)))
+        kids = tree.children(v)
+        if nu[v] < 0:
+            k = next(draw)
+            first_child[v], nu[v] = len(parent), k
+            parent += [v] * k
+            depth += [depth[v] + 1] * k
+            first_child += [-1] * k
+            nu += [-1] * k
+        assert kids == list(range(first_child[v], first_child[v] + nu[v]))
+        assert len(tree) == len(parent)
+        capacities.add(tree._arena.shape[1])
+    assert len(capacities) >= 10
+    assert [a.tolist() for a in tree.arrays()] == [parent, depth, first_child, nu]
+
+
+def test_a_write_through_any_view_raises(mix23):
+    for tree in (sample_truncated_tree(mix23, 3, seed=1), QuenchedTree(mix23, substream(1, 1, 0))):
+        attach_star_root(tree)
+        tree.children(tree.root)
+        for view in (*tree.arrays(), tree.parent, tree.depth, tree.first_child, tree.nu):
+            for write in (lambda: view.__setitem__(0, 7), lambda: view.fill(7),
+                          lambda: np.add(view, 1, out=view)):
+                with pytest.raises(ValueError, match="read-only"):
+                    write()
+        assert tree.parent[tree.root] == tree.star_root
+
+
+def test_arrays_follow_growth(mix23):
+    tree = sample_truncated_tree(mix23, 2, seed=4)
+    attach_star_root(tree)
+    for v in range(tree.level_start[2], tree.level_start[3]):
+        size = len(tree)
+        kids = tree.children(v)
+        parent, depth, first_child, nu = tree.arrays()
+        assert len(parent) == len(depth) == len(tree) == size + len(kids)
+        assert (first_child[v], nu[v]) == (kids[0], len(kids)) == (size, len(kids))
+        assert parent[size:].tolist() == [v] * len(kids)
+        assert depth[size:].tolist() == [3] * len(kids)
+        assert first_child[size:].tolist() == nu[size:].tolist() == [-1] * len(kids)
+        assert tree.nu.tolist() == nu.tolist()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 6])
+def test_star_root_fills_the_sampled_arena(mix23, depth):
+    # sampling leaves one spare column, which the star root takes in place
+    tree = sample_truncated_tree(mix23, depth, seed=2)
+    arena = tree._arena
+    assert arena.shape[1] == len(tree) + 1
+    attach_star_root(tree)
+    assert tree._arena is arena and arena.shape[1] == len(tree)
 
 
 def test_sampling_and_star_root_peak_within_the_tree_budget(binary):
-    # the snapshot held from birth and its extension by the star's row stay
-    # under the bytes a vertex that the tree budget counts
+    # the arena built at sampling and the star's column stay under the bytes
+    # a vertex that the tree budget counts
     tracemalloc.start()
     try:
         tree = sample_truncated_tree(binary, 14, seed=3)
@@ -231,21 +296,19 @@ def test_dump_mutates_nothing(mix23, snapshot):
     attach_star_root(tree)
     for v in range(tree.level_start[5], tree.level_start[6], 3):
         tree.children(v)  # unborn vertices beside grown ones
-    before = [list(a) for a in (tree.parent, tree.depth, tree.first_child, tree.nu)]
+    before = [a.tolist() for a in tree.arrays()]
     size = len(tree)
-    snap = tree.arrays() if snapshot else None
+    views = tree.arrays() if snapshot else None
     "".join(tree.adjacency_json_chunks())
-    assert [tree.parent, tree.depth, tree.first_child, tree.nu] == before
+    assert [a.tolist() for a in tree.arrays()] == before
     assert len(tree) == size
     if snapshot:
-        after = tree.arrays()
-        assert all(a is b for a, b in zip(after, snap))
-        assert not any(a.flags.writeable for a in after)
+        assert [a.tolist() for a in views] == before
+        assert not any(a.flags.writeable for a in tree.arrays())
 
 
 def test_dump_after_snapshot_and_lazy_growth(mix23):
-    # the dump reads the lists, which the snapshot taken before growth no
-    # longer matches
+    # the dump reads the arena as it is after growth, not views taken before
     tree = sample_truncated_tree(mix23, 3, seed=8)
     attach_star_root(tree)
     size = len(tree.arrays()[0])
@@ -262,11 +325,11 @@ def test_truncation_is_a_prefix(mix23):
     inner, size = short.level_start[3], short.level_start[4]
     assert size == len(short)
     assert deep.level_start[:5] == short.level_start
-    assert deep.parent[:size] == short.parent
-    assert deep.depth[:size] == short.depth
-    assert deep.nu[:inner] == short.nu[:inner]
-    assert deep.first_child[:inner] == short.first_child[:inner]
-    assert short.nu[inner:] == [-1] * (size - inner)
+    assert deep.parent[:size].tolist() == short.parent.tolist()
+    assert deep.depth[:size].tolist() == short.depth.tolist()
+    assert deep.nu[:inner].tolist() == short.nu[:inner].tolist()
+    assert deep.first_child[:inner].tolist() == short.first_child[:inner].tolist()
+    assert short.nu[inner:].tolist() == [-1] * (size - inner)
     assert deep.is_materialized_to(5)
     assert not short.is_materialized_to(4)
 
@@ -278,7 +341,7 @@ def test_levels_are_the_forest_sampler_layers(binary, mix23, leafy):
         layers = _sample_offspring_layers(dist, 6, 1, rng)
         start = tree.level_start
         for k, counts in enumerate(layers):
-            assert tree.nu[start[k]:start[k + 1]] == counts.tolist()
+            assert tree.nu[start[k]:start[k + 1]].tolist() == counts.tolist()
         assert tree._rng.bit_generator.state == rng.bit_generator.state
 
 

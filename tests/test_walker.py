@@ -382,20 +382,21 @@ def _reference_quenched_successes(tree, lam, n, trials, rng):
     """Quenched hitting one walker at a time: each round draws one uniform per
     walker still moving and hands them out in walker order; a step above the
     root is a failure, with or without the artificial root."""
+    parent, depth, first_child, nu = (a.tolist() for a in tree.arrays())
     pos = [tree.root] * trials
     successes = 0
     while pos:
         moving = []
         for v, u in zip(pos, rng.random(len(pos)).tolist()):
-            k = tree.nu[v]
+            k = nu[v]
             t = u * (lam + k) - lam
             if t >= 0.0:
-                v = tree.first_child[v] + min(int(t), k - 1)
+                v = first_child[v] + min(int(t), k - 1)
             elif v == tree.root:
                 continue
             else:
-                v = tree.parent[v]
-            if tree.depth[v] == n:
+                v = parent[v]
+            if depth[v] == n:
                 successes += 1
             else:
                 moving.append(v)
@@ -408,7 +409,7 @@ def _reference_quenched_successes(tree, lam, n, trials, rng):
 def test_quenched_hitting_matches_reference_loop(law, star):
     # trial counts on both sides of the switch to scalar rounds; at bias 2.5
     # a step's floor is clamped at -1; the second pass walks the tree after
-    # lazy growth past every level walked has dropped its snapshot
+    # lazy growth past every level walked
     dist = parse_pmf_text(law)
     tree = sample_truncated_tree(dist, 6, seed=17)
     if star:
@@ -418,7 +419,6 @@ def test_quenched_hitting_matches_reference_loop(law, star):
         if grown:
             for v in range(tree.level_start[6], tree.level_start[7], 3):
                 tree.children(v)
-            assert tree._arrays is None
         for lam in (0.0, 0.5, 1.0, 1.5, 2.5):
             for n in range(1, 7):
                 for trials in (1, tail, tail + 1, 200) + (4000,) * (n == 6 and not grown):
@@ -442,7 +442,7 @@ def test_quenched_round_lands_where_the_loop_does_at_float_boundaries(monkeypatc
 
     monkeypatch.setattr(walker_mod, "_TAIL_WALKERS", 0)
     tree = sample_truncated_tree(parse_pmf_text("1:0.5,3:0.5"), 2, seed=3)
-    assert tree.nu[:4] == [3, 3, 3, 1]
+    assert tree.nu[:4].tolist() == [3, 3, 3, 1]
     kernel = walker_mod._hit_level_vectorized
     below_one = np.nextafter(1.0, 0.0)
     for lam in (0.0, 0.22266235716704297, 1.0, 2.5):
@@ -464,25 +464,23 @@ def test_fixed_tree_is_not_mutated(mix23):
     conductance_sandwich(tree, 1.0, 4)
     assert len(tree) == size
     assert tree.star_root is None
-    snap = tree.arrays()
-    assert all(a is b for a, b in zip(tree.arrays(), snap))
-    for a in snap:
+    for a in tree.arrays():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7
     star = attach_star_root(tree)
-    _assert_arrays_match_lists(tree)
+    _assert_arrays_match_columns(tree)
     # stepping above the root fails with or without the artificial root
     assert hitting_beta_mc(tree, 1.0, 4, 2000, seed=4).successes == est.successes
     assert tree.arrays()[0][tree.root] == star == tree.parent[tree.root]
     tree.children(tree.level_start[4])  # grows the first depth-4 vertex
     assert len(tree) > size + 1
-    _assert_arrays_match_lists(tree)
+    _assert_arrays_match_columns(tree)
 
 
-def _assert_arrays_match_lists(tree):
-    for a, lst in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
+def _assert_arrays_match_columns(tree):
+    for a, col in zip(tree.arrays(), (tree.parent, tree.depth, tree.first_child, tree.nu)):
         assert a.dtype == np.int64 and not a.flags.writeable
-        assert a.tolist() == lst
+        assert len(a) == len(tree) and a.tolist() == col.tolist()
 
 
 def test_hitting_input_validation(mix23):
