@@ -49,8 +49,9 @@ from .tree import MAX_FOREST_LEVEL_BYTES, QuenchedTree, _check_budget, _sample_o
 _CHUNK_LEVEL_BUDGET = 6_000_000
 # np.add.reduceat sums a block of at most this many values left to right.
 _SEQUENTIAL_BLOCK = 8
-# Widest block whose ranks a block plan lists: a wider one's shape code in
-# _merge_level, in base 2 or more, does not fit in int64.
+# Widest block whose ranks a block plan lists. _block_sums reads ranks only for
+# blocks of up to _SEQUENTIAL_BLOCK values, and _merge_level only on a level no
+# narrower than its code range, at least 2**w for a block of w values.
 _PLANNED_WIDTH = 62
 # Bytes a forest level holds per vertex while it is drawn and stepped: the
 # uniform (8), the count (up to 8) and the (beta, beta') pair (16).
@@ -210,32 +211,28 @@ def _merge_level(counts: np.ndarray, plan: _BlockPlan | None, n_kid_shapes: int
     On the lowest level (``plan is None``) a vertex's shape is its offspring
     count. Above it, the shape is the ordered sequence of the children's shape
     ids, read through the level's ``_block_plan`` (its first values and its
-    ranks), coded exactly in base ``n_kid_shapes + 1`` with digits id + 1.
-    Returns each vertex's int32 shape id, and per shape its offspring count
-    and the ``_block_plan`` of its children's shape ids (None on the lowest
-    level); or None when the shapes number more than half the level's width
-    or their codes would not fit in int64.
+    ranks), coded exactly in base ``n_kid_shapes + 1`` with digits id + 1, and
+    relabelled through a presence table over the code range. Returns each
+    vertex's int32 shape id, and per shape its offspring count and the
+    ``_block_plan`` of its children's shape ids (None on the lowest level); or
+    None when the code range exceeds the level's width (before any code is
+    built) or the shapes number more than half of it.
     """
-    if plan is None:
-        code, code_range = counts, int(counts.max()) + 1
-    else:
-        base, width = n_kid_shapes + 1, int(counts.max())
-        code_range = base ** width
-        if code_range > np.iinfo(np.int64).max:
-            return None
+    width, base = int(counts.max()), n_kid_shapes + 1
+    code_range = width + 1 if plan is None else base ** min(width, _PLANNED_WIDTH)
+    if code_range > counts.size:
+        return None
+    code = counts
+    if plan is not None:
         code = plan.first.astype(np.int64) + 1  # digit j: the shape of the j-th child
         for j, (has, at) in enumerate(plan.ranks, 1):
             code[has] += (at.astype(np.int64) + 1) * base ** j
-    if code_range <= counts.size:  # relabel through a presence table, no sort
-        present = np.zeros(code_range, dtype=bool)
-        present[code] = True
-        shapes = np.flatnonzero(present)
-        ids = (np.cumsum(present, dtype=np.int32) - 1)[code]
-    else:
-        shapes, ids = np.unique(code, return_inverse=True)
+    present = np.zeros(code_range, dtype=bool)
+    present[code] = True
+    shapes = np.flatnonzero(present)
     if 2 * shapes.size > counts.size:
         return None
-    ids = ids.astype(np.int32, copy=False)
+    ids = (np.cumsum(present, dtype=np.int32) - 1)[code]
     if plan is None:
         return ids, shapes, None
     digits = shapes[:, None] // base ** np.arange(width, dtype=np.int64) % base

@@ -111,7 +111,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # recursion: nested too deep
         raise _CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise _CliError("config must be a JSON object")

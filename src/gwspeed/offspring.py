@@ -171,7 +171,10 @@ def parse_pmf_text(text: str) -> OffspringDistribution:
 
 def parse_pmf_json(text: str) -> OffspringDistribution:
     """Parse the JSON object form {"pmf": {"2": 0.5, "3": 0.5}}."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("pmf JSON is nested too deeply to decode") from None
     if not isinstance(obj, dict) or "pmf" not in obj or not isinstance(obj["pmf"], dict):
         raise ValueError('pmf JSON must be an object {"pmf": {"k": p, ...}}')
     return make_distribution(obj["pmf"])

@@ -57,29 +57,26 @@ def _dump_row(k: int) -> str:
 
 
 def _count_stream(dist: OffspringDistribution, rng: np.random.Generator) -> Iterator[int]:
-    """Offspring counts for scalar draws, drawn ``_UBUF`` at a time."""
+    """Offspring counts for scalar draws, drawn ``_UBUF`` at a time (through a
+    memoryview: tolist()'s ints, without converting those never read)."""
     while True:
-        yield from dist.draw_counts(rng, _UBUF).tolist()
+        yield from memoryview(dist.draw_counts(rng, _UBUF))
 
 
 def _column(row: int) -> property:
     """A read-only view of one arena row over the vertices, as in arrays()."""
-    def get(tree: QuenchedTree) -> np.ndarray:
-        col = tree._arena[row, :tree._size]
-        col.setflags(write=False)
-        return col
-    return property(get)
+    return property(lambda tree: tree._arena[row, :tree._size])
 
 
 class QuenchedTree:
     """One realization of the branching tree, grown lazily from its root."""
 
-    __slots__ = ("dist", "star_root", "level_start", "_rng", "_counts", "_arena", "_size")
+    __slots__ = ("dist", "star_root", "level_start", "_rng", "_counts", "_arena", "_rows", "_size")
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
         # the root: no parent, depth 0, children not yet generated (nu -1)
-        self._arena = np.array([[-1], [0], [-1], [-1]], dtype=np.int64)
+        self._set_arena(np.array([[-1], [0], [-1], [-1]], dtype=np.int64))
         self._size = 1
         self.star_root: int | None = None
         self.level_start = [0, 1]  # breadth-first level bounds, root only
@@ -96,26 +93,39 @@ class QuenchedTree:
     def root(self) -> int:
         return ROOT
 
+    def _set_arena(self, arena: np.ndarray) -> None:
+        """Hold ``arena`` two ways: ``_arena``, a read-only view that the columns
+        slice, and ``_rows``, a memoryview per row for single cells."""
+        self._rows = tuple(map(memoryview, arena))
+        self._arena = arena.view()
+        self._arena.setflags(write=False)
+
     def _append(self, k: int, parent: int, depth: int) -> int:
         """Append k vertices with this parent and depth and no children yet,
-        doubling the arena's capacity when it is full; return the first id."""
+        doubling the arena's capacity when it is full; return the first id.
+        Spare columns already hold first_child and nu -1."""
         lo, hi = self._size, self._size + k
         if hi > self._arena.shape[1]:
-            grown = np.empty((4, max(hi, 2 * self._arena.shape[1])), dtype=np.int64)
+            grown = np.full((4, max(hi, 2 * self._arena.shape[1])), -1, dtype=np.int64)
             grown[:, :lo] = self._arena[:, :lo]
-            self._arena = grown
-        self._arena[:, lo:hi] = [[parent], [depth], [-1], [-1]]
+            self._set_arena(grown)
+        parents, depths, _, _ = self._rows
+        for c in range(lo, hi):
+            parents[c], depths[c] = parent, depth
         self._size = hi
         return lo
 
+    def _block(self, v: int) -> tuple[int, int]:
+        """(first child, child count) of v, generating its children on first access."""
+        if self._rows[3][v] < 0:
+            k = next(self._counts)
+            fc = self._append(k, v, self._rows[1][v] + 1)
+            self._rows[2][v], self._rows[3][v] = fc, k  # after _append, which may move the arena
+        return self._rows[2][v], self._rows[3][v]
+
     def children(self, v: int) -> list[int]:
         """Ids of v's children, generating them on first access."""
-        k = self._arena.item(3, v)
-        if k < 0:
-            k = next(self._counts)
-            fc = self._append(k, v, self._arena.item(1, v) + 1)
-            self._arena[2:, v] = fc, k  # after _append, which may move the arena
-        fc = self._arena.item(2, v)
+        fc, k = self._block(v)
         return list(range(fc, fc + k))
 
     def is_materialized_to(self, n: int) -> bool:
@@ -215,7 +225,8 @@ def sample_truncated_tree(dist: OffspringDistribution, n: int,
     counts = np.concatenate([np.zeros(0, dtype=np.int64), *layers])
     inner, tree._size = counts.size, counts.size + widths[-1]  # inner: above depth n
     # -1 where no parent or no children yet, and a spare column for the star root
-    tree._arena = arena = np.full((4, tree._size + 1), -1, dtype=np.int64)
+    arena = np.full((4, tree._size + 1), -1, dtype=np.int64)
+    tree._set_arena(arena)
     arena[0, 1:tree._size] = np.repeat(np.arange(inner), counts)
     arena[1, :tree._size] = np.repeat(np.arange(n + 1), widths)
     arena[2, :inner] = 1 + np.cumsum(counts) - counts
@@ -232,7 +243,7 @@ def attach_star_root(tree: QuenchedTree) -> int:
     if tree.star_root is not None:
         raise InvalidStateError("artificial root already attached")
     star = tree._append(1, -1, -1)
-    tree._arena[2:, star] = ROOT, 1
-    tree._arena[0, ROOT] = star
+    tree._rows[2][star], tree._rows[3][star] = ROOT, 1
+    tree._rows[0][ROOT] = star
     tree.star_root = star
     return star

@@ -26,8 +26,8 @@ an annealed trial, which reads about two dozen uniforms of its first 64, pays
 one fill (1.3 times its time on 2). Both paths read the same uniforms in the
 same order, so the chain's depths equal the tree walk's bit for bit; the tree
 walk is the reference the chain is tested against, and ``transition_step`` on
-a lazily grown QuenchedTree, fed the same tree stream, is the scalar
-reference for the tree walk.
+a lazily grown QuenchedTree, fed the same tree stream through the same
+``_count_stream``, is the scalar reference for the tree walk.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import UnsupportedRegimeError, VerificationError, _check_bias
 from .offspring import OffspringDistribution
 from .rng import D_HIT, D_TREE, D_WALK, D_WALK_TREE, substream, substreams
-from .tree import _UBUF, ROOT, QuenchedTree, _check_budget, sample_truncated_tree
+from .tree import ROOT, QuenchedTree, _check_budget, _count_stream, sample_truncated_tree
 
 _GRAPH_CODES = {"T": 0, "T_star": 1}
 _BLOCK = 1 << 14
@@ -94,9 +94,8 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
     """Advance the walk one step, generating children lazily on first visit."""
     _check_bias(lam)
     pos = state.position
-    kids = tree.children(pos)
-    k = len(kids)
-    par = tree.parent.item(pos)
+    fc, k = tree._block(pos)
+    par = tree._rows[0][pos]
     u = state.rng.random()
     if k == 0:
         if par < 0:
@@ -104,14 +103,14 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
         state.position = par
     elif par < 0:
         j = int(u * k)
-        state.position = kids[j if j < k else k - 1]
+        state.position = fc + (j if j < k else k - 1)
     else:
         t = u * (lam + k) - lam
         if t < 0.0:
             state.position = par
         else:
             j = int(t)
-            state.position = kids[j if j < k else k - 1]
+            state.position = fc + (j if j < k else k - 1)
     state.steps += 1
     return state
 
@@ -166,21 +165,25 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
     (``_FRESH`` until its count is drawn), laid out as in QuenchedTree, in
     lists that double on overflow; a growth past ``MAX_FOREST_LEVEL_BYTES``
     raises ValueError. The depth is the length of the path stack of ancestors
-    (the artificial root, vertex 1, at its bottom). T's root reads its own
-    column, set for the first count drawn."""
-    nus = memoryview(dist.draw_counts(tree_rng, _UBUF))  # no tolist(): a first passage reads few
-    ni = 0  # offspring counts, refilled _UBUF at a time as QuenchedTree does
-    ks, scale, shift, top = _step_rows(dist, lam, 0 if star else nus[0])
-    cap = 1024
-    first_child = [-1] * cap
-    rules = [_FRESH] * cap
+    (the artificial root, vertex 1, at its bottom). The counts come from
+    ``_count_stream``, as QuenchedTree's do; the root's, the first, is drawn
+    before the first step, so every vertex grown in the loop has a parent."""
+    nus = _count_stream(dist, tree_rng)
+    k = next(nus)
+    ks, scale, shift, top = _step_rows(dist, lam, 0 if star else k)
     cols = [array("i") for _ in scale]
     by_count = dict(zip(ks, cols))
+    path = [1] if star else []
+    size = len(path) + 1 + k
+    cap = max(1024, size)
+    _check_budget(_ARENA_BYTES_PER_ENTRY * cap, f"a walk arena of {cap} vertices")
+    first_child = [-1] * cap
+    rules = [_FRESH] * cap
+    first_child[ROOT] = size - k
+    rules[ROOT] = by_count[k] if star else cols[-1]  # T's root is parentless
     if star:  # _FRESH at the artificial root ends a first passage
         first_child[1] = ROOT
         rules[1] = _FRESH if stop >= 1 else _ZEROS
-    path = [1] if star else []
-    size = len(path) + 1
     halt = stop + star  # the path length at depth stop
     pos = ROOT
     push, pop = path.append, path.pop
@@ -191,11 +194,7 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
             if j == -2:  # a fresh vertex: stop before it, or draw its count
                 if stop > 0 and (len(path) == halt or (not path and star)):
                     return len(path) - star
-                if ni == _UBUF:
-                    nus = dist.draw_counts(tree_rng, _UBUF).tolist()
-                    ni = 0
-                k = nus[ni]
-                ni += 1
+                k = next(nus)
                 if size + k > cap:
                     grow = max(cap, size + k - cap)
                     _check_budget(_ARENA_BYTES_PER_ENTRY * (cap + grow),
@@ -204,7 +203,7 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
                     rules.extend(repeat(_FRESH, grow))
                     cap += grow
                 first_child[pos] = size
-                rules[pos] = rule = by_count[k] if path else cols[-1]
+                rules[pos] = rule = by_count[k]
                 size += k
                 j = rule[i]
             if j < 0:

@@ -268,6 +268,7 @@ def _plain_root_values(layers, lam, n_trees):
     ("1:0.2,4:0.8", (0, 1, 2, 8)),
     ("2:0.3,3:0.3,4:0.4", (0, 1, 2, 8)),
     ("1:0.5,12:0.5", (0, 1, 2, 4)),  # depth 8 would hold ~3e7 vertices a tree
+    ("2:0.9,20:0.1", (0, 1, 2, 5)),  # code ranges above the level widths
 ])
 def test_merged_forest_matches_plain_recursion(law, depths):
     dist = parse_pmf_text(law)
@@ -297,6 +298,20 @@ def test_merge_covers_whole_forest_and_stops_at_lowest_level():
     assert merged == 1 and top is None
     merged, top = _merged_levels("2:1", 1, 1, 101)
     assert merged == 0 and top is None
+
+
+def test_a_level_whose_code_range_exceeds_its_width_is_refused_before_any_code():
+    # three vertices with up to 3 children over 2 child shapes code in base 3,
+    # a range of 27 codes: refused before the plan's first values or ranks
+    # are read to build a code
+    class Unread:
+        @property
+        def first(self):
+            raise AssertionError("a shape code was built")
+        ranks = first
+
+    assert _merge_level(np.array([2, 3, 2]), Unread(), 2) is None
+    assert _merge_level(np.array([2, 40, 3]), None, 0) is None  # counts 0..40
 
 
 def _assert_block_sums_match_reduceat(x, counts, index):

@@ -332,6 +332,20 @@ def test_malformed_config_value_exits_one(capsys, tmp_path, cfg):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag,wrap,says", [
+    ("--config", "{}", "error: cannot read config "),
+    ("--pmf-json", '{{"pmf": {}}}', "error: pmf JSON is nested too deeply to decode"),
+])
+def test_deeply_nested_json_exits_one_without_a_traceback(capsys, tmp_path, flag, wrap, says):
+    # the decoder recurses once per bracket, so this nesting exhausts the
+    # interpreter's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(wrap.format("[" * 200_000 + "]" * 200_000))
+    code, out, err = run(capsys, "simulate", "--lambda", "1", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(says) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [("simulate", "--lambda", "1"), ("beta",),
                                   ("speed-curve",), ("verify",)])
 def test_negative_seed_is_refused_naming_the_flag(capsys, argv):
