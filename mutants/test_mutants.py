@@ -64,6 +64,16 @@ MUTANTS = [
            "ok = all(m > 3.0 * s for _, m, s in margins)",
            "ok = all(m > 0.0 * s for _, m, s in margins)",
            ("tests/test_cli.py::test_verify_criterion_margin_under_three_stderr_fails",)),
+    Mutant("chain-hits-failure-one-below", "src/gwspeed/walker.py",
+           "(path < 0)", "(path < -1)",
+           ("tests/test_walker.py::test_chain_hits_match_a_scalar_chain",)),
+    Mutant("chain-hits-success-one-past", "src/gwspeed/walker.py",
+           "(path == n)", "(path == n + 1)",
+           ("tests/test_walker.py::test_chain_hits_match_a_scalar_chain",)),
+    Mutant("verify-hitting-mc-gate-dropped", "src/gwspeed/verify.py",
+           'CheckResult(worst_z < _MC_GATE, "oracles/hitting-mc"',
+           'CheckResult(True, "oracles/hitting-mc"',
+           ("tests/test_cli.py::test_hitting_mc_far_from_the_recursion_is_a_failed_check",)),
 ]
 
 

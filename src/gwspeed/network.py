@@ -10,7 +10,8 @@ reduction, which on a tree is linear time.
 For very small bias the raw conductances lambda**(-k-1) overflow doubles on
 deep truncations, so below ``SMALL_LAMBDA`` the reduction runs on resistances
 rescaled by lambda**depth per level, which is overflow-free and algebraically
-identical.
+identical. For a bias so large that lambda**n overflows, resistances are
+carried in units of lambda**n instead (``_unit_depth``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ def effective_conductance_to_level(net: WeightedTreeNetwork, n: int) -> float:
     return _conductance_to_level(net.tree, net.lam, n)
 
 
+def _unit_depth(lam: float, n: int) -> int:
+    """0, or n when lam ** n passes the largest float. The unscaled reductions
+    carry resistances in units of lam ** unit_depth: a large bias's edge terms
+    lam ** (k + 1 - n) are then at most 1, and its conductance, below the
+    smallest normal float, comes out subnormal or 0, as compute_beta's does."""
+    try:
+        lam ** float(n)
+        return 0
+    except OverflowError:
+        return n
+
+
 def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
     """The reduction behind ``effective_conductance_to_level``. It needs no
     artificial root in the arena: the unit edge above the root is added last."""
@@ -63,19 +76,21 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
     # subtree resistance below each vertex of the current level
     resist = np.zeros(start[n + 1] - start[n])
     scaled = lam < SMALL_LAMBDA
+    top = _unit_depth(lam, n)
     for k in range(n - 1, -1, -1):
         if scaled:
             # resistances carried in units of lam**(depth+1):
             # rho(x) = 1 / sum_i 1/(1 + lam*rho(child_i))
             inv = 1.0 / (1.0 + lam * resist)
         else:
-            inv = 1.0 / (lam ** (k + 1.0) + resist)
+            inv = 1.0 / (lam ** (k + 1.0 - top) + resist)
         counts = nu[start[k]:start[k + 1]]
         resist = 1.0 / np.add.reduceat(inv, np.cumsum(counts) - counts)
     root_r = float(resist[0])
     if scaled:
         return 1.0 / (1.0 + lam * root_r)
-    return 1.0 / (1.0 + root_r)
+    half = lam ** (-top / 2.0)  # lam ** -top in two factors: one rounding to subnormal
+    return half * (half / (half * half + root_r))
 
 
 def regular_return_gf(d: int, lam: float, z: float) -> float:
@@ -112,12 +127,14 @@ def _regular_conductance(d: int, lam: float, n: int) -> float:
     by the same ``np.add.reduceat`` over one block of d."""
     resist = 0.0
     scaled = lam < SMALL_LAMBDA
+    top = _unit_depth(lam, n)
     for k in range(n - 1, -1, -1):
-        inv = 1.0 / (1.0 + lam * resist) if scaled else 1.0 / (lam ** (k + 1.0) + resist)
+        inv = 1.0 / (1.0 + lam * resist) if scaled else 1.0 / (lam ** (k + 1.0 - top) + resist)
         resist = float(1.0 / np.add.reduceat(np.full(d, inv), [0])[0])
     if scaled:
         return 1.0 / (1.0 + lam * resist)
-    return 1.0 / (1.0 + resist)
+    half = lam ** (-top / 2.0)
+    return half * (half / (half * half + resist))
 
 
 def conductance_sandwich(tree: QuenchedTree, lam: float,

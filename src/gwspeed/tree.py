@@ -31,7 +31,7 @@ from .offspring import OffspringDistribution
 from .rng import D_TREE, substream
 
 ROOT = 0
-_UBUF = 512  # offspring counts drawn per refill for scalar draws
+_UBUF = 512  # most offspring counts drawn per refill for scalar draws
 _DUMP_CHUNK = 4096  # vertices per piece of text the dump yields
 # Largest predicted tree, forest level or curve scan a sampler draws.
 MAX_FOREST_LEVEL_BYTES = 2**31
@@ -57,10 +57,15 @@ def _dump_row(k: int) -> str:
 
 
 def _count_stream(dist: OffspringDistribution, rng: np.random.Generator) -> Iterator[int]:
-    """Offspring counts for scalar draws, drawn ``_UBUF`` at a time (through a
-    memoryview: tolist()'s ints, without converting those never read)."""
+    """Offspring counts for scalar draws, 64 at first and doubling up to
+    ``_UBUF`` a refill (through a memoryview: tolist()'s ints, without
+    converting those never read). A count is one uniform, so the refills
+    change no value; the small first ones spare a short walk most of a full
+    refill it would never read."""
+    size = 64
     while True:
-        yield from memoryview(dist.draw_counts(rng, _UBUF))
+        yield from memoryview(dist.draw_counts(rng, size))
+        size = min(2 * size, _UBUF)
 
 
 def _column(row: int) -> property:

@@ -12,11 +12,12 @@ walk per replica, with the standard error taken across replicas. Replicas are
 iid by construction, so no autocorrelation correction is needed.
 
 Speed replicas and annealed hitting trials take one of two paths, chosen by
-the offspring law alone, in ``_final_depth``. On a one-point law
-(``m1 == m2``, the regular tree) every vertex looks the same, so
-``_chain_final_depth`` walks the depth as a reflected +-1 chain and grows no
-tree (in numpy blocks for a speed replica). On every other law the one walk
-loop, ``_walk_final_depth``, walks a lazily grown tree that it keeps itself.
+the offspring law alone. On a one-point law (``m1 == m2``, the regular tree)
+every vertex looks the same, so the depth is a +-1 chain and no tree is
+grown: ``_chain_final_depth`` sums a speed replica's chain in numpy blocks,
+and ``_chain_hits`` runs a batch of annealed trials' chains as the rows of
+one array until each is absorbed. On every other law the one walk loop,
+``_walk_final_depth``, walks a lazily grown tree that it keeps itself.
 For each piece of uniforms numpy first fills step tables (an int32 column per
 support count, and one for T's root) from the scalar step's float expression,
 so a step is a table read, a push or pop and an arena lookup. That costs O(S)
@@ -37,7 +38,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -53,6 +54,7 @@ _MAX_SYNC_ROUNDS = 10_000_000
 # costs about 7 us up to 128 walkers, a scalar one about 0.2 us a walker.
 _TAIL_WALKERS = 64
 _TABLE_ENTRIES = 1 << 18  # a piece's columns times uniforms: about 4 MiB of tables
+_HIT_BATCH = 256  # annealed chain trials per batch: a first piece of 16 K uniforms
 _FRESH = array("i", [-2]) * _BLOCK  # the step column of a vertex not drawn yet
 _ZEROS = array("i", [0]) * _BLOCK  # the artificial root's: to its one child
 _ARENA_BYTES_PER_ENTRY = 16  # one pointer in each of the walk arena's two lists
@@ -116,10 +118,10 @@ def transition_step(tree: QuenchedTree, state: WalkState, lam: float) -> WalkSta
 
 
 def _walk_pieces(rng: np.random.Generator, steps: int, most: int = _BLOCK):
-    """The walk stream in the pieces the loops read: 64 uniforms, doubling up
-    to ``most`` and capped by the steps left. The grouping changes no value
-    (float64 draws concatenate across calls); it bounds what a walk that stops
-    early draws past its end, and the memory its step tables take."""
+    """The walk stream in the pieces the tree walk reads: 64 uniforms,
+    doubling up to ``most`` and capped by the steps left. The grouping changes
+    no value (float64 draws concatenate across calls); it bounds what a walk
+    that stops early draws past its end, and the memory its step tables take."""
     block = min(64, most)
     while steps > 0:
         us = rng.random(min(block, steps))
@@ -215,49 +217,63 @@ def _walk_final_depth(dist: OffspringDistribution, tree_rng: np.random.Generator
 
 
 def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
-                       star: bool, stop: int = -2) -> int:
+                       star: bool) -> int:
     """``_walk_final_depth`` on the k-regular tree (T, or T_star when
     ``star``), without the tree: the same depth from the same walk stream.
 
     Every vertex has k children, so the depth is a +-1 chain: down exactly
     when the tree walk would step to the parent (``u*(lam + k) - lam < 0.0``),
-    except at the parentless vertex, where every step goes to a child.
-    Without ``stop`` it sums blocks of up to _BLOCK uniforms with numpy; with
-    ``stop >= 1`` (T_star only) it steps one uniform at a time and returns at
-    its first arrival at depth ``stop`` or at the artificial root, -1."""
+    except at the parentless vertex, where every step goes to a child. It
+    sums blocks of up to _BLOCK uniforms with numpy."""
     floor = -1 if star else 0  # depth of the parentless vertex
     c = lam + k
-    if stop < 1:
-        h = -floor  # height above the parentless vertex, where x <- |x + s|
-        for done in range(0, steps, _BLOCK):
-            us = rng.random(min(_BLOCK, steps - done))
-            free = h + np.cumsum(np.where(us * c - lam < 0.0, -1, 1))
-            # each new odd low point of the free path is a reflection, +2
-            h = int(free[-1]) + 2 * max(0, (1 - int(free.min())) // 2)
-        return h + floor
-    dep = 0
-    for us in _walk_pieces(rng, steps):
-        for u in us.tolist():
-            if u * c - lam < 0.0:
-                dep -= 1
-                if dep <= floor:
-                    return dep
-            else:
-                dep += 1
-                if dep == stop:
-                    return dep
-    return dep
+    h = -floor  # height above the parentless vertex, where x <- |x + s|
+    for done in range(0, steps, _BLOCK):
+        us = rng.random(min(_BLOCK, steps - done))
+        free = h + np.cumsum(np.where(us * c - lam < 0.0, -1, 1))
+        # each new odd low point of the free path is a reflection, +2
+        h = int(free[-1]) + 2 * max(0, (1 - int(free.min())) // 2)
+    return h + floor
+
+
+def _chain_hits(k: int, lam: float, n: int, streams) -> int:
+    """Successes of annealed first passages on the k-regular tree with its
+    artificial root, a walk stream a trial: the depth chain from the root to
+    depth n (a success) or -1 (a failure), ``_HIT_BATCH`` trials at a time.
+    A round reads each live trial's next piece (64 uniforms, doubling up to
+    _BLOCK, rows times width at most _TABLE_ENTRIES) into a row of one array,
+    so each trial reads its stream in order and steps on the tree walk's
+    floats; one argmax over a row's depths finds its first absorption."""
+    c = lam + k
+    successes = 0
+    while batch := list(islice(streams, _HIT_BATCH)):
+        dep, block, read = np.zeros(len(batch), dtype=np.int64), 64, 0
+        while batch and read < _MAX_SYNC_ROUNDS:
+            width = min(block, _TABLE_ENTRIES // len(batch), _MAX_SYNC_ROUNDS - read)
+            us = np.empty((len(batch), width))
+            for gen, row in zip(batch, us):
+                gen.random(out=row)
+            path = dep[:, None] + np.cumsum(np.where(us * c - lam < 0.0, -1, 1), axis=1)
+            hit = (path == n) | (path < 0)
+            first = hit.argmax(axis=1)
+            done = hit[np.arange(len(batch)), first]
+            successes += int(np.count_nonzero(path[done, first[done]] > 0))
+            live = np.flatnonzero(~done)
+            batch, dep = [batch[i] for i in live.tolist()], path[live, -1]
+            read, block = read + width, min(2 * block, _BLOCK)
+        if batch:
+            raise VerificationError("hitting walk failed to absorb within the round cap")
+    return successes
 
 
 def _final_depth(dist: OffspringDistribution, lam: float, steps: int,
-                 rng: np.random.Generator, star: bool, tree_stream,
-                 stop: int = -2) -> int:
-    """The one choice of walk kernel: the depth chain on a one-point law, else
-    the tree walk on a tree grown from ``tree_stream()``, which the chain never
-    calls, so it derives no tree stream."""
+                 rng: np.random.Generator, star: bool, tree_stream) -> int:
+    """The one choice of speed-replica kernel: the depth chain on a one-point
+    law, else the tree walk on a tree grown from ``tree_stream()``, which the
+    chain never calls, so it derives no tree stream."""
     if dist.m1 == dist.m2:
-        return _chain_final_depth(dist.m1, lam, steps, rng, star, stop)
-    return _walk_final_depth(dist, tree_stream(), lam, steps, rng, star, stop)
+        return _chain_final_depth(dist.m1, lam, steps, rng, star)
+    return _walk_final_depth(dist, tree_stream(), lam, steps, rng, star)
 
 
 def _replica_depths(entries, lam, steps, seed, graph, indices) -> list[int]:
@@ -338,11 +354,13 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     if dist.has_leaves:
         raise UnsupportedRegimeError("hitting simulation needs a leafless offspring law")
 
-    if mode == "annealed":
+    if mode == "annealed" and dist.m1 == dist.m2:
+        successes = _chain_hits(dist.m1, lam, n, substreams(seed, D_HIT, count=trials))
+    elif mode == "annealed":
         successes = 0
         trees = partial(next, substreams(seed, D_TREE, count=trials))
         for rng in substreams(seed, D_HIT, count=trials):
-            end = _final_depth(dist, lam, _MAX_SYNC_ROUNDS, rng, True, trees, n)
+            end = _walk_final_depth(dist, trees(), lam, _MAX_SYNC_ROUNDS, rng, True, n)
             if end != n and end != -1:
                 raise VerificationError("hitting walk failed to absorb within the round cap")
             successes += end == n

@@ -757,6 +757,33 @@ def test_hitting_round_cap_exits_two(capsys, monkeypatch):
     assert out == ""  # the table is printed only once every row is done
 
 
+def test_beta_at_a_huge_finite_bias_reduces_without_overflow(capsys):
+    # lam ** 2 passes the largest float: both columns agree on 0, and the
+    # command exits 0 with its table
+    code, out, _ = run(capsys, "beta", "--pmf", "2:1", "--depth", "2", "--trials", "10",
+                       "--lambda", "1e200")
+    assert code == 0
+    (row,) = csv.DictReader(out.splitlines())
+    assert row["beta_recursion"] == row["beta_conductance"] == "0"
+    # a bias whose powers stay finite keeps its output byte for byte
+    code, out, _ = run(capsys, "beta", "--pmf", "2:1", "--depth", "10", "--trials", "10",
+                       "--lambda", "1e30")
+    assert (code, out) == (0, "lambda,beta_recursion,beta_conductance,beta_mc,mc_stderr\n"
+                              "1e+30,1.024e-297,1.024e-297,0,0\n")
+
+
+def test_hitting_mc_far_from_the_recursion_is_a_failed_check(capsys, monkeypatch):
+    # every Monte Carlo estimate is 1, tens of sigma from the recursion's
+    # beta on each of the three trees
+    def far(tree, lam, n, trials, seed):
+        return walker_mod.HittingEstimate(1.0, 0.0, trials, trials, lam, n, "quenched")
+
+    monkeypatch.setattr(verify_mod, "hitting_beta_mc", far)
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "7")
+    assert code == 2
+    assert "\nFAIL oracles/hitting-mc: combos=3 worst_z=" in out
+
+
 def test_sandwich_violation_is_a_failed_check(capsys, monkeypatch):
     # conductances to a level never exceed 1, so 2 breaks low <= mid
     monkeypatch.setattr(network_mod, "_regular_conductance", lambda d, lam, n: 2.0)

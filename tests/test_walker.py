@@ -272,6 +272,73 @@ def test_annealed_round_cap_raises(binary, mix23, monkeypatch):
             hitting_beta_mc(dist, 1.0, 8, 50, seed=1, mode="annealed")
 
 
+def _scalar_chain_successes(k, lam, n, trials, seed):
+    """Annealed hitting on the k-regular tree, one uniform at a time: each
+    trial's depth chain from the root until depth n or -1, and the longest
+    trial's uniform count."""
+    successes, longest = 0, 0
+    for t in range(trials):
+        rng, dep, read = substream(seed, D_HIT, t), 0, 0
+        while 0 <= dep < n:
+            dep += -1 if rng.random() * (lam + k) - lam < 0.0 else 1
+            read += 1
+        successes += dep == n
+        longest = max(longest, read)
+    return successes, longest
+
+
+@pytest.mark.parametrize("law", ["2:1", "3:1"])
+def test_chain_hits_match_a_scalar_chain(law):
+    # two full batches and one trial more; at biases near k and high levels
+    # the longest trials outlast the 64- and 128-uniform pieces, and at level
+    # 2 a third of the trials that reach it fail before level 3
+    dist = parse_pmf_text(law)
+    k = dist.m1
+    trials = 2 * walker_mod._HIT_BATCH + 1
+    for lam, n in ((k - 0.25, 40), (float(k), 40), (k + 0.25, 30), (float(k), 2), (0.5, 6)):
+        successes, longest = _scalar_chain_successes(k, lam, n, trials, 11)
+        assert hitting_beta_mc(dist, lam, n, trials, 11, mode="annealed").successes == successes
+        assert longest > 64 + 128 or n < 30
+
+
+@pytest.mark.parametrize("cap", [63, 64, 65])
+def test_chain_round_cap_at_a_piece_boundary(binary, monkeypatch, cap):
+    # at bias 0 every step goes down the tree: a trial reaches depth cap on
+    # exactly its cap-th uniform, and depth cap + 1 never within the cap
+    monkeypatch.setattr(walker_mod, "_MAX_SYNC_ROUNDS", cap)
+    assert hitting_beta_mc(binary, 0.0, cap, 5, seed=2, mode="annealed").successes == 5
+    with pytest.raises(VerificationError, match="round cap"):
+        hitting_beta_mc(binary, 0.0, cap + 1, 5, seed=2, mode="annealed")
+
+
+def test_chain_hits_peak_is_one_batch(binary):
+    # stated before the run: a batch holds _HIT_BATCH (256) generators of
+    # about 0.5 KB (128 KB), and at this bias its largest piece is its first,
+    # 256 x 64 entries with at most four 8-byte arrays of them alive at once
+    # (uniforms, steps, sums, depths: 512 KB); with the substreams chunk,
+    # about 170 KB, that is about 810 KB, under 1 MiB whatever the trial
+    # count. 20,000 trials in one piece would hold 10 MB of uniforms alone.
+    bound = 2**20
+    tracemalloc.start()
+    try:
+        hitting_beta_mc(binary, 1.0, 10, 20_000, seed=4, mode="annealed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_a_short_first_passage_draws_one_small_count_refill(mix23):
+    # a first passage to depth 3 draws at most the 13 counts of the
+    # vertices above depth 3, all from the first refill of 64
+    tree_rng, ref = substream(9, D_TREE, 0), substream(9, D_TREE, 0)
+    ref.random(64)
+    end = _walk_final_depth(mix23, tree_rng, 1.0, walker_mod._MAX_SYNC_ROUNDS,
+                            substream(9, D_HIT, 0), True, 3)
+    assert end in (3, -1)
+    assert tree_rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_hitting_rejects_laws_with_leaves():
     law = parse_pmf_text("0:0.3,2:0.7")
     with pytest.raises(UnsupportedRegimeError):
