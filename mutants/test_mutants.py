@@ -74,6 +74,22 @@ MUTANTS = [
            'CheckResult(worst_z < _MC_GATE, "oracles/hitting-mc"',
            'CheckResult(True, "oracles/hitting-mc"',
            ("tests/test_cli.py::test_hitting_mc_far_from_the_recursion_is_a_failed_check",)),
+    Mutant("envelope-back-to-its-limit", "src/gwspeed/beta.py",
+           "_forest_root_values(regular, None, lam, 1)[0][0]", "1.0 - lam / m2",
+           ("tests/test_beta.py::test_check_bounds_regular_pools_sit_on_the_envelope",)),
+    Mutant("envelope-one-level-deeper", "src/gwspeed/beta.py",
+           "for k in range(pool.level)]", "for k in range(pool.level + 1)]",
+           ("tests/test_beta.py::test_check_bounds_counts_a_sample_just_past_the_regular_envelope",)),
+    Mutant("regular-reduction-reads-in-place", "src/gwspeed/network.py",
+           "np.add.reduceat(inv if index is None else inv[index], off)",
+           "np.add.reduceat(inv, off)",
+           ("tests/test_network.py::test_regular_conductance_equals_the_tree_reduction",)),
+    Mutant("verify-bounds-pool-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(rep.ok, "bounds/pool"', 'CheckResult(True, "bounds/pool"',
+           ("tests/test_cli.py::test_bounds_pool_violation_is_a_failed_check",)),
+    Mutant("return-gf-sign-flip", "src/gwspeed/network.py",
+           "(1.0 + math.sqrt(", "(1.0 - math.sqrt(",
+           ("tests/test_cli.py::test_regular_return_gf_neither_overflows_nor_cancels",)),
 ]
 
 

@@ -137,7 +137,8 @@ def _level_step(counts: np.ndarray, plan: _BlockPlan | None, b: np.ndarray | Non
     else:
         s, sp = _block_sums(b, plan), _block_sums(db, plan)
     denom = lam + s
-    return s / denom, (lam * sp - s) / (denom * denom)
+    with np.errstate(over="ignore"):  # a huge bias's denom ** 2 is inf: beta' -> 0
+        return s / denom, (lam * sp - s) / (denom * denom)
 
 
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
@@ -408,7 +409,9 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     """Count violations of the proven sample-level bounds.
 
     Checks, per (beta, beta') pair:
-      envelope      1 - min(lam, m1)/m1 <= beta <= 1 - lam/m2
+      envelope      1 - min(lam, m1)/m1 <= beta <= beta_n of the m2-regular
+                    tree at the pool's level n (beta = S/(lam + S) grows with
+                    S), from the forest pass on one vertex a level
       derivative    0 < -beta' <= beta / (m1 - lam)          (needs lam < m1)
       denominator   lam - 1 + (m1+1) * min(beta) >= m1 - lam/m1, the worst
                     case over every tuple that could be drawn from the pool
@@ -422,13 +425,11 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     beta, dbeta = pool.beta, pool.dbeta
 
     report = BoundReport(lam=lam, m1=m1, m2=m2, samples=int(beta.size))
-    if lam > m2:
-        report.skipped["envelope"] = (
-            f"bias {lam:.9g} above maximum branching {m2}; envelope empty")
-    else:
-        lo = 1.0 - min(lam, m1) / m1
-        hi = 1.0 - lam / m2
-        report.envelope_violations = int(((beta < lo) | (beta > hi)).sum())
+    counts = np.array([m2])  # the m2-regular tree, bottom up: one vertex a level
+    plan = _block_plan(counts, np.zeros(m2, dtype=np.intp))
+    regular = [(counts, plan if k else None) for k in range(pool.level)]
+    lo, hi = 1.0 - min(lam, m1) / m1, _forest_root_values(regular, None, lam, 1)[0][0]
+    report.envelope_violations = int(((beta < lo) | (beta > hi)).sum())
     if lam >= m1:
         report.skipped["derivative"] = (
             f"bias {lam:.9g} not below minimum branching {m1}")

@@ -380,7 +380,8 @@ def cmd_speed_curve(args, cfg) -> int:
                for p in curve.points]
     if steps:  # the walker's independent estimate of each point's speed
         for rec in records:
-            est = simulate_speed(dist, rec["lambda"], steps, replicas, seed)
+            est = simulate_speed(dist, rec["lambda"], steps, replicas, seed,
+                                 workers=args.threads)
             rec["speed_mc"], rec["mc_stderr"] = est.mean, est.stderr
     sys.stdout.write(_render("csv", CURVE_CSV_FIELDS, records))
     _report_verdict(curve, depth)

@@ -57,8 +57,8 @@ def effective_conductance_to_level(net: WeightedTreeNetwork, n: int) -> float:
 
 
 def _unit_depth(lam: float, n: int) -> int:
-    """0, or n when lam ** n passes the largest float. The unscaled reductions
-    carry resistances in units of lam ** unit_depth: a large bias's edge terms
+    """0, or n when lam ** n passes the largest float. The unscaled reduction
+    carries resistances in units of lam ** unit_depth: a large bias's edge terms
     lam ** (k + 1 - n) are then at most 1, and its conductance, below the
     smallest normal float, comes out subnormal or 0, as compute_beta's does."""
     try:
@@ -72,9 +72,19 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
     """The reduction behind ``effective_conductance_to_level``. It needs no
     artificial root in the arena: the unit edge above the root is added last."""
     start, nu = tree.levels(n)
+    counts = (nu[start[k]:start[k + 1]] for k in range(n))
+    return _reduce_levels([(np.cumsum(c) - c, None) for c in counts],
+                          start[n + 1] - start[n], lam)
 
+
+def _reduce_levels(levels: list[tuple], width: int, lam: float) -> float:
+    """Series-parallel reduction of a tree given top down as one (offsets,
+    index) pair a level: the children of a level's vertices are the blocks at
+    ``offsets`` of the level below's values, read through ``index`` (None: in
+    place). The bottom level has ``width`` vertices."""
+    n = len(levels)
     # subtree resistance below each vertex of the current level
-    resist = np.zeros(start[n + 1] - start[n])
+    resist = np.zeros(width)
     scaled = lam < SMALL_LAMBDA
     top = _unit_depth(lam, n)
     for k in range(n - 1, -1, -1):
@@ -84,8 +94,8 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
             inv = 1.0 / (1.0 + lam * resist)
         else:
             inv = 1.0 / (lam ** (k + 1.0 - top) + resist)
-        counts = nu[start[k]:start[k + 1]]
-        resist = 1.0 / np.add.reduceat(inv, np.cumsum(counts) - counts)
+        off, index = levels[k]
+        resist = 1.0 / np.add.reduceat(inv if index is None else inv[index], off)
     root_r = float(resist[0])
     if scaled:
         return 1.0 / (1.0 + lam * root_r)
@@ -95,7 +105,9 @@ def _conductance_to_level(tree: QuenchedTree, lam: float, n: int) -> float:
 
 def regular_return_gf(d: int, lam: float, z: float) -> float:
     """Generating function of the first return to the parent on the d-ary
-    tree: ((lam+d) - sqrt((lam+d)**2 - 4*d*lam*z**2)) / (2*d*z).
+    tree: ((lam+d) - sqrt((lam+d)**2 - 4*d*lam*z**2)) / (2*d*z), evaluated
+    rationalized, as 2*z*r / (1 + sqrt(1 - 4*z**2*r*d/(lam+d))) with
+    r = lam/(lam+d), which neither squares lam nor subtracts close numbers.
 
     At z = 1 the expression simplifies to min(lam, d)/d, which is returned
     exactly. z must lie in (0, 1].
@@ -108,8 +120,8 @@ def regular_return_gf(d: int, lam: float, z: float) -> float:
     if z == 1.0:
         return min(lam, d) / d
     s = lam + d
-    disc = s * s - 4.0 * d * lam * z * z
-    return (s - math.sqrt(disc)) / (2.0 * d * z)
+    r = lam / s
+    return 2.0 * z * r / (1.0 + math.sqrt(1.0 - 4.0 * z * z * r * d / s))
 
 
 def regular_escape_probability(d: int, lam: float) -> float:
@@ -121,20 +133,9 @@ def regular_escape_probability(d: int, lam: float) -> float:
 
 
 def _regular_conductance(d: int, lam: float, n: int) -> float:
-    """``_conductance_to_level`` on the d-regular tree to depth n, bit for bit,
-    with no tree: every vertex of a level has the same subtree, so one value
-    per level goes through the same arithmetic, its d children's terms summed
-    by the same ``np.add.reduceat`` over one block of d."""
-    resist = 0.0
-    scaled = lam < SMALL_LAMBDA
-    top = _unit_depth(lam, n)
-    for k in range(n - 1, -1, -1):
-        inv = 1.0 / (1.0 + lam * resist) if scaled else 1.0 / (lam ** (k + 1.0 - top) + resist)
-        resist = float(1.0 / np.add.reduceat(np.full(d, inv), [0])[0])
-    if scaled:
-        return 1.0 / (1.0 + lam * resist)
-    half = lam ** (-top / 2.0)
-    return half * (half / (half * half + resist))
+    """``_conductance_to_level`` on the d-regular tree to depth n, with one
+    vertex a level whose d children all read the one vertex below."""
+    return _reduce_levels([((0,), np.zeros(d, dtype=np.intp))] * n, 1, lam)
 
 
 def conductance_sandwich(tree: QuenchedTree, lam: float,

@@ -9,6 +9,7 @@ use a 4 sigma gate: they run at user-chosen seeds, where the pinned-seed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,9 @@ def suite_monotonicity(dist: OffspringDistribution, seed: int) -> list[CheckResu
         margins = [(p.lam, p.ineq8_margin, p.ineq8_stderr)
                    for p in curve.points if p.ineq8_margin is not None]
         ok = all(m > 3.0 * s for _, m, s in margins)
-        worst = min(m / s for _, m, s in margins)
+        # a one-point law's pool is one number, so a stderr can be exactly 0
+        worst = min(m / s if s > 0 else (math.inf if m != 0 else 0.0)
+                    for _, m, s in margins)
         out.append(CheckResult(
             ok, "monotonicity/criterion-margin",
             f"depth={n} points={len(margins)} min_margin_over_stderr={_fmt(worst)}"))

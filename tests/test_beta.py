@@ -244,6 +244,27 @@ def test_check_bounds_flags_planted_violation():
     assert not rep.ok
 
 
+def test_check_bounds_regular_pools_sit_on_the_envelope(ternary):
+    # a 3-regular tree's beta_n is above its limit 1 - lam/3 at every depth;
+    # the envelope at the pool's own depth passes every sample of its pool
+    for n in (1, 2, 5):
+        for method in ("tree", "population"):
+            for lam in (0.5, 1.0, 2.0):
+                pool = sample_pool(ternary, lam, n, 500, seed=n, method=method)
+                assert (pool.beta > 1.0 - lam / 3).all()
+                assert check_bounds(pool, 3, 3, lam).envelope_violations == 0
+
+
+def test_check_bounds_counts_a_sample_just_past_the_regular_envelope(ternary):
+    # the upper bound is the 3-regular tree's beta_5, taken here from
+    # compute_beta on a sampled 3-regular tree: one ulp above it is counted
+    lam = 1.0
+    bound = compute_beta(sample_truncated_tree(ternary, 5, seed=0), 5, lam).root_beta
+    pool = BetaPool(beta=np.array([bound, np.nextafter(bound, np.inf)]),
+                    dbeta=np.full(2, -0.1), level=5, lam=lam, method="tree")
+    assert check_bounds(pool, 2, 3, lam).envelope_violations == 1
+
+
 def test_check_bounds_refuses_a_table(mix23):
     tree = sample_truncated_tree(mix23, 2, seed=2)
     with pytest.raises(TypeError, match="expected a BetaPool, got BetaTable"):

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -173,6 +175,23 @@ def test_regular_return_gf_at_z_and_its_out_file(capsys, tmp_path):
     assert list(rec) == ["d", "lambda", "escape", "speed", "return_gf_1", "return_gf_z"]
     assert rec["return_gf_z"] == float(values["Uz"])
     assert 0.0 < rec["return_gf_z"] < rec["return_gf_1"] == float(values["U1"])
+
+
+@pytest.mark.parametrize("lam, z", [("1e160", "0.5"), ("1e308", "0.5"),
+                                    ("1", "1e-5"), ("1", "1e-8")])
+def test_regular_return_gf_neither_overflows_nor_cancels(capsys, lam, z):
+    # oracle: the quadratic's smaller root ((lam+d) - sqrt((lam+d)**2 -
+    # 4*d*lam*z**2)) / (2*d*z) in 700 digits, since with fewer the subtraction
+    # cancels to 0 at lam = 1e160
+    with localcontext() as ctx:
+        ctx.prec = 700
+        d, s, zz = Decimal(2), Decimal(lam) + 2, Decimal(z)
+        oracle = float((s - (s * s - 4 * d * Decimal(lam) * zz * zz).sqrt()) / (2 * d * zz))
+    u = gwspeed.regular_return_gf(2, float(lam), float(z))
+    assert abs(u - oracle) <= 1e-15 * oracle
+    code, out, err = run(capsys, "regular", "--d", "2", "--lambda", lam, "--z", z)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"Uz={oracle:.9g}"
 
 
 def test_beta_with_counts_beyond_int16(capsys):
@@ -656,6 +675,22 @@ def test_simulate_starts_at_most_one_process_per_replica_and_cpu(
     assert _InlineExecutor.started == started
 
 
+def test_speed_curve_walker_estimates_take_threads(capsys, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return walker_mod.simulate_speed(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "simulate_speed", spy)
+    argv = ("speed-curve", "--lambda-grid", "0.5:1:0.5", "--depth", "3", "--samples", "64",
+            "--tuples", "200", "--mc-steps", "200", "--mc-replicas", "2", "--single-depth")
+    serial = run(capsys, *argv, "--threads", "1")
+    assert serial[0] == 0
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert seen == [1, 1, 2, 2]  # two grid points a run
+
+
 _DEMO = gwspeed.make_distribution({2: 0.5, 3: 0.5})
 
 
@@ -772,6 +807,16 @@ def test_beta_at_a_huge_finite_bias_reduces_without_overflow(capsys):
                               "1e+30,1.024e-297,1.024e-297,0,0\n")
 
 
+def test_beta_at_a_huge_bias_warns_nothing(capsys):
+    # the level step's squared denominator overflows to inf, which is no error
+    argv = ("beta", "--pmf", "2:1", "--depth", "2", "--trials", "10", "--lambda", "1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1]
+
+
 def test_hitting_mc_far_from_the_recursion_is_a_failed_check(capsys, monkeypatch):
     # every Monte Carlo estimate is 1, tens of sigma from the recursion's
     # beta on each of the three trees
@@ -822,17 +867,43 @@ def test_verify_criterion_margin_under_three_stderr_fails(capsys, monkeypatch):
                 "min_margin_over_stderr=2\n") in out
 
 
+def test_bounds_pool_violation_is_a_failed_check(capsys, monkeypatch):
+    # one envelope violation in every pool must print FAIL and exit 2
+    def violated(pool, m1, m2, lam):
+        return beta_mod.BoundReport(lam, m1, m2, pool.beta.size, envelope_violations=1,
+                                    derivative_violations=0, denominator_violations=0)
+
+    monkeypatch.setattr(verify_mod, "check_bounds", violated)
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--pmf", "2:1")
+    assert code == 2
+    assert ("\nFAIL bounds/pool: lambda=0.25 samples=3000 envelope=1 derivative=0 "
+            "denominator=0\n") in out
+
+
+@pytest.mark.parametrize("suite, pmf, checks", [
+    ("bounds", "2:1", 8),        # a 2-regular pool sits on the 2-regular tree's beta_10
+    ("monotonicity", "2:1", 5),  # a one-point pool gives margins with stderr exactly 0
+    ("all", "1:1", 19), ("all", "2:1", 23), ("all", "3:1", 23),
+])
+def test_verify_passes_one_point_laws(capsys, suite, pmf, checks):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--pmf", pmf)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\n{checks}/{checks} checks passed\n")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def test_pinned_outputs_are_byte_identical(capsys, tmp_path):
     # digests of pinned-seed outputs recorded before the breadth-first tree
-    # layout; a refactor that changes any digit of them changes results
+    # layout; a refactor that changes any digit of them changes results. The
+    # verify digest was re-recorded when regular_return_gf was rationalized:
+    # its quadratic residual line went from 1.520e-15 to 1.110e-16
     code, out, _ = run(capsys, "verify", "--suite", "oracles", "--seed", "7")
     assert code == 0
     assert _sha256(out.encode()) == (
-        "d40f6d96529d918478eb0bdf0b3cf0094b5435844864b892b58bfd4a02cd3593")
+        "29ae839c88a91766f4414e03962afc204de32437679e60be008a4b1f3155d6c9")
     tree_path = tmp_path / "tree.json"
     code, out, _ = run(capsys, "beta", "--lambda-grid", "0.25:1.5:0.25",
                        "--depth", "6", "--trials", "500", "--seed", "7",
