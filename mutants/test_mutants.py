@@ -90,6 +90,15 @@ MUTANTS = [
     Mutant("return-gf-sign-flip", "src/gwspeed/network.py",
            "(1.0 + math.sqrt(", "(1.0 - math.sqrt(",
            ("tests/test_cli.py::test_regular_return_gf_neither_overflows_nor_cancels",)),
+    Mutant("stderr-divides-by-m-squared", "src/gwspeed/speed.py",
+           "((m - 1) * m)", "(m * m)",
+           ("tests/test_speed.py::test_delta_kernel_ratio_stderr_matches_closed_form",)),
+    Mutant("pair-influences-added", "src/gwspeed/speed.py",
+           "_stderr(prev_psi - psi)", "_stderr(prev_psi + psi)",
+           ("tests/test_speed.py::test_curve_crn_pairing_beats_independent_runs",)),
+    Mutant("depth-0-derivative-guard-inverted", "src/gwspeed/beta.py",
+           "if pool.level == 0:", "if pool.level != 0:",
+           ("tests/test_beta.py::test_check_bounds_skips_the_derivative_of_a_depth_0_pool",)),
 ]
 
 

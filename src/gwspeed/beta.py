@@ -412,7 +412,8 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
       envelope      1 - min(lam, m1)/m1 <= beta <= beta_n of the m2-regular
                     tree at the pool's level n (beta = S/(lam + S) grows with
                     S), from the forest pass on one vertex a level
-      derivative    0 < -beta' <= beta / (m1 - lam)          (needs lam < m1)
+      derivative    0 < -beta' <= beta / (m1 - lam)          (needs lam < m1
+                    and depth n >= 1: at depth 0 beta' is exactly 0)
       denominator   lam - 1 + (m1+1) * min(beta) >= m1 - lam/m1, the worst
                     case over every tuple that could be drawn from the pool
                     (needs lam < m1)
@@ -434,12 +435,15 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
         report.skipped["derivative"] = (
             f"bias {lam:.9g} not below minimum branching {m1}")
         report.skipped["denominator"] = report.skipped["derivative"]
+        return report
+    if pool.level == 0:
+        report.skipped["derivative"] = "depth-0 pool: every beta' is exactly 0"
     else:
         neg = -dbeta
         cap = beta / (m1 - lam)
         report.derivative_violations = int(((neg <= 0.0) | (neg > cap)).sum())
-        floor = lam - 1.0 + (m1 + 1) * float(beta.min())
-        threshold = m1 - lam / m1
-        report.denominator_floor = floor
-        report.denominator_violations = int(floor < threshold)
+    floor = lam - 1.0 + (m1 + 1) * float(beta.min())
+    threshold = m1 - lam / m1
+    report.denominator_floor = floor
+    report.denominator_violations = int(floor < threshold)
     return report

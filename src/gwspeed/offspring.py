@@ -119,10 +119,11 @@ class OffspringDistribution:
 
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Sample offspring counts, vectorized: an array of length size, int16
-        unless m2 needs a wider integer."""
-        u = rng.random(size)
+        unless m2 needs a wider integer. A one-point law draws nothing from
+        ``rng``."""
         if len(self.entries) == 1:
             return np.full(size, self._support[0])
+        u = rng.random(size)
         if len(self.entries) == 2:
             return np.where(u < self._cum[0], self._support[0], self._support[1])
         return self._support[np.searchsorted(self._cum, u, side="right")]

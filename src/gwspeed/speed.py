@@ -15,14 +15,16 @@ are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 
 Every estimate here (the ratio, the paired difference of two ratios, the
 criterion margin) is a smooth function of the means of paired per-tuple
-terms, and one kernel, ``_delta``, returns it with its delta-method standard
-error. A tuple pool is its counts and the ``beta._block_plan`` of its draw
-(``_draw_tuples``), which lists the members as pool indices and sums every
-grid point's beta and beta' straight from the pool, in reduceat's order, so
-the values are bit-identical. Callers fill the terms in place, and
-``speed_curve`` centres each point's speed terms once, in a (4, M) buffer
-holding the previous point's rows above its own: the lower half gives the
-point's covariance, the whole the pair's. So beyond its pools a scan's memory
+terms. One kernel, ``_delta``, returns its value and each tuple's influence
+psi, the gradient at the means dotted with the tuple's centred terms, and
+``_stderr`` turns the influences into the delta-method standard error
+sqrt(sum psi^2 / ((M - 1) M)). A pair of grid points needs no covariance of
+its own: its influence is the difference of the two points'. A tuple pool is
+its counts and the ``beta._block_plan`` of its draw (``_draw_tuples``), which
+lists the members as pool indices and sums every grid point's beta and beta'
+straight from the pool, in reduceat's order, so the values are bit-identical.
+Callers fill the terms in place, and ``speed_curve`` keeps of the previous
+point only its speed and its influences. So beyond its pools a scan's memory
 does not grow with the grid, and ``speed_curve`` refuses a scan predicted over
 ``tree.MAX_FOREST_LEVEL_BYTES`` before any draw.
 """
@@ -97,42 +99,29 @@ def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
     return TuplePool(*_draw_tuples(dist, len(pool), count, seed), pool)
 
 
-def _moments(x: np.ndarray, mean=None) -> tuple:
-    """Row means of ``x`` (k paired per-tuple terms by M tuples) and their
-    covariance (None for one tuple) by ``np.cov(x, ddof=1)``'s own steps on
-    ``x`` centred in place, bit for bit, with no copy; pass ``mean`` when
-    ``x`` is already centred about it."""
-    if mean is None:
-        mean = x.mean(axis=1)
-        x -= mean[:, None]
-    m = x.shape[1]
-    return mean, (np.dot(x, x.T.conj()) * (1.0 / (m - 1)) if m > 1 else None)
-
-
-def _delta(x: np.ndarray, fn, mean=None) -> tuple[list[float], float, float]:
-    """The row means of ``x``, ``fn``'s value there and its delta-method
-    standard error (0 for one tuple) from ``_moments``; ``fn`` maps the
-    means to (value, gradient)."""
-    mean, sigma = _moments(x, mean)
+def _delta(x: np.ndarray, fn) -> tuple[list[float], float, np.ndarray]:
+    """The row means of ``x`` (k paired per-tuple terms by M tuples),
+    ``fn``'s value there and each tuple's influence psi = grad . (x_j - mean),
+    with ``x`` centred in place; ``fn`` maps the means to (value, gradient)."""
+    mean = x.mean(axis=1)
+    x -= mean[:, None]
     means = [float(v) for v in mean]
     value, grad = fn(*means)
-    if sigma is None:
-        return means, value, 0.0
-    grad = np.array(grad)
-    var = float(grad @ sigma @ grad) / x.shape[1]
-    return means, value, math.sqrt(max(var, 0.0))
+    return means, value, np.array(grad) @ x
+
+
+def _stderr(psi: np.ndarray) -> float:
+    """The delta-method standard error from the tuples' influences,
+    sqrt(sum psi^2 / ((M - 1) M)), which is g' Sigma g / M written without
+    Sigma; 0 for one tuple."""
+    m = psi.size
+    return math.sqrt(float(np.square(psi).sum()) / ((m - 1) * m)) if m > 1 else 0.0
 
 
 def _ratio(num: float, den: float):
     """A ratio of means and its gradient: the speed."""
     r = num / den
     return r, (1.0 / den, -r / den)
-
-
-def _ratio_diff(num_a: float, den_a: float, num_b: float, den_b: float):
-    """Difference of two ratios of paired means: the monotonicity pair check."""
-    (ra, ga), (rb, gb) = _ratio(num_a, den_a), _ratio(num_b, den_b)
-    return ra - rb, (*ga, -gb[0], -gb[1])
 
 
 def _speed_terms(tp: TuplePool, lam: float, out: np.ndarray) -> np.ndarray:
@@ -162,8 +151,8 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     if pool.lam != lam:
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
-    _, speed, stderr = _delta(_speed_terms(tp, lam, np.empty((2, tuples))), _ratio)
-    return FormulaSpeed(speed=speed, stderr=stderr)
+    _, speed, psi = _delta(_speed_terms(tp, lam, np.empty((2, tuples))), _ratio)
+    return FormulaSpeed(speed=speed, stderr=_stderr(psi))
 
 
 def speed_exact_lambda1(dist: OffspringDistribution) -> float:
@@ -229,11 +218,11 @@ def inequality8(dist: OffspringDistribution, lam: float,
         return (e1 * e3 / lam - (e1 * e2 - e3 * e4),
                 (e3 / lam - e2, -e1, e1 / lam + e4, e3))
 
-    (e1, e2, e3, e4), value, stderr = _delta(x, margin)
+    (e1, e2, e3, e4), value, psi = _delta(x, margin)
     lhs = e1 * e2 - e3 * e4
     rhs = e1 * e3 / lam
     return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
-                       margin=value, mc_stderr=stderr, holds=lhs < rhs)
+                       margin=value, mc_stderr=_stderr(psi), holds=lhs < rhs)
 
 
 # Curve scan ----------------------------------------------------------------
@@ -324,13 +313,13 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     lam_star = dist.monotonicity_threshold() if dist.m1 >= 2 else None
 
     points, pairs = [], []
-    terms = np.empty((4, tuples))  # centred speed terms: previous point, this point
+    terms = np.empty((2, tuples))
     for i, pool in enumerate(pools):
         lam = pool.lam
         tp = TuplePool(*tuple_draw, pool)
-        means, speed, stderr = _delta(_speed_terms(tp, lam, terms[2:]), _ratio)
+        _, speed, psi = _delta(_speed_terms(tp, lam, terms), _ratio)
         point = SpeedCurvePoint(lam=lam, speed_formula=speed,
-                                speed_formula_stderr=stderr)
+                                speed_formula_stderr=_stderr(psi))
         if lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
             rep = inequality8(dist, lam, tp)
             point.ineq8_margin = rep.margin
@@ -338,14 +327,14 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
             point.ineq8_holds = rep.holds
         points.append(point)
         if i:
-            _, diff, se = _delta(terms, _ratio_diff, prev_means + means)
+            # the pair's influence is the difference of the two points'
+            diff, se = prev_speed - speed, _stderr(prev_psi - psi)
             z = diff / se if se > 0 else (math.inf if diff != 0 else 0.0)
             within = lam_star is not None and lam <= lam_star + _CERTIFIED_SLACK
             pairs.append(PairCheck(lam_lo=grid[i - 1], lam_hi=lam, diff=diff,
                                    stderr=se, z=z, decreasing=diff > 0.0,
                                    within_certified=within))
-        terms[:2] = terms[2:]
-        prev_means = means
+        prev_speed, prev_psi = speed, psi
 
     if dist.m1 < 2:
         report = MonotonicityReport(

@@ -215,10 +215,22 @@ def test_check_bounds_zero_violations(mix23):
 def test_check_bounds_regular_limit_pairs():
     # the regular-tree limit values sit exactly on both bounds
     pool = BetaPool(beta=np.full(10, 0.5), dbeta=np.full(10, -0.5),
-                    level=0, lam=1.0, method="tree")
+                    level=1, lam=1.0, method="tree")
     rep = check_bounds(pool, 2, 2, 1.0)
     assert rep.envelope_violations == 0
     assert rep.derivative_violations == 0
+
+
+def test_check_bounds_skips_the_derivative_of_a_depth_0_pool(mix23):
+    # at depth 0 every beta is 1 and every beta' exactly 0, so the strict
+    # derivative bound cannot hold yet; the other two checks still run
+    for method in ("tree", "population"):
+        rep = check_bounds(sample_pool(mix23, 1.0, 0, 5, 1, method=method), 2, 3, 1.0)
+        assert rep.ok
+        assert "derivative" in rep.skipped and rep.derivative_violations is None
+        assert rep.envelope_violations == 0 and rep.denominator_violations == 0
+    rep = check_bounds(sample_pool(mix23, 1.0, 1, 5, 1), 2, 3, 1.0)
+    assert rep.derivative_violations == 0 and "derivative" not in rep.skipped
 
 
 def test_check_bounds_lambda_zero(mix23):

@@ -144,3 +144,16 @@ def test_draw_counts_beyond_int16():
     # counts stay int16 while the largest one fits
     for pmf in ({2: 1.0}, {2: 0.5, 3: 0.5}, {1: 0.5, 32767: 0.5}):
         assert make_distribution(pmf).draw_counts(rng, 3).dtype == np.int16
+
+
+def test_one_point_law_draws_no_uniforms(mix23):
+    # a one-point law's counts are its support point: the stream is not read
+    import numpy as np
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert make_distribution({5: 1.0}).draw_counts(rng, 1000).tolist() == [5] * 1000
+    assert rng.bit_generator.state == state
+    mix23.draw_counts(rng, 1000)
+    after = np.random.default_rng(5)
+    after.random(1000)
+    assert rng.bit_generator.state == after.bit_generator.state

@@ -22,7 +22,7 @@ from gwspeed import (
 )
 from gwspeed import speed as speed_mod
 from gwspeed.beta import MAX_FOREST_LEVEL_BYTES
-from gwspeed.speed import _curve_bytes, _delta, _draw_tuples, _moments, _ratio, _ratio_diff
+from gwspeed.speed import _curve_bytes, _delta, _draw_tuples, _ratio, _stderr
 
 
 def constant_pool(beta, dbeta, lam, size=200):
@@ -110,7 +110,8 @@ def test_delta_kernel_ratio_stderr_matches_closed_form():
     for m in (2, 3, 50, 5000):
         den = rng.uniform(0.5, 2.0, m)
         num = 0.4 * den + rng.normal(0.0, 0.3, m)
-        means, r, se = _delta(np.stack((num, den)), _ratio)
+        means, r, psi = _delta(np.stack((num, den)), _ratio)
+        se = _stderr(psi)
         assert means == [num.mean(), den.mean()]
         assert r == num.mean() / den.mean()
         c = np.cov(num, den, ddof=1)
@@ -318,56 +319,94 @@ def test_curve_determinism(mix23):
 
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("m", [2, 3, 1000, 50000])
-def test_moments_match_np_cov_bit_for_bit(k, m):
+def test_delta_influences_match_the_plain_expressions(k, m):
     rng = np.random.default_rng(1000 * k + m)
     for _ in range(5):
         terms = [rng.standard_normal(m) * 10.0 ** rng.integers(-6, 6) + rng.random()
                  for _ in range(k)]
+        grad = tuple(rng.standard_normal(k))
         x = np.stack(terms)
-        mean, sigma = _moments(x)
-        assert [float(v) for v in mean] == [float(t.mean()) for t in terms]
-        assert np.array_equal(sigma, np.cov(np.stack(terms), ddof=1))
+        means, value, psi = _delta(x, lambda *e: (sum(e), grad))
+        mean = np.stack(terms).mean(axis=1)
+        assert means == [float(v) for v in mean] == [float(t.mean()) for t in terms]
+        assert value == sum(means)
         assert np.array_equal(x, np.stack(terms) - mean[:, None])  # centred in place
-        assert np.array_equal(_moments(x, mean)[1], sigma)
-        assert _delta(np.stack(terms), lambda *e: (0.0, (1.0,) * k))[0] == [float(v) for v in mean]
+        assert np.array_equal(psi, np.array(grad) @ (np.stack(terms) - mean[:, None]))
+        assert _stderr(psi) == math.sqrt(float(np.sum(psi ** 2)) / ((m - 1) * m))
 
 
-def test_moments_of_one_tuple_have_no_covariance():
-    mean, sigma = _moments(np.array([[2.0], [3.0]]))
-    assert list(mean) == [2.0, 3.0] and sigma is None
+def test_stderr_of_one_tuple_is_zero():
+    means, _, psi = _delta(np.array([[2.0], [3.0]]), _ratio)
+    assert means == [2.0, 3.0] and psi.tolist() == [0.0]
+    assert _stderr(psi) == 0.0
+
+
+def _pair_stderr_exact(a, b):
+    """The delta-method stderr of mean(a0)/mean(a1) - mean(b0)/mean(b1) over
+    paired rows, g' Sigma g / M with the sample covariance Sigma, in exact
+    rationals from the float terms; only the final square root is in float."""
+    m = a.shape[1]
+    rows = [[Fraction(float(v)) for v in row] for row in (*a, *b)]
+    means = [sum(row) / m for row in rows]
+    centred = [[v - mu for v in row] for row, mu in zip(rows, means)]
+    ra, rb = means[0] / means[1], means[2] / means[3]
+    grad = (1 / means[1], -ra / means[1], -1 / means[3], rb / means[3])
+    var = sum(gk * gl * sum(u * v for u, v in zip(ck, cl))
+              for gk, ck in zip(grad, centred) for gl, cl in zip(grad, centred))
+    return math.sqrt(var / ((m - 1) * m))
+
+
+def test_pair_stderr_matches_exact_arithmetic():
+    # two nearly equal ratio points, as on a fine bias grid: the pair's
+    # variance is a tiny difference of large covariance terms, which the
+    # influence difference psi_a - psi_b computes without cancellation.
+    # Gate fixed before any run: relative error <= 1e-8
+    rng = np.random.default_rng(30)
+    m, delta = 200, 1e-7
+    for _ in range(5):
+        den = rng.uniform(0.5, 2.0, m)
+        a = np.stack((0.4 * den + rng.normal(0.0, 0.3, m), den))
+        b = a * (1.0 + delta * rng.standard_normal((2, m)))
+        exact = _pair_stderr_exact(a, b)
+        psi_a, psi_b = _delta(a.copy(), _ratio)[2], _delta(b.copy(), _ratio)[2]
+        assert _stderr(psi_a - psi_b) == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
 def _flat_reference_curve(dist, grid, n, samples, tuples, seed):
     """speed_curve's floats the plain way: flat member gathers, reduceat
-    sums, np.stack'ed terms and np.cov, every pair re-centred on its own."""
+    sums, np.stack'ed terms and each tuple's influence, a pair's being the
+    difference of its points'."""
     def delta(terms, fn):
         x = np.stack(terms)
         value, grad = fn(*[float(v) for v in x.mean(axis=1)])
-        if x.shape[1] < 2:
-            return value, 0.0
-        g = np.array(grad)
-        return value, math.sqrt(max(float(g @ np.cov(x, ddof=1) @ g) / x.shape[1], 0.0))
+        return value, np.array(grad) @ (x - x.mean(axis=1)[:, None])
+
+    def stderr(psi):
+        m = psi.size
+        return math.sqrt(float(np.sum(psi ** 2)) / ((m - 1) * m)) if m > 1 else 0.0
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
     nus, plan = _draw_tuples(dist, samples, tuples, seed)
     offsets, idx = plan.off, plan.index
-    points, terms = [], []
+    points, speeds = [], []
     for pool in pools:
         lam = pool.lam
         betas, dbetas = pool.beta[idx], pool.dbeta[idx]
         sb = np.add.reduceat(betas, offsets)
         d = lam - 1.0 + sb
         b0 = betas[offsets]
-        terms.append(((nus - lam) * b0 / d, (nus + lam) * b0 / d))
-        point = (1.0, 0.0) if lam == 0.0 else delta(terms[-1], _ratio)
+        speed, psi = delta(((nus - lam) * b0 / d, (nus + lam) * b0 / d), _ratio)
+        speeds.append((speed, psi))
+        point = (1.0, 0.0) if lam == 0.0 else (speed, stderr(psi))
         if 0.0 < lam < dist.m1 and dist.m1 >= 2:
             sc = sb + (1.0 - lam) * np.add.reduceat(dbetas, offsets)
             w_nu, w_one = nus / (nus + 1.0), 1.0 / (nus + 1.0)
             f, g = sb / d, sc / (d * d)
-            point += delta((w_nu * f, w_one * g, w_one * f, w_nu * g), lambda e1, e2, e3, e4: (
+            margin, psi = delta((w_nu * f, w_one * g, w_one * f, w_nu * g), lambda e1, e2, e3, e4: (
                 e1 * e3 / lam - (e1 * e2 - e3 * e4), (e3 / lam - e2, -e1, e1 / lam + e4, e3)))
+            point += (margin, stderr(psi))
         points.append(point)
-    pairs = [delta(a + b, _ratio_diff) for a, b in zip(terms, terms[1:])]
+    pairs = [(sa - sb, stderr(pa - pb)) for (sa, pa), (sb, pb) in zip(speeds, speeds[1:])]
     return points, pairs
 
 
@@ -378,8 +417,8 @@ def _flat_reference_curve(dist, grid, n, samples, tuples, seed):
 ])
 @pytest.mark.parametrize("tuples", [1, 2, 777, 4000])
 def test_curve_matches_flat_reference(law, grid, tuples):
-    # the pool-indexed plan, the in-place terms and the once-centred rolling
-    # buffer must give every float of the plain computation bit for bit
+    # the pool-indexed plan, the in-place terms and the carried influences
+    # must give every float of the plain computation bit for bit
     dist = parse_pmf_text(law)
     for seed in (31, 32):
         curve = speed_curve(dist, grid, n=4, samples=60, tuples=tuples, seed=seed)
@@ -393,8 +432,9 @@ def test_curve_matches_flat_reference(law, grid, tuples):
 
 
 def test_curve_tuple_memory_does_not_grow_with_the_grid(mix23):
-    # only the previous and the current point's terms are kept, so beyond
-    # its pools the scan's peak is the same for 14 and for 56 grid points
+    # only the current point's terms and the previous point's influences are
+    # kept, so beyond its pools the scan's peak is the same for 14 and for 56
+    # grid points
     def peak_beyond_pools(points):
         grid = [1.1 * i / points for i in range(points)]
         tracemalloc.start()
