@@ -75,11 +75,22 @@ MUTANTS = [
            'CheckResult(True, "oracles/hitting-mc"',
            ("tests/test_cli.py::test_hitting_mc_far_from_the_recursion_is_a_failed_check",)),
     Mutant("envelope-back-to-its-limit", "src/gwspeed/beta.py",
-           "_forest_root_values(regular, None, lam, 1)[0][0]", "1.0 - lam / m2",
+           "_forest_root_values(_regular_levels(m2, pool.level), None, lam, 1)[0][0]",
+           "1.0 - lam / m2",
            ("tests/test_beta.py::test_check_bounds_regular_pools_sit_on_the_envelope",)),
     Mutant("envelope-one-level-deeper", "src/gwspeed/beta.py",
-           "for k in range(pool.level)]", "for k in range(pool.level + 1)]",
+           "_regular_levels(m2, pool.level)", "_regular_levels(m2, pool.level + 1)",
            ("tests/test_beta.py::test_check_bounds_counts_a_sample_just_past_the_regular_envelope",)),
+    Mutant("regular-levels-one-level-deeper", "src/gwspeed/beta.py",
+           "for level in range(n)]", "for level in range(n + 1)]",
+           ("tests/test_beta.py::test_one_point_pools_equal_the_forest_path_bit_for_bit",)),
+    Mutant("derivative-upper-bound-dropped", "src/gwspeed/beta.py",
+           "((neg <= 0.0) | (neg > cap))", "(neg <= 0.0)",
+           ("tests/test_beta.py::test_check_bounds_counts_a_derivative_one_ulp_past_its_bound",)),
+    Mutant("denominator-floor-slack", "src/gwspeed/beta.py",
+           "threshold = m1 - lam / m1", "threshold = m1 - lam / m1 - 1e-3",
+           ("tests/test_beta.py::"
+            "test_check_bounds_counts_a_denominator_floor_one_ulp_under_its_threshold",)),
     Mutant("regular-reduction-reads-in-place", "src/gwspeed/network.py",
            "np.add.reduceat(inv if index is None else inv[index], off)",
            "np.add.reduceat(inv, off)",
@@ -87,6 +98,9 @@ MUTANTS = [
     Mutant("verify-bounds-pool-verdict-dropped", "src/gwspeed/verify.py",
            'CheckResult(rep.ok, "bounds/pool"', 'CheckResult(True, "bounds/pool"',
            ("tests/test_cli.py::test_bounds_pool_violation_is_a_failed_check",)),
+    Mutant("verify-tuple-denominator-verdict-dropped", "src/gwspeed/verify.py",
+           'dmin >= thr, "bounds/tuple-denominator"', 'True, "bounds/tuple-denominator"',
+           ("tests/test_cli.py::test_bounds_tuple_denominator_under_its_floor_is_a_failed_check",)),
     Mutant("return-gf-sign-flip", "src/gwspeed/network.py",
            "(1.0 + math.sqrt(", "(1.0 - math.sqrt(",
            ("tests/test_cli.py::test_regular_return_gf_neither_overflows_nor_cancels",)),

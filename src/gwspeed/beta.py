@@ -17,10 +17,11 @@ with derivative 0 on the boundary. Equivalently
 
 and one level step evaluates (beta_n, beta_n') this way for every bottom-up
 pass: ``compute_beta`` runs it over the level slices of a breadth-first tree,
-the tree-method pools over the levels of a sampled forest, the population
-method over resampled pool members. Every child sum S, like every tuple sum
-of ``speed``, goes through one ``_block_plan`` of its block layout, read
-through the index of the values below, with reduceat's bits.
+the tree-method pools over the levels of a sampled forest (on a one-point
+law, of the k-regular tree, one vertex a level), the population method over
+resampled pool members. Every child sum S, like every tuple sum of
+``speed``, goes through one ``_block_plan`` of its block layout, read through
+the index of the values below, with reduceat's bits.
 ``beta_derivative_path_sum`` re-derives the root derivative by unrolling the
 A/B recursion into a sum over vertices of B times the product of A along the
 ancestor path; it is kept deliberately naive (per-vertex parent climbing,
@@ -286,6 +287,13 @@ def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
     return b, db
 
 
+def _regular_levels(k: int, n: int) -> list[tuple]:
+    """``_merge_forest``'s levels of the k-regular tree to depth n, one vertex a level."""
+    counts = np.array([k])
+    plan = _block_plan(counts, np.zeros(k, dtype=np.intp))
+    return [(counts, plan if level else None) for level in range(n)]
+
+
 def _trees_per_chunk(dist: OffspringDistribution, n: int) -> int:
     try:
         peak = max(1.0, dist.m) ** n
@@ -327,7 +335,8 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
                               count: int, seed: int) -> list[BetaPool]:
     """Tree-method pools at several biases evaluated on one common set of
     trees (the i-th sample of every pool comes from the same realization),
-    so cross-bias comparisons share all structural randomness."""
+    so cross-bias comparisons share all structural randomness. A one-point
+    law draws nothing: each bias is evaluated once on its k-regular tree."""
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
     if count < 1:
@@ -337,6 +346,10 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
         _check_bias(lam)
     _check_depth(n)
     _check_pool_size(dist, n, count, "tree", 16.0 * len(lams))
+    if dist.m1 == dist.m2:
+        roots = [_forest_root_values(_regular_levels(dist.m1, n), None, lam, 1) for lam in lams]
+        return [BetaPool(beta=np.full(count, b[0]), dbeta=np.full(count, db[0]), level=n,
+                         lam=lam, method="tree") for (b, db), lam in zip(roots, lams)]
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
     chunk = _trees_per_chunk(dist, n)
@@ -411,7 +424,7 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     Checks, per (beta, beta') pair:
       envelope      1 - min(lam, m1)/m1 <= beta <= beta_n of the m2-regular
                     tree at the pool's level n (beta = S/(lam + S) grows with
-                    S), from the forest pass on one vertex a level
+                    S), from the one-vertex-a-level pass of one-point pools
       derivative    0 < -beta' <= beta / (m1 - lam)          (needs lam < m1
                     and depth n >= 1: at depth 0 beta' is exactly 0)
       denominator   lam - 1 + (m1+1) * min(beta) >= m1 - lam/m1, the worst
@@ -426,11 +439,8 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     beta, dbeta = pool.beta, pool.dbeta
 
     report = BoundReport(lam=lam, m1=m1, m2=m2, samples=int(beta.size))
-    counts = np.array([m2])  # the m2-regular tree, bottom up: one vertex a level
-    plan = _block_plan(counts, np.zeros(m2, dtype=np.intp))
-    regular = [(counts, plan if k else None) for k in range(pool.level)]
-    lo, hi = 1.0 - min(lam, m1) / m1, _forest_root_values(regular, None, lam, 1)[0][0]
-    report.envelope_violations = int(((beta < lo) | (beta > hi)).sum())
+    hi = _forest_root_values(_regular_levels(m2, pool.level), None, lam, 1)[0][0]
+    report.envelope_violations = int(((beta < 1.0 - min(lam, m1) / m1) | (beta > hi)).sum())
     if lam >= m1:
         report.skipped["derivative"] = (
             f"bias {lam:.9g} not below minimum branching {m1}")

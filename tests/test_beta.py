@@ -277,6 +277,29 @@ def test_check_bounds_counts_a_sample_just_past_the_regular_envelope(ternary):
     assert check_bounds(pool, 2, 3, lam).envelope_violations == 1
 
 
+def test_check_bounds_counts_a_derivative_one_ulp_past_its_bound():
+    # -beta' may reach beta/(m1 - lam) but not pass it: the sample on the
+    # bound passes, the one one ulp above it is counted
+    lam, beta = 0.5, 0.8
+    cap = beta / (2 - lam)
+    pool = BetaPool(beta=np.full(2, beta), dbeta=np.array([-cap, -np.nextafter(cap, np.inf)]),
+                    level=5, lam=lam, method="tree")
+    assert check_bounds(pool, 2, 3, lam).derivative_violations == 1
+
+
+def test_check_bounds_counts_a_denominator_floor_one_ulp_under_its_threshold():
+    # at m1 = 3 and lam = 0.75 the threshold m1 - lam/m1 is 2.75, and the
+    # floor lam - 1 + 4 * min(beta) meets it exactly at min(beta) = 0.75; one
+    # ulp less puts the floor one ulp under it
+    lam = 0.75
+    for low, floor, violations in ((0.75, 2.75, 0),
+                                   (np.nextafter(0.75, 0.0), np.nextafter(2.75, 0.0), 1)):
+        pool = BetaPool(beta=np.array([0.8, low]), dbeta=np.full(2, -0.1), level=5, lam=lam,
+                        method="tree")
+        rep = check_bounds(pool, 3, 3, lam)
+        assert (rep.denominator_floor, rep.denominator_violations) == (floor, violations)
+
+
 def test_check_bounds_refuses_a_table(mix23):
     tree = sample_truncated_tree(mix23, 2, seed=2)
     with pytest.raises(TypeError, match="expected a BetaPool, got BetaTable"):
@@ -314,6 +337,46 @@ def test_merged_forest_matches_plain_recursion(law, depths):
                 ref_b, ref_db = _plain_root_values(layers, lam, n_trees)
                 b, db = _forest_root_values(levels, top, lam, n_trees)
                 assert np.array_equal(b, ref_b) and np.array_equal(db, ref_db)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_one_point_pools_equal_the_forest_path_bit_for_bit(k, monkeypatch):
+    # every tree of a one-point law is the k-regular tree, so its pools are
+    # evaluated once, one vertex a level, and draw nothing; the reference
+    # draws and merges a forest of two trees (at depth 10 on 5:1, 3.9 million
+    # vertices on its last level above the boundary)
+    def never(*args, **kwargs):
+        raise AssertionError("a forest was drawn")
+
+    dist = parse_pmf_text(f"{k}:1")
+    lams = [0.0, 0.4 * k, float(k), 1.5 * k, 1e200]
+    for n in range(11):
+        layers = _sample_offspring_layers(dist, n, 2, np.random.default_rng(n))
+        levels, top = _merge_forest(layers)
+        with monkeypatch.context() as patch:
+            patch.setattr(beta_mod, "substream", never)
+            patch.setattr(beta_mod, "_sample_offspring_layers", never)
+            pools = sample_pools_shared_trees(dist, lams, n, 2, seed=n)
+        for lam, pool in zip(lams, pools):
+            b, db = _forest_root_values(levels, top, lam, 2)
+            assert (pool.lam, pool.level, pool.method) == (lam, n, "tree")
+            # bit patterns, so that -0.0 against 0.0 counts as a difference
+            assert pool.beta.tobytes() == b.tobytes() and pool.dbeta.tobytes() == db.tobytes()
+
+
+def test_a_one_point_pool_past_the_forest_budget_is_refused_before_any_draw(monkeypatch):
+    # the size guard runs first and still counts the widest forest level
+    def never(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    for name in ("substream", "_sample_offspring_layers", "_regular_levels"):
+        monkeypatch.setattr(beta_mod, name, never)
+    five = parse_pmf_text("5:1")
+    for call in (lambda: sample_pool(five, 1.0, 13, 3000, 7),
+                 lambda: sample_pools_shared_trees(five, [0.5, 1.0], 13, 3000, 7)):
+        with pytest.raises(ValueError, match=r"^a depth-13 forest level would need about "
+                                             r"7\.28 GiB, over the 2 GiB limit$"):
+            call()
 
 
 def _merged_levels(law, depth, n_trees, seed):

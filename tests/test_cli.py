@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from decimal import Decimal, localcontext
 
@@ -880,15 +881,45 @@ def test_bounds_pool_violation_is_a_failed_check(capsys, monkeypatch):
             "denominator=0\n") in out
 
 
+def test_bounds_tuple_denominator_under_its_floor_is_a_failed_check(capsys, monkeypatch):
+    # a least tuple denominator one ulp under m1 - lam/m1 in every pool must
+    # print FAIL and exit 2; verify reads only the tuple pool's denominators
+    def under_the_floor(dist, pool, count, seed):
+        floor = dist.m1 - pool.lam / dist.m1
+        return types.SimpleNamespace(denominators=np.full(count, np.nextafter(floor, 0.0)))
+
+    monkeypatch.setattr(verify_mod, "make_tuple_pool", under_the_floor)
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--pmf", "2:1")
+    assert code == 2
+    assert out.count("\nFAIL bounds/tuple-denominator: ") == 4
+    assert "\nFAIL bounds/tuple-denominator: lambda=0.25 min=1.875 floor=1.875\n" in out
+
+
 @pytest.mark.parametrize("suite, pmf, checks", [
     ("bounds", "2:1", 8),        # a 2-regular pool sits on the 2-regular tree's beta_10
     ("monotonicity", "2:1", 5),  # a one-point pool gives margins with stderr exactly 0
     ("all", "1:1", 19), ("all", "2:1", 23), ("all", "3:1", 23),
+    ("all", "4:1", 23), ("all", "5:1", 23),
 ])
 def test_verify_passes_one_point_laws(capsys, suite, pmf, checks):
     code, out, err = run(capsys, "verify", "--suite", suite, "--pmf", pmf)
     assert (code, err) == (0, "")
     assert out.endswith(f"\n{checks}/{checks} checks passed\n")
+
+
+@pytest.mark.parametrize("pmf, digest", [
+    pytest.param("4:1", "65b6eb526ff747e99d500ad19ca5367a6b99908f8432ead3d37e7bf33163b733",
+                 id="4:1"),
+    pytest.param("5:1", "18f8765c4d5f77f55e3dac58ec3570c573ddab385ac29f729536c2e13a42e336",
+                 id="5:1"),
+])
+def test_one_point_verify_report_is_pinned(capsys, pmf, digest):
+    # digests recorded from pools that drew and merged a forest (one tree a
+    # chunk on 5:1, about 3 minutes a run); a one-point pool evaluates its
+    # k-regular tree once, and must print the same bytes
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7", "--pmf", pmf)
+    assert code == 0
+    assert _sha256(out.encode()) == digest
 
 
 def _sha256(data: bytes) -> str:
