@@ -18,6 +18,7 @@ failure. The module is not part of the tier-1 suite (``testpaths`` is
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -113,7 +114,59 @@ MUTANTS = [
     Mutant("depth-0-derivative-guard-inverted", "src/gwspeed/beta.py",
            "if pool.level == 0:", "if pool.level != 0:",
            ("tests/test_beta.py::test_check_bounds_skips_the_derivative_of_a_depth_0_pool",)),
+    Mutant("certified-end-doubled", "src/gwspeed/speed.py",
+           "lam <= lam_star + _CERTIFIED_SLACK", "lam <= 2 * lam_star + _CERTIFIED_SLACK",
+           ("tests/test_speed.py::test_an_increase_just_past_the_certified_end_is_not_judged",)),
+    Mutant("certified-end-halved", "src/gwspeed/speed.py",
+           "lam <= lam_star + _CERTIFIED_SLACK", "lam <= 0.5 * lam_star + _CERTIFIED_SLACK",
+           ("tests/test_speed.py::test_an_increase_ending_at_the_certified_end_is_a_violation",)),
+    Mutant("no-eligible-pair-is-a-decrease", "src/gwspeed/speed.py",
+           "if eligible else None", "if eligible else True",
+           ("tests/test_speed.py::test_a_grid_past_the_certified_end_gives_no_verdict",)),
+    Mutant("inequality8-holds-at-equality", "src/gwspeed/speed.py",
+           "holds=lhs < rhs", "holds=lhs <= rhs",
+           ("tests/test_speed.py::test_inequality8_does_not_hold_at_equality",)),
+    Mutant("lemma0-z-divided-by-10", "src/gwspeed/walker.py",
+           "diff / denom if denom > 0", "diff / denom / 10 if denom > 0",
+           ("tests/test_walker.py::test_lemma0_z_is_the_mean_gap_over_the_joint_stderr",)),
+    Mutant("verify-beta-conductance-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(worst_pair <= 1e-12, "oracles/beta-vs-conductance"',
+           'CheckResult(True, "oracles/beta-vs-conductance"',
+           ("tests/test_cli.py::test_beta_conductance_disagreement_is_a_failed_check",)),
+    Mutant("verify-derivative-path-sum-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(worst_deriv <= 1e-12, "oracles/derivative-vs-path-sum"',
+           'CheckResult(True, "oracles/derivative-vs-path-sum"',
+           ("tests/test_cli.py::test_derivative_path_sum_disagreement_is_a_failed_check",)),
+    Mutant("verify-finite-difference-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(worst_fd <= 1e-5, "oracles/finite-difference"',
+           'CheckResult(True, "oracles/finite-difference"',
+           ("tests/test_cli.py::test_finite_difference_disagreement_is_a_failed_check",)),
+    Mutant("verify-return-gf-quadratic-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(worst_quad <= 1e-12, "oracles/return-gf-quadratic"',
+           'CheckResult(True, "oracles/return-gf-quadratic"',
+           ("tests/test_cli.py::test_return_gf_off_its_quadratic_is_a_failed_check",)),
+    Mutant("verify-gf-escape-complement-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(comp == 0.0, "oracles/gf-escape-complement"',
+           'CheckResult(True, "oracles/gf-escape-complement"',
+           ("tests/test_cli.py::test_escape_off_the_gf_complement_is_a_failed_check",)),
+    Mutant("verify-sandwich-verdict-dropped", "src/gwspeed/verify.py",
+           'CheckResult(sandwich_ok, "oracles/conductance-sandwich"',
+           'CheckResult(True, "oracles/conductance-sandwich"',
+           ("tests/test_cli.py::test_sandwich_violation_is_a_failed_check",)),
+    Mutant("verify-lemma0-verdict-dropped", "src/gwspeed/verify.py",
+           'z < _MC_GATE, "lemma0/speed-match"', 'True, "lemma0/speed-match"',
+           ("tests/test_cli.py::test_lemma0_speed_mismatch_at_the_gate_is_a_failed_check",)),
+    Mutant("verify-strict-decrease-verdict-dropped", "src/gwspeed/verify.py",
+           'bool(rep.strictly_decreasing), "monotonicity/strict-decrease"',
+           'True, "monotonicity/strict-decrease"',
+           ("tests/test_cli.py::test_a_curve_that_is_not_strictly_decreasing_is_a_failed_check",)),
+    Mutant("verify-criterion-margin-verdict-dropped", "src/gwspeed/verify.py",
+           'ok, "monotonicity/criterion-margin"', 'True, "monotonicity/criterion-margin"',
+           ("tests/test_cli.py::test_verify_criterion_margin_under_three_stderr_fails",)),
 ]
+
+# verify lines that report without a verdict, so no mutant can force them
+_UNGATED_CHECKS = {"monotonicity/skipped", "monotonicity/unit-bias-reference"}
 
 
 def _apply(root: Path, mutant: Mutant) -> None:
@@ -137,3 +190,21 @@ def test_mutant_is_killed(mutant, tmp_path):
     # exit 1: tests ran and failed; 0 is a survivor, and 2-5 (collection or
     # usage errors, no tests selected) say nothing about the mutant
     assert proc.returncode == 1, f"not killed (pytest exit {proc.returncode}):\n{proc.stdout}"
+
+
+def test_every_verify_verdict_has_a_mutant():
+    # a verdict is covered when some mutant edits text inside its CheckResult
+    # call; only the lines in _UNGATED_CHECKS may pass the literal True
+    path = "src/gwspeed/verify.py"
+    source = (ROOT / path).read_text(encoding="utf-8")
+    edits = [m.old for m in MUTANTS if m.path == path]
+    ungated, uncovered = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult":
+            verdict, name = node.args[:2]
+            if isinstance(verdict, ast.Constant) and verdict.value is True:
+                ungated.add(name.value)
+            elif not any(old in ast.get_source_segment(source, node) for old in edits):
+                uncovered.append(name.value)
+    assert ungated == _UNGATED_CHECKS
+    assert uncovered == []

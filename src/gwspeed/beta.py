@@ -246,8 +246,10 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
     """Bias-independent plan of the bottom-up pass over a sampled forest.
 
     Identical subtrees are merged level by level from the bottom, so a merged
-    level holds one entry per shape (see ``_merge_level``). Merging stops for
-    good at the first level that ``_merge_level`` refuses. (beta, beta')
+    level holds one entry per shape (see ``_merge_level``). A level merges when
+    its code range fits its width, so every level above an unmerged one is
+    refused by that rule: in a leafless forest its children number at least
+    its width, and its code range is at least their count + 1. (beta, beta')
     depend only on the shape, and a shape's child sums add the same values in
     the same order as those of each of its vertices, so the values are
     bit-identical.
@@ -259,15 +261,12 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
     all on the boundary), and the index of each root's value on the top level
     (None when the root level was not merged).
     """
-    levels, ids, merge = [], None, True
+    levels, ids = [], None
     while layers:
         counts = layers.pop()
         plan = _block_plan(counts, ids) if levels else None
-        merged = _merge_level(counts, plan, len(levels[-1][0]) if levels else 0) if merge else None
-        if merged is None:
-            merge, ids = False, None
-        else:
-            ids, counts, plan = merged
+        merged = _merge_level(counts, plan, len(levels[-1][0]) if levels else 0)
+        ids, counts, plan = merged or (None, counts, plan)
         levels.append((counts, plan))
     return levels, ids
 

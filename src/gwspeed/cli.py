@@ -441,7 +441,7 @@ def run_cli(argv=None) -> int:
                 _check_output_path(path)
         cfg = _load_config(args.config) if args.config else {}
         return _COMMANDS[args.command](args, cfg)
-    except (_CliError, ValueError, UnsupportedRegimeError, OSError) as exc:
+    except (_CliError, ValueError, OSError) as exc:  # UnsupportedRegimeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -336,15 +336,9 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
                                    within_certified=within))
         prev_speed, prev_psi = speed, psi
 
-    if dist.m1 < 2:
-        report = MonotonicityReport(
-            lambda_star=None, pairs=pairs, strictly_decreasing=None,
-            refused_reason=f"minimum branching {dist.m1} is below 2; "
-                           "no certified range to test")
-    else:
-        eligible = [p for p in pairs if p.within_certified]
-        verdict = all(p.decreasing for p in eligible) if eligible else None
-        report = MonotonicityReport(lambda_star=lam_star, pairs=pairs,
-                                    strictly_decreasing=verdict)
-    return SpeedCurve(points=points, report=report)
+    eligible = [p for p in pairs if p.within_certified]  # none without lam_star
+    verdict = all(p.decreasing for p in eligible) if eligible else None
+    refused = None if lam_star else (f"minimum branching {dist.m1} is below 2; "
+                                     "no certified range to test")
+    return SpeedCurve(points, MonotonicityReport(lam_star, pairs, verdict, refused))
 

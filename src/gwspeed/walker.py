@@ -33,6 +33,7 @@ a lazily grown QuenchedTree, fed the same tree stream through the same
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from array import array
@@ -446,9 +447,5 @@ def lemma0_compare(dist: OffspringDistribution, lam: float, steps: int,
     estimated with independent randomness, plus the discrepancy z-score."""
     est_t = simulate_speed(dist, lam, steps, replicas, seed, graph="T")
     est_s = simulate_speed(dist, lam, steps, replicas, seed, graph="T_star")
-    if est_t.mean == est_s.mean:
-        z = 0.0
-    else:
-        denom = float(np.hypot(est_t.stderr, est_s.stderr))
-        z = abs(est_t.mean - est_s.mean) / denom if denom > 0 else float("inf")
-    return est_t, est_s, z
+    diff, denom = abs(est_t.mean - est_s.mean), float(np.hypot(est_t.stderr, est_s.stderr))
+    return est_t, est_s, diff / denom if denom > 0 else (math.inf if diff else 0.0)

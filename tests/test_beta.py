@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
                           _forest_root_values, _merge_forest, _merge_level,
                           _trees_per_chunk, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
-from gwspeed.rng import substream
+from gwspeed.rng import D_POOL, substream
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
 
 LAM_GRID = (0.25, 0.5, 1.0, 1.5)
@@ -377,6 +380,86 @@ def test_a_one_point_pool_past_the_forest_budget_is_refused_before_any_draw(monk
         with pytest.raises(ValueError, match=r"^a depth-13 forest level would need about "
                                              r"7\.28 GiB, over the 2 GiB limit$"):
             call()
+
+
+def _add_plan(h, levels, top):
+    """Feed a forest plan to the hash ``h``: every level's counts and block
+    plan, then the top ids."""
+    def add(a):
+        h.update(b"-" if a is None else b"*" if isinstance(a, slice)
+                 else f"{a.dtype}{a.shape}".encode() + a.tobytes())
+
+    for counts, plan in levels:
+        h.update(b"|")
+        add(counts)
+        if plan is not None:
+            for a in (plan.first, plan.off, plan.index, *(a for rank in plan.ranks for a in rank)):
+                add(a)
+    add(top)
+
+
+def test_merged_forest_plans_are_pinned():
+    # the levels, block plans and top ids of the forests of
+    # test_merged_forest_matches_plain_recursion and two of the bench law's;
+    # _merge_level refuses every level above an unmerged one on its own
+    cases = [(law, depth, n_trees, 100 * depth + n_trees)
+             for law, depths in (("2:1", (0, 1, 2, 8)), ("2:0.5,3:0.5", (0, 1, 2, 8)),
+                                 ("1:0.2,4:0.8", (0, 1, 2, 8)),
+                                 ("2:0.3,3:0.3,4:0.4", (0, 1, 2, 8)),
+                                 ("1:0.5,12:0.5", (0, 1, 2, 4)), ("2:0.9,20:0.1", (0, 1, 2, 5)))
+             for depth in depths for n_trees in (1, 50)]
+    cases += [("2:0.5,3:0.5", 8, 800, 8), ("2:0.5,3:0.5", 11, 100, 11)]
+    h = hashlib.sha256()
+    for law, depth, n_trees, seed in cases:
+        layers = _sample_offspring_layers(parse_pmf_text(law), depth, n_trees,
+                                          np.random.default_rng(seed))
+        widths = [c.size for c in reversed(layers)]
+        levels, top = _merge_forest(layers)
+        merged = [c.size < w for (c, _), w in zip(levels, widths)]
+        assert merged == sorted(merged, reverse=True)  # merged levels are a bottom run
+        _add_plan(h, levels, top)
+    assert h.hexdigest() == "42037ef3dcda82d60a421b44fb4a78aa52146b229b2a05f9ad62ee875a0c8df5"
+
+
+@pytest.mark.parametrize("n, count, seed", [(1, 12, 0), (2, 3, 1)])
+def test_a_narrow_level_with_more_shapes_than_half_its_width_is_not_merged(
+        monkeypatch, n, count, seed):
+    # counts 1..8 on a lowest level of 11 or 12 vertices: the code range, 9,
+    # fits the width, but 7 or 8 shapes are more than half of it
+    dist = parse_pmf_text(",".join(f"{k}:0.125" for k in range(1, 9)))
+    refused = []
+
+    def spy(counts, plan, n_kid_shapes):
+        merged = _merge_level(counts, plan, n_kid_shapes)
+        if plan is None and merged is None:
+            refused.append((counts.size, int(counts.max()) + 1, np.unique(counts).size))
+        return merged
+
+    monkeypatch.setattr(beta_mod, "_merge_level", spy)
+    lams = [0.0, 0.3, 1.0, 2.7]
+    pools = sample_pools_shared_trees(dist, lams, n, count, seed)
+    (width, code_range, shapes), = refused
+    assert code_range <= width < 2 * shapes
+    layers = _sample_offspring_layers(dist, n, count, substream(seed, D_POOL, 0))
+    for lam, pool in zip(lams, pools):
+        b, db = _plain_root_values(layers, lam, count)
+        assert pool.beta.tobytes() == b.tobytes() and pool.dbeta.tobytes() == db.tobytes()
+
+
+@pytest.mark.parametrize("call, error, says", [
+    (lambda d: sample_pools_shared_trees(d, [1.0], 3, 0, seed=1), ValueError,
+     "pool size must be >= 1, got 0"),
+    (lambda d: sample_pool(d, 1.0, 3, 10, seed=1, method="bogus"), ValueError,
+     "unknown pool method 'bogus'"),
+    (lambda d: sample_pool(parse_pmf_text("0:0.25,2:0.75"), 1.0, 3, 10, seed=1,
+                           method="population"), UnsupportedRegimeError,
+     "sample pools need a leafless offspring law"),
+    (lambda d: sample_pool(d, 1.0, 3, 0, seed=1, method="population"), ValueError,
+     "pool size must be >= 1, got 0"),
+], ids=["shared-trees-count", "unknown-method", "population-leaves", "population-count"])
+def test_pool_refusals_name_what_is_wrong(mix23, call, error, says):
+    with pytest.raises(error, match=f"^{re.escape(says)}$"):
+        call(mix23)
 
 
 def _merged_levels(law, depth, n_trees, seed):

@@ -157,6 +157,43 @@ def test_beta_refuses_a_bias_and_a_grid_together(capsys):
     assert err == "error: give either --lambda or --lambda-grid, not both\n"
 
 
+@pytest.mark.filterwarnings("ignore:bias")
+def test_simulate_flags_a_bias_at_the_mean_branching(capsys):
+    code, out, _ = run(capsys, "simulate", "--pmf", "2:1", "--lambda", "2", "--steps", "50",
+                       "--replicas", "2")
+    assert code == 0
+    assert out.endswith("\nsteps=50\nwarning=bias at or above mean branching; not transient\n")
+
+
+@pytest.mark.parametrize("spec, says", [
+    ("0:1:0", "grid step must be positive, got 0"),
+    ("0:1:-0.5", "grid step must be positive, got -0.5"),
+    ("1:0.5:0.1", "grid stop must be >= start"),
+])
+@pytest.mark.parametrize("command", ["beta", "speed-curve"])
+def test_a_grid_that_does_not_step_up_exits_before_any_output(capsys, command, spec, says):
+    code, out, err = run(capsys, command, "--lambda-grid", spec)
+    assert (code, out, err) == (1, "", f"error: {says}\n")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"2:1"', "3", "null"])
+def test_a_config_that_is_not_a_json_object_exits_one(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "beta", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: config must be a JSON object\n")
+
+
+def test_a_config_pmf_given_as_text_reads_the_same_law_as_pmf(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pmf": "2:0.25,5:0.75"}')
+    argv = ("beta", "--depth", "4", "--trials", "200", "--seed", "5")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert out == run(capsys, *argv, "--pmf", "2:0.25,5:0.75")[1]
+    assert out != run(capsys, *argv)[1]  # not the default law
+
+
 def test_pmf_json_reads_the_same_law_as_pmf(capsys, tmp_path):
     pmf_file = tmp_path / "pmf.json"
     pmf_file.write_text('{"pmf": {"2": 0.5, "3": 0.5}}')
@@ -893,6 +930,98 @@ def test_bounds_tuple_denominator_under_its_floor_is_a_failed_check(capsys, monk
     assert code == 2
     assert out.count("\nFAIL bounds/tuple-denominator: ") == 4
     assert "\nFAIL bounds/tuple-denominator: lambda=0.25 min=1.875 floor=1.875\n" in out
+
+
+def _verify_oracles_fails(capsys, name):
+    code, out, _ = run(capsys, "verify", "--suite", "oracles", "--pmf", "2:1", "--seed", "7")
+    assert code == 2
+    assert f"\nFAIL {name}: " in out
+    return out
+
+
+def test_beta_conductance_disagreement_is_a_failed_check(capsys, monkeypatch):
+    # a conductance of 2 against a root beta of at most 1
+    monkeypatch.setattr(verify_mod, "effective_conductance_to_level", lambda net, n: 2.0)
+    out = _verify_oracles_fails(capsys, "oracles/beta-vs-conductance")
+    assert "\nPASS oracles/derivative-vs-path-sum: " in out
+
+
+def test_derivative_path_sum_disagreement_is_a_failed_check(capsys, monkeypatch):
+    # a path sum of 1 against a root derivative of at most 0
+    monkeypatch.setattr(verify_mod, "beta_derivative_path_sum", lambda table: 1.0)
+    out = _verify_oracles_fails(capsys, "oracles/derivative-vs-path-sum")
+    assert "\nPASS oracles/beta-vs-conductance: " in out
+
+
+def test_finite_difference_disagreement_is_a_failed_check(capsys, monkeypatch):
+    # only the finite-difference check reads depth 8: its derivative is off by 1e-3
+    real = verify_mod.compute_beta
+
+    def tilted(tree, n, lam):
+        table = real(tree, n, lam)
+        if n == 8:
+            table.dbeta = table.dbeta + 1e-3
+        return table
+
+    monkeypatch.setattr(verify_mod, "compute_beta", tilted)
+    out = _verify_oracles_fails(capsys, "oracles/finite-difference")
+    assert "\nFAIL oracles/finite-difference: h=0.0001 worst_abs=1.000e-03\n" in out
+
+
+def test_return_gf_off_its_quadratic_is_a_failed_check(capsys, monkeypatch):
+    # off by 1e-9 below z = 1 only, so the complement check, at z = 1, still passes
+    real = verify_mod.regular_return_gf
+    monkeypatch.setattr(verify_mod, "regular_return_gf",
+                        lambda d, lam, z: real(d, lam, z) + (1e-9 if z < 1.0 else 0.0))
+    out = _verify_oracles_fails(capsys, "oracles/return-gf-quadratic")
+    assert "\nPASS oracles/gf-escape-complement: worst_abs=0.000e+00\n" in out
+
+
+def test_escape_off_the_gf_complement_is_a_failed_check(capsys, monkeypatch):
+    real = verify_mod.regular_escape_probability
+    monkeypatch.setattr(verify_mod, "regular_escape_probability",
+                        lambda d, lam: real(d, lam) + 2.0 ** -40)
+    out = _verify_oracles_fails(capsys, "oracles/gf-escape-complement")
+    assert "\nPASS oracles/return-gf-quadratic: " in out
+
+
+def test_lemma0_speed_mismatch_at_the_gate_is_a_failed_check(capsys, monkeypatch):
+    # z exactly at the gate fails: the check is z < gate
+    est = types.SimpleNamespace(mean=0.5)
+    monkeypatch.setattr(verify_mod, "lemma0_compare",
+                        lambda dist, lam, steps, replicas, seed: (est, est, 4.0))
+    code, out, _ = run(capsys, "verify", "--suite", "lemma0", "--pmf", "2:1", "--seed", "7")
+    assert code == 2
+    assert out.count("\nFAIL lemma0/speed-match: ") == 3
+    assert "\nFAIL lemma0/speed-match: lambda=0.5 T=0.5 Tstar=0.5 z=4 gate=4\n" in out
+
+
+def test_a_curve_that_is_not_strictly_decreasing_is_a_failed_check(capsys, monkeypatch):
+    real = verify_mod.speed_curve
+
+    def violated(*args):
+        curve = real(*args)
+        curve.report.strictly_decreasing = False
+        return curve
+
+    monkeypatch.setattr(verify_mod, "speed_curve", violated)
+    code, out, _ = run(capsys, "verify", "--suite", "monotonicity", "--pmf", "2:1",
+                       "--seed", "7")
+    assert code == 2
+    for n in (7, 10):
+        assert f"\nFAIL monotonicity/strict-decrease: depth={n} pairs=13 " in out
+        assert f"\nPASS monotonicity/criterion-margin: depth={n} " in out
+
+
+@pytest.mark.parametrize("suite", verify_mod.SUITE_NAMES + ("all",))
+def test_verify_refuses_a_law_with_leaves_before_any_work(capsys, monkeypatch, suite):
+    def never(*args):
+        raise AssertionError("a suite ran")
+
+    for name in verify_mod.SUITES:
+        monkeypatch.setitem(verify_mod.SUITES, name, never)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--pmf", "0:0.2,2:0.8")
+    assert (code, out, err) == (1, "", "error: verify needs a leafless offspring law\n")
 
 
 @pytest.mark.parametrize("suite, pmf, checks", [

@@ -22,7 +22,8 @@ from gwspeed import (
 )
 from gwspeed import speed as speed_mod
 from gwspeed.beta import MAX_FOREST_LEVEL_BYTES
-from gwspeed.speed import _curve_bytes, _delta, _draw_tuples, _ratio, _stderr
+from gwspeed.speed import (_CERTIFIED_SLACK, _curve_bytes, _delta, _draw_tuples, _ratio,
+                           _stderr)
 
 
 def constant_pool(beta, dbeta, lam, size=200):
@@ -470,3 +471,58 @@ def test_curve_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
     with pytest.raises(ValueError, match="GiB limit"):
         speed_curve(mix23, [0.0, 0.5, 1.0], 3, 40, 500, seed=1)
     assert asked == [(mix23, 3, 40, 500)]
+
+
+def _curve_with_speeds(dist, speeds, monkeypatch):
+    # every tuple's speed terms are (speed, 1), so each grid point's formula
+    # speed is the given one, with stderr 0
+    def fill(tp, lam, out):
+        out[0], out[1] = speeds[lam], 1.0
+        return out
+
+    monkeypatch.setattr(speed_mod, "_speed_terms", fill)
+    return speed_curve(dist, list(speeds), 2, 16, 50, seed=1)
+
+
+def test_an_increase_just_past_the_certified_end_is_not_judged(mix23, monkeypatch):
+    # the one increasing pair ends one ulp past lambda* + _CERTIFIED_SLACK, so
+    # only the decreasing pair below it is eligible
+    end = float(np.nextafter(mix23.monotonicity_threshold() + _CERTIFIED_SLACK, np.inf))
+    rep = _curve_with_speeds(mix23, {0.5: 0.6, 1.0: 0.4, end: 0.5}, monkeypatch).report
+    assert [(p.decreasing, p.within_certified) for p in rep.pairs] == [(True, True),
+                                                                      (False, False)]
+    assert rep.strictly_decreasing is True
+
+
+@pytest.mark.parametrize("slack", [0.0, _CERTIFIED_SLACK])
+def test_an_increase_ending_at_the_certified_end_is_a_violation(mix23, monkeypatch, slack):
+    end = mix23.monotonicity_threshold() + slack
+    rep = _curve_with_speeds(mix23, {0.5: 0.6, 1.0: 0.4, end: 0.5}, monkeypatch).report
+    assert [(p.decreasing, p.within_certified) for p in rep.pairs] == [(True, True),
+                                                                      (False, True)]
+    assert rep.strictly_decreasing is False
+
+
+def test_a_grid_past_the_certified_end_gives_no_verdict(mix23):
+    lam_star = mix23.monotonicity_threshold()
+    assert 1.2 > lam_star
+    rep = speed_curve(mix23, [1.2, 1.5, 1.9], 3, 50, 500, seed=2).report
+    assert (rep.lambda_star, rep.refused_reason) == (lam_star, None)
+    assert not any(p.within_certified for p in rep.pairs)
+    assert rep.strictly_decreasing is None
+
+
+def test_inequality8_does_not_hold_at_equality(mix23):
+    # a pool of zero betas makes every beta sum 0, so e1 = e3 = 0 and
+    # lhs = rhs = 0 exactly: the strict criterion does not hold
+    lam = 1.5  # every denominator is lam - 1 = 0.5
+    tp = make_tuple_pool(mix23, constant_pool(0.0, -0.3, lam), 500, seed=3)
+    assert not tp.beta_sums.any()
+    rep = inequality8(mix23, lam, tp)
+    assert rep.lhs == rep.rhs == 0.0
+    assert rep.holds is False
+
+
+def test_a_tuple_count_below_one_is_refused(mix23):
+    with pytest.raises(ValueError, match=r"^tuple count must be >= 1, got 0$"):
+        make_tuple_pool(mix23, constant_pool(0.6, -0.3, 1.0), 0, seed=1)

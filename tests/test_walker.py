@@ -562,10 +562,33 @@ def test_hitting_input_validation(mix23):
         hitting_beta_mc(shallow, 1.0, 5, 100, seed=1)
 
 
+def test_annealed_hitting_refuses_a_fixed_tree(mix23):
+    tree = sample_truncated_tree(mix23, 3, seed=1)
+    with pytest.raises(ValueError, match=r"^annealed mode requires an offspring law, "
+                                         r"not a fixed tree$"):
+        hitting_beta_mc(tree, 1.0, 3, 100, seed=1, mode="annealed")
+
+
 def test_lemma0_lambda_zero_short_circuit(binary):
     est_t, est_s, z = lemma0_compare(binary, 0.0, 1000, 4, seed=1)
     assert est_t.mean == est_s.mean == 1.0
     assert z == 0.0
+
+
+@pytest.mark.parametrize("means, stderrs, z", [
+    ((0.75, 0.25), (0.375, 0.5), 0.8),  # 0.5 / hypot(0.375, 0.5) = 0.5 / 0.625, exact
+    ((0.25, 0.75), (0.5, 0.375), 0.8),
+    ((0.5, 0.5), (0.0, 0.0), 0.0),
+    ((0.5, 0.25), (0.0, 0.0), float("inf")),
+])
+def test_lemma0_z_is_the_mean_gap_over_the_joint_stderr(mix23, monkeypatch, means, stderrs, z):
+    def simulate(dist, lam, steps, replicas, seed, graph):
+        i = ("T", "T_star").index(graph)
+        return walker_mod.SpeedEstimate(means[i], stderrs[i], replicas, steps, lam, graph, [])
+
+    monkeypatch.setattr(walker_mod, "simulate_speed", simulate)
+    est_t, est_s, got = lemma0_compare(mix23, 0.5, 100, 4, seed=1)
+    assert (est_t.mean, est_s.mean, got) == (*means, z)
 
 
 def test_lemma0_z_reasonable(mix23):
