@@ -47,9 +47,15 @@ MUTANTS = [
            "sc = sb + (1.0 - lam) * tp.sums(tp.pool.dbeta)", "sc = sb",
            ("tests/test_speed.py::test_inequality8_exact_binary_half_bias",)),
     Mutant("level-step-scales-dbeta", "src/gwspeed/beta.py",
-           "return s / denom, (lam * sp - s) / (denom * denom)",
-           "return s / denom, 1.001 * (lam * sp - s) / (denom * denom)",
+           "sp /= denom", "sp /= denom / 1.001",
            ("tests/test_acceptance.py::test_criterion_4_derivative_correctness",)),
+    Mutant("two-point-draw-boundary", "src/gwspeed/offspring.py",
+           "(u >= self._cum[0])", "(u > self._cum[0])",
+           ("tests/test_offspring.py::"
+            "test_two_point_counts_equal_the_where_form_at_the_boundary",)),
+    Mutant("rescan-keeps-margins", "src/gwspeed/cli.py",
+           "depth + 3, samples2, tuples, seed, False)", "depth + 3, samples2, tuples, seed, True)",
+           ("tests/test_cli.py::test_speed_curve_rescan_evaluates_no_margins",)),
     Mutant("threshold-times-0.9", "src/gwspeed/offspring.py",
            "return self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))",
            "return 0.9 * self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))",

@@ -95,12 +95,12 @@ class _BlockPlan(NamedTuple):
 
 def _block_plan(counts: np.ndarray, index: np.ndarray | None = None) -> _BlockPlan:
     """The ``_BlockPlan`` of blocks of ``counts`` values read through ``index``."""
-    off = np.cumsum(counts, dtype=np.int64) - counts
+    off = np.cumsum(counts, dtype=np.int64)
+    off -= counts
     first = off if index is None else index[off]
-    ranks = []
+    ranks, lo = [], int(counts.min())
     for j in range(1, min(int(counts.max()), _PLANNED_WIDTH)):
-        has = np.flatnonzero(counts > j)
-        has = slice(None) if has.size == counts.size else has
+        has = slice(None) if j < lo else np.flatnonzero(counts > j)
         at = off[has] + j
         ranks.append((has, at if index is None else index[at]))
     return _BlockPlan(first, ranks, off, index)
@@ -113,15 +113,22 @@ def _block_sums(x: np.ndarray, plan: _BlockPlan) -> np.ndarray:
     left to right from -0.0 when it has fewer than 8 values, pairwise
     otherwise. For blocks of at most ``_SEQUENTIAL_BLOCK`` values the same
     additions run as one gather from ``x`` per rank, whose cost is per value
-    rather than per block; longer blocks fall back to reduceat.
+    rather than per block; longer blocks fall back to reduceat. A first rank
+    that every block has starts the tail as its gather, since -0.0 + y is y
+    for every y. The result is a fresh array, which callers may overwrite.
     """
     first, ranks, off, index = plan
     if len(ranks) >= _SEQUENTIAL_BLOCK:
         return np.add.reduceat(x if index is None else x[index], off)
-    tail = np.full(first.size, -0.0)
+    if ranks and isinstance(ranks[0][0], slice):
+        tail, ranks = x[ranks[0][1]], ranks[1:]
+    else:
+        tail = np.full(first.size, -0.0)
     for has, at in ranks:
         tail[has] += x[at]
-    return x[first] + tail
+    sums = x[first]
+    sums += tail
+    return sums
 
 
 def _level_step(counts: np.ndarray, plan: _BlockPlan | None, b: np.ndarray | None,
@@ -131,15 +138,21 @@ def _level_step(counts: np.ndarray, plan: _BlockPlan | None, b: np.ndarray | Non
     The children's (beta, beta') values ``b`` and ``db`` are summed in the
     blocks of ``plan``, one block of ``counts`` children per parent. A None
     plan stands for children on the boundary level (beta 1, beta' 0), whose
-    sum is the count.
+    sum is the count. Computes s / (lam + s) and (lam * s' - s) / (lam + s)**2
+    in place on the fresh sums, in the same operations and order as written.
     """
     if plan is None:
         s, sp = counts.astype(np.float64), 0.0
     else:
         s, sp = _block_sums(b, plan), _block_sums(db, plan)
     denom = lam + s
+    sp *= lam
+    sp -= s
+    s /= denom
     with np.errstate(over="ignore"):  # a huge bias's denom ** 2 is inf: beta' -> 0
-        return s / denom, (lam * sp - s) / (denom * denom)
+        denom *= denom
+    sp /= denom
+    return s, sp
 
 
 def compute_beta(tree: QuenchedTree, n: int, lam: float) -> BetaTable:
@@ -224,8 +237,9 @@ def _merge_level(counts: np.ndarray, plan: _BlockPlan | None, n_kid_shapes: int
     code_range = width + 1 if plan is None else base ** min(width, _PLANNED_WIDTH)
     if code_range > counts.size:
         return None
-    code = counts
-    if plan is not None:
+    if plan is None:
+        code = counts.astype(np.intp)  # indexes the presence table twice: convert once
+    else:
         code = plan.first.astype(np.int64) + 1  # digit j: the shape of the j-th child
         for j, (has, at) in enumerate(plan.ranks, 1):
             code[has] += (at.astype(np.int64) + 1) * base ** j
@@ -269,6 +283,17 @@ def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | N
         ids, counts, plan = merged or (None, counts, plan)
         levels.append((counts, plan))
     return levels, ids
+
+
+def _intp_plan(plan: _BlockPlan | None) -> _BlockPlan | None:
+    """``plan`` with every index it gathers through as intp, which numpy
+    would otherwise convert from int32 at each gather."""
+    if plan is None:
+        return None
+    first, ranks, off, index = plan
+    ranks = [(has, np.asarray(at, np.intp)) for has, at in ranks]
+    index = None if index is None else np.asarray(index, np.intp)
+    return _BlockPlan(np.asarray(first, np.intp), ranks, off, index)
 
 
 def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
@@ -335,7 +360,12 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     """Tree-method pools at several biases evaluated on one common set of
     trees (the i-th sample of every pool comes from the same realization),
     so cross-bias comparisons share all structural randomness. A one-point
-    law draws nothing: each bias is evaluated once on its k-regular tree."""
+    law draws nothing: each bias is evaluated once on its k-regular tree.
+
+    ``_merge_forest`` keeps its shape ids int32, half the bytes of intp. The
+    per-bias pass gathers through every plan index once a bias, so each
+    forest's plans are cast to intp once, after the merge, rather than
+    converted at every gather."""
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
     if count < 1:
@@ -356,6 +386,9 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
         hi = min(lo + chunk, count)
         rng = substream(seed, D_POOL, ci)
         levels, top = _merge_forest(_sample_offspring_layers(dist, n, hi - lo, rng))
+        for i, (counts, plan) in enumerate(levels):  # in place, freeing each int32 plan
+            levels[i] = counts, _intp_plan(plan)
+        top = None if top is None else top.astype(np.intp)
         for j, lam in enumerate(lams):
             betas[j][lo:hi], dbetas[j][lo:hi] = _forest_root_values(levels, top, lam, hi - lo)
     return [BetaPool(beta=betas[j], dbeta=dbetas[j], level=n, lam=lam, method="tree")

@@ -389,7 +389,7 @@ def cmd_speed_curve(args, cfg) -> int:
         _write(args.out, _render(args.format, CURVE_CSV_FIELDS, records))
 
     if not args.single_depth:
-        curve2 = speed_curve(dist, grid, depth + 3, samples2, tuples, seed)
+        curve2 = speed_curve(dist, grid, depth + 3, samples2, tuples, seed, False)  # verdict only
         _report_verdict(curve2, depth + 3)
         if (curve.report.strictly_decreasing is not None
                 and curve2.report.strictly_decreasing is not None

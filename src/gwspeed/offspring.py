@@ -120,12 +120,22 @@ class OffspringDistribution:
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Sample offspring counts, vectorized: an array of length size, int16
         unless m2 needs a wider integer. A one-point law draws nothing from
-        ``rng``."""
+        ``rng``.
+
+        A two-point law {lo, hi} maps a uniform u to lo + (hi - lo) * (u >= c),
+        c the probability of lo, in integer arithmetic: for u in [0, 1),
+        ``u >= c`` is exactly ``not u < c``, so the counts are those of
+        ``np.where(u < c, lo, hi)``, which takes several times as long.
+        """
         if len(self.entries) == 1:
             return np.full(size, self._support[0])
         u = rng.random(size)
         if len(self.entries) == 2:
-            return np.where(u < self._cum[0], self._support[0], self._support[1])
+            lo, hi = self._support
+            counts = (u >= self._cum[0]).astype(self._support.dtype)
+            counts *= hi - lo
+            counts += lo
+            return counts
         return self._support[np.searchsorted(self._cum, u, side="right")]
 
     # Serialization --------------------------------------------------------

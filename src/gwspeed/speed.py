@@ -66,9 +66,8 @@ class TuplePool:
     def __post_init__(self):
         self.beta_sums = self.sums(self.pool.beta)
         self.denominators = d = self.lam - 1.0 + self.beta_sums
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            j = int(bad[0])
+        if d.min() <= 0.0:
+            j = int(np.flatnonzero(d <= 0.0)[0])
             raise DegenerateTupleError(j, int(self.nus[j]), float(d[j]))
 
     lam = property(lambda self: self.pool.lam)
@@ -185,12 +184,21 @@ class Ineq8Report:
     holds: bool
 
 
-def inequality8(dist: OffspringDistribution, lam: float,
-                tuple_pool: TuplePool) -> Ineq8Report:
+def _tuple_weights(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bias-free weights nu/(nu+1) and 1/(nu+1) of ``inequality8``'s
+    moments, from the counts as float64 (exact below 2**53)."""
+    nu = nus.astype(np.float64)
+    nu1 = nu + 1.0
+    return nu / nu1, 1.0 / nu1
+
+
+def inequality8(dist: OffspringDistribution, lam: float, tuple_pool: TuplePool,
+                weights: tuple[np.ndarray, np.ndarray] | None = None) -> Ineq8Report:
     """Evaluate the strict-decrease criterion at one bias from joint tuples.
 
-    Defined for 0 < lam < m1 with m1 >= 2. The verdict is reported as is;
-    nothing is asserted here.
+    Defined for 0 < lam < m1 with m1 >= 2. ``weights`` are the tuples'
+    ``_tuple_weights``, which a scan computes once for all its biases. The
+    verdict is reported as is; nothing is asserted here.
     """
     if dist.m1 < 2:
         raise UnsupportedRegimeError(
@@ -205,9 +213,7 @@ def inequality8(dist: OffspringDistribution, lam: float,
     d = tp.denominators
     sb = tp.beta_sums
     sc = sb + (1.0 - lam) * tp.sums(tp.pool.dbeta)
-    nu = tp.nus
-    w_nu = nu / (nu + 1.0)
-    w_one = 1.0 / (nu + 1.0)
+    w_nu, w_one = _tuple_weights(tp.nus) if weights is None else weights
     f = sb / d
     g = sc / (d * d)
     x = np.empty((4, len(tp)))
@@ -279,7 +285,7 @@ def _check_curve_size(dist: OffspringDistribution, n: int, points: int, samples:
 
 
 def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
-                tuples: int, seed: int) -> SpeedCurve:
+                tuples: int, seed: int, margins: bool = True) -> SpeedCurve:
     """Scan the speed formula over a bias grid with common random numbers.
 
     One set of ``samples`` trees and one tuple stream are drawn once; every
@@ -288,7 +294,9 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     zero bias every beta is 1, so each tuple's two terms are nu/nu and the
     point comes out as exactly 1 with stderr 0. The monotonicity verdict
     covers consecutive pairs up to the certified threshold and is refused
-    when the minimum branching number is below 2.
+    when the minimum branching number is below 2. With ``margins`` false no
+    criterion margin is evaluated and every point's stays None; the speeds,
+    pairs and verdict are the same.
     """
     _check_depth(n)
     if samples < 1 or tuples < 1:
@@ -309,6 +317,7 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
     tuple_draw = _draw_tuples(dist, samples, tuples, seed)
+    weights = _tuple_weights(tuple_draw[0]) if margins else None
 
     lam_star = dist.monotonicity_threshold() if dist.m1 >= 2 else None
 
@@ -320,8 +329,8 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
         _, speed, psi = _delta(_speed_terms(tp, lam, terms), _ratio)
         point = SpeedCurvePoint(lam=lam, speed_formula=speed,
                                 speed_formula_stderr=_stderr(psi))
-        if lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
-            rep = inequality8(dist, lam, tp)
+        if margins and lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
+            rep = inequality8(dist, lam, tp, weights)
             point.ineq8_margin = rep.margin
             point.ineq8_stderr = rep.mc_stderr
             point.ineq8_holds = rep.holds

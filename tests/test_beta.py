@@ -18,8 +18,8 @@ from gwspeed import (
 from gwspeed import beta as beta_mod
 from gwspeed import tree as tree_mod
 from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
-                          _forest_root_values, _merge_forest, _merge_level,
-                          _trees_per_chunk, forest_level_bytes)
+                          _forest_root_values, _intp_plan, _level_step, _merge_forest,
+                          _merge_level, _trees_per_chunk, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import D_POOL, substream
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
@@ -536,6 +536,69 @@ def test_block_sums_keep_signed_zeros():
         _assert_block_sums_match_reduceat(x, counts, _gather_index(rng, x.size))
     plan = _block_plan(np.ones(3, dtype=np.int16))
     assert np.signbit(_block_sums(np.array([-0.0, -0.0, -0.0]), plan)).all()
+
+
+def test_block_sums_match_reduceat_on_special_values():
+    # signed zeros, infinities and subnormals, through int32 and intp plans:
+    # blocks of one value (1:1), a first rank that only some blocks have
+    # (1:0.5,3:0.5), one that all have (2:0.5,3:0.5), and blocks past
+    # _SEQUENTIAL_BLOCK that fall back to reduceat (1:0.3,12:0.7)
+    rng = np.random.default_rng(8)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, 1.5, -2.25, 1e300])
+    for law in ("1:1", "1:0.5,3:0.5", "2:0.5,3:0.5", "1:0.3,12:0.7"):
+        counts = parse_pmf_text(law).draw_counts(rng, 3000)
+        x = rng.choice(special, size=int(counts.sum()))
+        index = _gather_index(rng, x.size)
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both sides
+            _assert_block_sums_match_reduceat(x, counts, index)
+            ref = np.add.reduceat(x[index], np.cumsum(counts) - counts)
+            plan = _intp_plan(_block_plan(counts, index.astype(np.int32)))
+            assert _block_sums(x, plan).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1.0, 1e200])
+def test_level_step_equals_the_out_of_place_formula(lam):
+    # the in-place step against s / (lam + s) and (lam * s' - s) / (lam + s)**2
+    # written out of place, above the boundary and on it; at 1e200 the square
+    # overflows and beta' is a signed zero
+    rng = np.random.default_rng(9)
+    counts = parse_pmf_text("1:0.3,2:0.3,3:0.4").draw_counts(rng, 2000)
+    size = int(counts.sum())
+    plan = _block_plan(counts, _gather_index(rng, size))
+    b, db = rng.random(size), -rng.random(size) * 10.0 ** rng.integers(-300, 0, size)
+    b[::11], db[::7] = 1.0, 0.0
+    for step_plan, s, sp in ((plan, np.add.reduceat(b[plan.index], plan.off),
+                              np.add.reduceat(db[plan.index], plan.off)),
+                             (None, counts.astype(np.float64), 0.0)):
+        denom = lam + s
+        with np.errstate(over="ignore"):
+            ref = s / denom, (lam * sp - s) / (denom * denom)
+        got = _level_step(counts, step_plan, b, db, lam)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+def test_the_per_bias_pass_reads_intp_plans(monkeypatch):
+    # _merge_forest's plans hold int32 shape ids; sample_pools_shared_trees
+    # casts them once, so no gather of the per-bias pass converts an index
+    layers = _sample_offspring_layers(parse_pmf_text("2:0.5,3:0.5"), 8, 300,
+                                      np.random.default_rng(4))
+    assert any(plan is not None and plan.first.dtype == np.int32
+               for _, plan in _merge_forest(layers)[0])
+    read = []
+
+    def spy(x, plan):
+        read.append(plan)
+        return _block_sums(x, plan)
+
+    monkeypatch.setattr(beta_mod, "_block_sums", spy)
+    sample_pools_shared_trees(parse_pmf_text("2:0.5,3:0.5"), [0.5, 1.0], 8, 300, 4)
+    sample_pools_shared_trees(parse_pmf_text("1:0.3,12:0.7"), [1.0], 4, 50, 4)
+    assert read
+    for plan in read:
+        indices = [plan.first, *(a for rank in plan.ranks for a in rank
+                                 if not isinstance(a, slice))]
+        assert all(a.dtype == np.intp for a in indices + [plan.index] if a is not None)
 
 
 def test_a_wide_block_lists_only_the_ranks_a_merge_can_code():

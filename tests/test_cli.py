@@ -334,6 +334,24 @@ def test_speed_curve_prints_a_false_report_as_violated(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("monotonicity_depth_4=VIOLATED lambda_star=")
 
 
+def test_speed_curve_rescan_evaluates_no_margins(capsys, monkeypatch):
+    # the depth+3 rescan prints only its verdict: the default grid's 13
+    # positive biases are each scored once at depth 4 and never at depth 7
+    depths = []
+
+    def counted(dist, lam, tuple_pool, *args):
+        depths.append(tuple_pool.pool.level)
+        return inequality8(dist, lam, tuple_pool, *args)
+
+    inequality8 = speed_mod.inequality8
+    monkeypatch.setattr(speed_mod, "inequality8", counted)
+    code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "200",
+                         "--tuples", "2000", "--seed", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("monotonicity_depth_7=strictly-decreasing")
+    assert depths == [4] * 13
+
+
 def test_speed_curve_csv_json_same_numbers(capsys, tmp_path):
     base = ["speed-curve", "--lambda-grid", "0:1.17:0.39", "--depth", "4",
             "--samples", "150", "--tuples", "1500", "--seed", "9",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +158,32 @@ def test_one_point_law_draws_no_uniforms(mix23):
     after = np.random.default_rng(5)
     after.random(1000)
     assert rng.bit_generator.state == after.bit_generator.state
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("pmf, dtype", [({2: 0.5, 3: 0.5}, np.int16),
+                                        ({1: 0.3, 12: 0.7}, np.int16),
+                                        ({2: 0.1, 40000: 0.9}, np.int32)])
+def test_two_point_counts_equal_the_where_form_at_the_boundary(pmf, dtype):
+    # u exactly at the probability of the low count, its two neighbours, and
+    # the ends of [0, 1): the integer arithmetic gives np.where's counts
+    dist = make_distribution(pmf)
+    lo, hi = dist._support
+    c = dist._cum[0]
+    u = np.array([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), 0.0, np.nextafter(1.0, 0.0)])
+    ref = np.where(u < c, lo, hi)
+    got = dist.draw_counts(_Uniforms(u), u.size)
+    assert got.dtype == ref.dtype == dtype
+    assert got.tolist() == ref.tolist() == [dist.m2, dist.m1, dist.m2, dist.m1, dist.m2]
+    u = np.random.default_rng(3).random(100_000)
+    assert np.array_equal(dist.draw_counts(_Uniforms(u), u.size), np.where(u < c, lo, hi))

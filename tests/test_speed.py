@@ -259,6 +259,26 @@ def test_curve_mix_verdict_and_margins(mix23):
     assert curve.points[0].ineq8_margin is None
 
 
+def test_curve_without_margins_keeps_speeds_pairs_and_verdict(mix23):
+    # margins=False evaluates no criterion and moves nothing else
+    grid = [0.0, 0.3, 0.6, 0.9, 1.17]
+    full = speed_curve(mix23, grid, 5, 300, 4000, 13)
+    bare = speed_curve(mix23, grid, 5, 300, 4000, 13, False)
+    assert ([(p.lam, p.speed_formula, p.speed_formula_stderr) for p in bare.points]
+            == [(p.lam, p.speed_formula, p.speed_formula_stderr) for p in full.points])
+    assert bare.report == full.report and bare.report.strictly_decreasing is True
+    assert all(p.ineq8_margin is not None for p in full.points[1:])
+    assert all(p.ineq8_margin is p.ineq8_stderr is p.ineq8_holds is None for p in bare.points)
+
+
+def test_inequality8_takes_the_weights_of_its_tuples(mix23):
+    # the bias-free weights a scan hands over are the ones inequality8 computes
+    pool = sample_pool(mix23, 0.8, 5, 300, 3)
+    tp = make_tuple_pool(mix23, pool, 4000, 3)
+    assert inequality8(mix23, 0.8, tp, speed_mod._tuple_weights(tp.nus)) == inequality8(
+        mix23, 0.8, tp)
+
+
 def test_curve_crn_pairing_beats_independent_runs(mix23):
     grid = [0.5, 0.6]
     curve = speed_curve(mix23, grid, n=6, samples=2000, tuples=20000, seed=16)
