@@ -44,8 +44,23 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("inequality8-drops-dbeta-term", "src/gwspeed/speed.py",
-           "sc = sb + (1.0 - lam) * tp.sums(tp.pool.dbeta)", "sc = sb",
+           "(1.0 - tp.lam) * tp.sums(tp.pool.dbeta)", "0.0 * tp.sums(tp.pool.dbeta)",
            ("tests/test_speed.py::test_inequality8_exact_binary_half_bias",)),
+    Mutant("margin-dbeta-term-sign-flipped", "src/gwspeed/speed.py",
+           "(1.0 - tp.lam) * tp.sums(tp.pool.dbeta)", "(tp.lam - 1.0) * tp.sums(tp.pool.dbeta)",
+           ("tests/test_speed.py::test_printed_speed_slope_is_the_criterion_margin",)),
+    Mutant("margin-weight-rows-swapped", "src/gwspeed/speed.py",
+           "rows = ((a, f), (b, g), (b, f), (a, g))", "rows = ((a, f), (a, g), (b, f), (b, g))",
+           ("tests/test_speed.py::test_printed_speed_slope_is_the_criterion_margin",)),
+    Mutant("level-step-scales-dbeta-off-the-slope", "src/gwspeed/beta.py",
+           "sp /= denom", "sp /= denom / 1.001",
+           ("tests/test_speed.py::test_printed_speed_slope_is_the_criterion_margin",)),
+    Mutant("speed-gradient-sign-flipped", "src/gwspeed/speed.py",
+           "-2.0 * lam * e1 / (den * den)", "2.0 * lam * e1 / (den * den)",
+           ("tests/test_speed.py::test_delta_kernel_ratio_stderr_matches_closed_form",)),
+    Mutant("curve-speed-reads-the-margin-rows", "src/gwspeed/speed.py",
+           "psi = np.array(grad) @ terms[::2]", "psi = np.array(grad) @ terms[:2]",
+           ("tests/test_speed.py::test_curve_matches_flat_reference",)),
     Mutant("level-step-scales-dbeta", "src/gwspeed/beta.py",
            "sp /= denom", "sp /= denom / 1.001",
            ("tests/test_acceptance.py::test_criterion_4_derivative_correctness",)),
@@ -169,10 +184,30 @@ MUTANTS = [
     Mutant("verify-criterion-margin-verdict-dropped", "src/gwspeed/verify.py",
            'ok, "monotonicity/criterion-margin"', 'True, "monotonicity/criterion-margin"',
            ("tests/test_cli.py::test_verify_criterion_margin_under_three_stderr_fails",)),
+    Mutant("verify-beta-conductance-gate-1e-3", "src/gwspeed/verify.py",
+           "worst_pair <= 1e-12", "worst_pair <= 1e-3",
+           ("tests/test_cli.py::test_a_conductance_ten_times_the_gate_off_is_a_failed_check",)),
+    Mutant("verify-derivative-path-sum-gate-1e-3", "src/gwspeed/verify.py",
+           "worst_deriv <= 1e-12", "worst_deriv <= 1e-3",
+           ("tests/test_cli.py::test_a_path_sum_ten_times_the_gate_off_is_a_failed_check",)),
+    Mutant("verify-hitting-sigma-over-40-trials", "src/gwspeed/verify.py",
+           "b * (1.0 - b) / 4000", "b * (1.0 - b) / 40",
+           ("tests/test_cli.py::test_a_hitting_estimate_five_sigma_off_is_a_failed_check",)),
+    Mutant("verify-skipped-monotonicity-passes", "src/gwspeed/verify.py",
+           'CheckResult(None, "monotonicity/skipped"', 'CheckResult(True, "monotonicity/skipped"',
+           ("tests/test_cli.py::test_a_monotonicity_check_that_did_not_run_is_not_a_pass",)),
+    Mutant("verify-exits-2-on-a-skipped-check", "src/gwspeed/cli.py",
+           "any(r.ok is not None and not r.ok for r in results)",
+           "any(not r.ok for r in results)",
+           ("tests/test_cli.py::test_a_monotonicity_check_that_did_not_run_is_not_a_pass",)),
+    Mutant("verify-counts-a-skipped-check", "src/gwspeed/verify.py",
+           "ran = [r.ok for r in results if r.ok is not None]",
+           "ran = [bool(r.ok) for r in results]",
+           ("tests/test_cli.py::test_a_monotonicity_check_that_did_not_run_is_not_a_pass",)),
 ]
 
 # verify lines that report without a verdict, so no mutant can force them
-_UNGATED_CHECKS = {"monotonicity/skipped", "monotonicity/unit-bias-reference"}
+_UNGATED_CHECKS = {"monotonicity/unit-bias-reference"}
 
 
 def _apply(root: Path, mutant: Mutant) -> None:

@@ -418,7 +418,7 @@ def cmd_verify(args, cfg) -> int:
     sys.stdout.write(report)
     if args.out:
         _write(args.out, report)
-    return 0 if all(r.ok for r in results) else 2
+    return 2 if any(r.ok is not None and not r.ok for r in results) else 0
 
 
 _COMMANDS = {

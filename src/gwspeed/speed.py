@@ -1,32 +1,30 @@
 """Annealed speed formula, the strict-decrease inequality and curve scans.
 
-The speed at bias lam is the ratio of two expectations over tuples
-(nu, beta_0..beta_nu): numerator weight (nu-lam)*beta_0/(lam-1+sum beta_i),
-denominator weight (nu+lam)*beta_0/(lam-1+sum beta_i), both evaluated as
-Monte Carlo means over tuples assembled from a sample pool.
-
-``inequality8`` evaluates the four cross moments whose combination being
-below (1/lam) * E1 * E3 is equivalent to a strictly negative speed slope, and
-reports the margin.
+Every estimate reads one set of per-tuple terms. For a tuple (nu, beta_0..
+beta_nu) with beta sum S, beta' sum S' and c = lam - 1, let f = S/(c + S),
+g = (S + (1 - lam) S')/(c + S)^2, a = nu/(nu + 1), b = 1/(nu + 1), and let
+e1..e4 be the means of a f, b g, b f and a g. The speed is
+(e1 - lam e3)/(e1 + lam e3): Aidekon's ratio of (nu -+ lam) beta_0/(c + S)
+with beta_0 replaced by its mean S/(nu + 1) given nu and the members.
+``inequality8`` reports the criterion margin e1 e3/lam - (e1 e2 - e3 e4).
+As df/dlam = -g, the speed's slope is exactly -2 lam margin/(e1 + lam e3)^2
+on any fixed tuples.
 
 ``speed_curve`` scans a bias grid with common random numbers: one tree set
 and one tuple stream serve every grid point, so consecutive-point differences
 are paired and the strict-decrease test is not drowned by Monte Carlo noise.
 
-Every estimate here (the ratio, the paired difference of two ratios, the
-criterion margin) is a smooth function of the means of paired per-tuple
-terms. One kernel, ``_delta``, returns its value and each tuple's influence
-psi, the gradient at the means dotted with the tuple's centred terms, and
-``_stderr`` turns the influences into the delta-method standard error
-sqrt(sum psi^2 / ((M - 1) M)). A pair of grid points needs no covariance of
-its own: its influence is the difference of the two points'. A tuple pool is
-its counts and the ``beta._block_plan`` of its draw (``_draw_tuples``), which
-lists the members as pool indices and sums every grid point's beta and beta'
-straight from the pool, in reduceat's order, so the values are bit-identical.
-Callers fill the terms in place, and ``speed_curve`` keeps of the previous
-point only its speed and its influences. So beyond its pools a scan's memory
-does not grow with the grid, and ``speed_curve`` refuses a scan predicted over
-``tree.MAX_FOREST_LEVEL_BYTES`` before any draw.
+One kernel, ``_delta``, returns a smooth function of the term means and each
+tuple's influence psi, the gradient at the means dotted with the tuple's
+centred terms; ``_stderr`` turns influences into the delta-method standard
+error sqrt(sum psi^2 / ((M - 1) M)), and a pair of grid points has the
+difference of its points' influences. A tuple pool is its counts, their
+weights and the ``beta._block_plan`` of its draw (``_draw_tuples``), which
+sums every grid point's beta and beta' straight from the pool, bit for bit
+as reduceat. ``speed_curve`` refills one term buffer at every grid point and
+keeps of the previous point only its speed and influences, so beyond its
+pools its memory does not grow with the grid; it refuses a scan predicted
+over ``tree.MAX_FOREST_LEVEL_BYTES`` before any draw.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -50,14 +49,15 @@ _CERTIFIED_SLACK = 1e-12
 @dataclass
 class TuplePool:
     """Tuples (nu_j, beta_0..beta_nu, beta'_0..beta'_nu) held as the
-    ``_draw_tuples`` plan that the pools of a bias grid share, whose
-    ``index`` lists members by pool index (so a member's beta and beta' come
-    from one realization) and whose ``off`` starts each tuple. The beta sums
-    and denominators lam - 1 + sum beta_i are computed once, at construction,
-    straight from the pool; a non-positive denominator raises
-    ``DegenerateTupleError`` for the first such tuple."""
+    ``_draw_tuples`` draw that the pools of a bias grid share: the counts,
+    their weights, and the plan whose ``index`` lists members by pool index
+    (so a member's beta and beta' come from one realization) and whose
+    ``off`` starts each tuple. The beta sums and denominators lam - 1 +
+    sum beta_i are computed once, at construction, straight from the pool; a
+    non-positive denominator raises ``DegenerateTupleError`` for the first."""
 
     nus: np.ndarray       # (M,)
+    weights: tuple[np.ndarray, np.ndarray]  # nu/(nu+1) and 1/(nu+1), (M,) each
     plan: _BlockPlan      # blocks of nus + 1 members, length sum(nus + 1)
     pool: BetaPool
     beta_sums: np.ndarray = field(init=False)
@@ -80,13 +80,14 @@ class TuplePool:
         return _block_sums(x, self.plan)
 
 
-def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int,
-                 seed: int) -> tuple[np.ndarray, _BlockPlan]:
-    """Counts of ``count`` tuples and the ``beta._block_plan`` of their
-    members, read through the members' pool indices."""
+def _draw_tuples(dist: OffspringDistribution, pool_size: int, count: int, seed: int) -> tuple:
+    """Counts of ``count`` tuples, their weights nu/(nu+1) and 1/(nu+1), and
+    the ``beta._block_plan`` of their members, read through pool indices."""
     rng = substream(seed, D_TUPLE, 0)
     nus = dist.draw_counts(rng, count).astype(np.int64)
-    return nus, _block_plan(nus + 1, rng.integers(0, pool_size, size=int((nus + 1).sum())))
+    plan = _block_plan(nus + 1, rng.integers(0, pool_size, size=int((nus + 1).sum())))
+    nu1 = nus + 1.0
+    return nus, (nus / nu1, 1.0 / nu1), plan
 
 
 def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
@@ -96,6 +97,22 @@ def make_tuple_pool(dist: OffspringDistribution, pool: BetaPool, count: int,
     if count < 1:
         raise ValueError(f"tuple count must be >= 1, got {count}")
     return TuplePool(*_draw_tuples(dist, len(pool), count, seed), pool)
+
+
+def _tuple_terms(tp: TuplePool, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the tuples' terms: with 2 rows a f and b f, which
+    the speed reads, with 4 rows a f, b g, b f and a g, which the margin
+    reads (the speed's are rows 0 and 2). Only 4 rows sum the beta'."""
+    (a, b), d = tp.weights, tp.denominators
+    f = tp.beta_sums / d
+    rows = ((a, f), (b, f))
+    if len(out) == 4:
+        g = tp.beta_sums + (1.0 - tp.lam) * tp.sums(tp.pool.dbeta)
+        g /= d * d
+        rows = ((a, f), (b, g), (b, f), (a, g))
+    for row, (w, h) in zip(out, rows, strict=True):
+        np.multiply(w, h, out=row)
+    return out
 
 
 def _delta(x: np.ndarray, fn) -> tuple[list[float], float, np.ndarray]:
@@ -117,20 +134,17 @@ def _stderr(psi: np.ndarray) -> float:
     return math.sqrt(float(np.square(psi).sum()) / ((m - 1) * m)) if m > 1 else 0.0
 
 
-def _ratio(num: float, den: float):
-    """A ratio of means and its gradient: the speed."""
-    r = num / den
-    return r, (1.0 / den, -r / den)
+def _speed(lam: float, e1: float, e3: float):
+    """The speed (e1 - lam e3)/(e1 + lam e3) and its gradient; at zero bias
+    it is e1/e1 = 1 with gradient 0."""
+    den = e1 + lam * e3
+    return (e1 - lam * e3) / den, (2.0 * lam * e3 / (den * den), -2.0 * lam * e1 / (den * den))
 
 
-def _speed_terms(tp: TuplePool, lam: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (2, M) with the per-tuple numerator/denominator weights
-    (nu -+ lam) * beta_0 / (lam - 1 + sum beta_i) of the speed ratio."""
-    np.subtract(tp.nus, lam, out=out[0])
-    np.add(tp.nus, lam, out=out[1])
-    out *= tp.pool.beta[tp.plan.first]
-    out /= tp.denominators
-    return out
+def _margin(lam: float, e1: float, e2: float, e3: float, e4: float):
+    """The criterion margin e1 e3/lam - (e1 e2 - e3 e4) and its gradient."""
+    return (e1 * e3 / lam - (e1 * e2 - e3 * e4),
+            (e3 / lam - e2, -e1, e1 / lam + e4, e3))
 
 
 @dataclass
@@ -150,7 +164,7 @@ def speed_formula_mc(dist: OffspringDistribution, lam: float, pool: BetaPool,
     if pool.lam != lam:
         raise ValueError(f"pool was sampled at bias {pool.lam:.9g}, not {lam:.9g}")
     tp = make_tuple_pool(dist, pool, tuples, seed)
-    _, speed, psi = _delta(_speed_terms(tp, lam, np.empty((2, tuples))), _ratio)
+    _, speed, psi = _delta(_tuple_terms(tp, np.empty((2, tuples))), partial(_speed, lam))
     return FormulaSpeed(speed=speed, stderr=_stderr(psi))
 
 
@@ -184,21 +198,20 @@ class Ineq8Report:
     holds: bool
 
 
-def _tuple_weights(nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bias-free weights nu/(nu+1) and 1/(nu+1) of ``inequality8``'s
-    moments, from the counts as float64 (exact below 2**53)."""
-    nu = nus.astype(np.float64)
-    nu1 = nu + 1.0
-    return nu / nu1, 1.0 / nu1
+def _ineq8_report(lam: float, means: list[float], margin: float, psi: np.ndarray) -> Ineq8Report:
+    e1, e2, e3, e4 = means
+    lhs = e1 * e2 - e3 * e4
+    rhs = e1 * e3 / lam
+    return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
+                       margin=margin, mc_stderr=_stderr(psi), holds=lhs < rhs)
 
 
-def inequality8(dist: OffspringDistribution, lam: float, tuple_pool: TuplePool,
-                weights: tuple[np.ndarray, np.ndarray] | None = None) -> Ineq8Report:
+def inequality8(dist: OffspringDistribution, lam: float, tuple_pool: TuplePool) -> Ineq8Report:
     """Evaluate the strict-decrease criterion at one bias from joint tuples.
 
-    Defined for 0 < lam < m1 with m1 >= 2. ``weights`` are the tuples'
-    ``_tuple_weights``, which a scan computes once for all its biases. The
-    verdict is reported as is; nothing is asserted here.
+    Defined for 0 < lam < m1 with m1 >= 2. The verdict is reported as is;
+    nothing is asserted here. The speed is not evaluated, so a pool whose
+    beta sums are all 0 still gets a report.
     """
     if dist.m1 < 2:
         raise UnsupportedRegimeError(
@@ -209,26 +222,8 @@ def inequality8(dist: OffspringDistribution, lam: float, tuple_pool: TuplePool,
     if tuple_pool.lam != lam:
         raise ValueError(
             f"tuples were built at bias {tuple_pool.lam:.9g}, not {lam:.9g}")
-    tp = tuple_pool
-    d = tp.denominators
-    sb = tp.beta_sums
-    sc = sb + (1.0 - lam) * tp.sums(tp.pool.dbeta)
-    w_nu, w_one = _tuple_weights(tp.nus) if weights is None else weights
-    f = sb / d
-    g = sc / (d * d)
-    x = np.empty((4, len(tp)))
-    for row, (w, h) in zip(x, ((w_nu, f), (w_one, g), (w_one, f), (w_nu, g))):
-        np.multiply(w, h, out=row)
-
-    def margin(e1, e2, e3, e4):
-        return (e1 * e3 / lam - (e1 * e2 - e3 * e4),
-                (e3 / lam - e2, -e1, e1 / lam + e4, e3))
-
-    (e1, e2, e3, e4), value, psi = _delta(x, margin)
-    lhs = e1 * e2 - e3 * e4
-    rhs = e1 * e3 / lam
-    return Ineq8Report(e1=e1, e2=e2, e3=e3, e4=e4, lhs=lhs, rhs=rhs,
-                       margin=value, mc_stderr=_stderr(psi), holds=lhs < rhs)
+    x = _tuple_terms(tuple_pool, np.empty((4, len(tuple_pool))))
+    return _ineq8_report(lam, *_delta(x, partial(_margin, lam)))
 
 
 # Curve scan ----------------------------------------------------------------
@@ -291,12 +286,12 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
     One set of ``samples`` trees and one tuple stream are drawn once; every
     grid point re-runs the recursions on the same trees and reassembles the
     same tuples, so consecutive-point comparisons share all randomness. At
-    zero bias every beta is 1, so each tuple's two terms are nu/nu and the
-    point comes out as exactly 1 with stderr 0. The monotonicity verdict
-    covers consecutive pairs up to the certified threshold and is refused
-    when the minimum branching number is below 2. With ``margins`` false no
-    criterion margin is evaluated and every point's stays None; the speeds,
-    pairs and verdict are the same.
+    zero bias the speed is e1/e1 with gradient 0, so the point comes out as
+    exactly 1 with stderr 0. The monotonicity verdict covers consecutive
+    pairs up to the certified threshold and is refused when the minimum
+    branching number is below 2. With ``margins`` false no criterion margin
+    is evaluated and every point's stays None; the speeds, pairs and verdict
+    are the same.
     """
     _check_depth(n)
     if samples < 1 or tuples < 1:
@@ -317,24 +312,25 @@ def speed_curve(dist: OffspringDistribution, lambda_grid, n: int, samples: int,
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
     tuple_draw = _draw_tuples(dist, samples, tuples, seed)
-    weights = _tuple_weights(tuple_draw[0]) if margins else None
 
     lam_star = dist.monotonicity_threshold() if dist.m1 >= 2 else None
 
     points, pairs = [], []
-    terms = np.empty((2, tuples))
+    terms = np.empty((4 if margins else 2, tuples))
     for i, pool in enumerate(pools):
         lam = pool.lam
         tp = TuplePool(*tuple_draw, pool)
-        _, speed, psi = _delta(_speed_terms(tp, lam, terms), _ratio)
-        point = SpeedCurvePoint(lam=lam, speed_formula=speed,
-                                speed_formula_stderr=_stderr(psi))
         if margins and lam > 0.0 and dist.m1 >= 2 and lam < dist.m1:
-            rep = inequality8(dist, lam, tp, weights)
-            point.ineq8_margin = rep.margin
-            point.ineq8_stderr = rep.mc_stderr
-            point.ineq8_holds = rep.holds
-        points.append(point)
+            # one centring of the four rows serves the margin and the speed,
+            # whose rows a f and b f are rows 0 and 2
+            rep = _ineq8_report(lam, *_delta(_tuple_terms(tp, terms), partial(_margin, lam)))
+            speed, grad = _speed(lam, rep.e1, rep.e3)
+            psi = np.array(grad) @ terms[::2]
+            criterion = (rep.margin, rep.mc_stderr, rep.holds)
+        else:
+            _, speed, psi = _delta(_tuple_terms(tp, terms[:2]), partial(_speed, lam))
+            criterion = ()
+        points.append(SpeedCurvePoint(lam, speed, _stderr(psi), *criterion))
         if i:
             # the pair's influence is the difference of the two points'
             diff, se = prev_speed - speed, _stderr(prev_psi - psi)

@@ -30,7 +30,7 @@ _MC_GATE = 4.0
 
 @dataclass
 class CheckResult:
-    ok: bool
+    ok: bool | None  # None: the check did not run
     name: str
     detail: str
 
@@ -162,7 +162,7 @@ def suite_monotonicity(dist: OffspringDistribution, seed: int) -> list[CheckResu
     """Strict decrease of the formula speed over the certified bias range,
     checked at two truncation depths, plus the criterion margins."""
     if dist.m1 < 2:
-        return [CheckResult(True, "monotonicity/skipped",
+        return [CheckResult(None, "monotonicity/skipped",
                             f"m1={dist.m1} below 2; no certified range")]
     lam_star = dist.monotonicity_threshold()
     grid = [lam_star * i / 13 for i in range(14)]
@@ -209,7 +209,8 @@ def render_report(results: list[CheckResult], dist: OffspringDistribution,
                   seed: int) -> str:
     lines = [f"pmf {dist} seed {seed}"]
     for r in results:
-        lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    failed = sum(1 for r in results if not r.ok)
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+        verdict = "SKIP" if r.ok is None else "PASS" if r.ok else "FAIL"
+        lines.append(f"{verdict} {r.name}: {r.detail}")
+    ran = [r.ok for r in results if r.ok is not None]
+    lines.append(f"{sum(ran)}/{len(ran)} checks passed")
     return "\n".join(lines) + "\n"

@@ -619,15 +619,22 @@ def test_forest_levels_carry_their_block_plans(monkeypatch):
     # still sums them through reduceat
     summed = []
 
-    class Numpy:  # numpy, with the blocks that np.add.reduceat sums recorded
+    class Add:  # np.add, with the blocks that its reduceat sums recorded
+        def __call__(self, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def reduceat(self, x, off, *args, **kwargs):
+            summed.append(off.size)
+            return np.add.reduceat(x, off, *args, **kwargs)
+
+    class Numpy:  # numpy, with np.add replaced by the recording shim
+        add = Add()
+
         def __getattr__(self, name):
             return getattr(np, name)
-
-        class add:
-            @staticmethod
-            def reduceat(x, off):
-                summed.append(off.size)
-                return np.add.reduceat(x, off)
 
     monkeypatch.setattr(beta_mod, "np", Numpy())
     for law in ("2:0.3,3:0.3,4:0.4", "1:0.5,12:0.5"):

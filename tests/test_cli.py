@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -336,15 +337,17 @@ def test_speed_curve_prints_a_false_report_as_violated(capsys, monkeypatch):
 
 def test_speed_curve_rescan_evaluates_no_margins(capsys, monkeypatch):
     # the depth+3 rescan prints only its verdict: the default grid's 13
-    # positive biases are each scored once at depth 4 and never at depth 7
+    # positive biases each sum their tuples' beta' once at depth 4, for the
+    # margin, and never at depth 7
     depths = []
 
-    def counted(dist, lam, tuple_pool, *args):
-        depths.append(tuple_pool.pool.level)
-        return inequality8(dist, lam, tuple_pool, *args)
+    def counted(tp, x):
+        if x is tp.pool.dbeta:
+            depths.append(tp.pool.level)
+        return sums(tp, x)
 
-    inequality8 = speed_mod.inequality8
-    monkeypatch.setattr(speed_mod, "inequality8", counted)
+    sums = speed_mod.TuplePool.sums
+    monkeypatch.setattr(speed_mod.TuplePool, "sums", counted)
     code, out, err = run(capsys, "speed-curve", "--depth", "4", "--samples", "200",
                          "--tuples", "2000", "--seed", "4")
     assert (code, err) == (0, "")
@@ -971,6 +974,41 @@ def test_derivative_path_sum_disagreement_is_a_failed_check(capsys, monkeypatch)
     assert "\nPASS oracles/beta-vs-conductance: " in out
 
 
+def test_a_conductance_ten_times_the_gate_off_is_a_failed_check(capsys, monkeypatch):
+    # a relative 1e-11 against the 1e-12 gate (the oracle agrees to 4e-16)
+    real = verify_mod.effective_conductance_to_level
+    monkeypatch.setattr(verify_mod, "effective_conductance_to_level",
+                        lambda net, n: real(net, n) * (1.0 + 1e-11))
+    out = _verify_oracles_fails(capsys, "oracles/beta-vs-conductance")
+    assert "\nFAIL oracles/beta-vs-conductance: trees=20 worst_rel=1.000e-11\n" in out
+
+
+def test_a_path_sum_ten_times_the_gate_off_is_a_failed_check(capsys, monkeypatch):
+    # 1e-11 in the gate's own measure, relative to max(1, |path sum|)
+    real = verify_mod.beta_derivative_path_sum
+
+    def tilted(table):
+        ps = real(table)
+        return ps + 1e-11 * max(1.0, abs(ps))
+
+    monkeypatch.setattr(verify_mod, "beta_derivative_path_sum", tilted)
+    out = _verify_oracles_fails(capsys, "oracles/derivative-vs-path-sum")
+    assert "\nFAIL oracles/derivative-vs-path-sum: trees=20 worst_rel=1.000e-11\n" in out
+
+
+def test_a_hitting_estimate_five_sigma_off_is_a_failed_check(capsys, monkeypatch):
+    # each estimate sits 5 binomial sigma at 4,000 trials above the
+    # recursion's beta on its tree, past the 4 sigma gate
+    def off(tree, lam, n, trials, seed):
+        b = verify_mod.compute_beta(tree, n, lam).root_beta
+        est = b + 5.0 * math.sqrt(b * (1.0 - b) / trials)
+        return walker_mod.HittingEstimate(est, 0.0, trials, 0, lam, n, "quenched")
+
+    monkeypatch.setattr(verify_mod, "hitting_beta_mc", off)
+    out = _verify_oracles_fails(capsys, "oracles/hitting-mc")
+    assert "\nFAIL oracles/hitting-mc: combos=3 worst_z=5 gate=4\n" in out
+
+
 def test_finite_difference_disagreement_is_a_failed_check(capsys, monkeypatch):
     # only the finite-difference check reads depth 8: its derivative is off by 1e-3
     real = verify_mod.compute_beta
@@ -1045,7 +1083,7 @@ def test_verify_refuses_a_law_with_leaves_before_any_work(capsys, monkeypatch, s
 @pytest.mark.parametrize("suite, pmf, checks", [
     ("bounds", "2:1", 8),        # a 2-regular pool sits on the 2-regular tree's beta_10
     ("monotonicity", "2:1", 5),  # a one-point pool gives margins with stderr exactly 0
-    ("all", "1:1", 19), ("all", "2:1", 23), ("all", "3:1", 23),
+    ("all", "1:1", 18), ("all", "2:1", 23), ("all", "3:1", 23),
     ("all", "4:1", 23), ("all", "5:1", 23),
 ])
 def test_verify_passes_one_point_laws(capsys, suite, pmf, checks):
@@ -1054,16 +1092,28 @@ def test_verify_passes_one_point_laws(capsys, suite, pmf, checks):
     assert out.endswith(f"\n{checks}/{checks} checks passed\n")
 
 
+@pytest.mark.parametrize("pmf", ["1:0.5,2:0.5", "1:1"])
+def test_a_monotonicity_check_that_did_not_run_is_not_a_pass(capsys, pmf):
+    # below m1 = 2 there is no certified range: the line says so without a
+    # verdict, no check counts as passed, and nothing failed
+    code, out, err = run(capsys, "verify", "--suite", "monotonicity", "--pmf", pmf)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["SKIP monotonicity/skipped: m1=1 below 2; no certified range",
+                                    "0/0 checks passed"]
+
+
 @pytest.mark.parametrize("pmf, digest", [
-    pytest.param("4:1", "65b6eb526ff747e99d500ad19ca5367a6b99908f8432ead3d37e7bf33163b733",
+    pytest.param("4:1", "26424bc263f70fe08b3a7ee9aad33212d3040e148b9bd73758484f6ef8d30d64",
                  id="4:1"),
-    pytest.param("5:1", "18f8765c4d5f77f55e3dac58ec3570c573ddab385ac29f729536c2e13a42e336",
+    pytest.param("5:1", "d82deb6da0f1e985f3c8a61b38e99a2a6d2ecfa91f9afe7e144f5580c6319a01",
                  id="5:1"),
 ])
 def test_one_point_verify_report_is_pinned(capsys, pmf, digest):
     # digests recorded from pools that drew and merged a forest (one tree a
     # chunk on 5:1, about 3 minutes a run); a one-point pool evaluates its
-    # k-regular tree once, and must print the same bytes
+    # k-regular tree once, and must print the same bytes. Re-recorded when
+    # the speed moved onto the margin's tuple terms: only the strict-decrease
+    # lines' min_pair_z moved, which is rounding noise on a one-point law
     code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7", "--pmf", pmf)
     assert code == 0
     assert _sha256(out.encode()) == digest
@@ -1110,15 +1160,17 @@ def test_pinned_bench_sized_tree_dump(capsys, tmp_path):
 
 def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
     # digests recorded before identical subtrees were merged in the forest
-    # recursion; the curve and the pool file are what that recursion feeds
+    # recursion; the curve and the pool file are what that recursion feeds.
+    # The curve's were re-recorded when the speed moved onto the margin's
+    # tuple terms: the speed and stderr columns moved, and nothing else
     curve_path = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "speed-curve", "--depth", "6", "--samples", "300",
                        "--tuples", "5000", "--seed", "7", "--out", str(curve_path))
     assert code == 0
     assert _sha256(out.encode()) == (
-        "7a17af62f4b7d98f8521609e37dba1f5dddfbeab87bb6aad94607033dbae6d46")
+        "b454b57877eda3d244ebb2c46b8b8c4205d1b8a46c08c754d3ca3d710678c4d4")
     assert _sha256(curve_path.read_bytes()) == (
-        "ab2fbda8282d1e118c9d3f16d7b75b63906f3ac8399849649278e68bd7ccdaa7")
+        "397ced2c1152a8068e82ae93698709a6f932954e96aa5532315b3e397e2dfbef")
     pool_path = tmp_path / "pool.csv"
     code, _, _ = run(capsys, "beta", "--depth", "6", "--samples", "2000",
                      "--seed", "7", "--pool-out", str(pool_path))
@@ -1131,16 +1183,17 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
     # single-value blocks and blocks longer than 8 values, one depth
     (("--pmf", "1:0.5,12:0.5", "--single-depth", "--depth", "3", "--samples", "200",
       "--tuples", "3000"),
-     ("63bc2656c7fafc687a1bcfb17b55eaf1b0b3ce0ff73799e2e2e6407656cc3fd4",
-      "4e1121885a30abf14f4957f79d9231f4a5a495c74d63e6c98ba65289a6bca495")),
+     ("3a0fd20296e1cbec5ccf3ba37de0293011fe935cf2f5e3f093b4780475cf1c96",
+      "109ad72830e01a65854417c939c27b59fc1b508893a47e30408152c6c2001738")),
     # blocks of 2 to 5 values in the forest and the tuples, both depths
     (("--pmf", "2:0.3,3:0.3,4:0.4", "--depth", "5", "--samples", "300", "--tuples", "5000"),
-     ("bb0a776c64c7da6abe7305a21512201981b1d113ab6aa8f66d21485f000c825b",
-      "78eeb339c001cd77e5c72d91e27af20d7ae5637141afc1c85b621d5b11a55484")),
+     ("4133e346ea3667122c183a2de4696cee0d49c72826f7d829fdf13e8b30bf0aad",
+      "1164a27a511ba1c4ff2491eff0e336398ee98e9670310e01969ae2d49e478360")),
 ])
 def test_pinned_curve_outputs_off_the_demo_law(capsys, tmp_path, argv, digests):
     # digests recorded before the block sums moved off np.add.reduceat for
-    # blocks of at most 8 values
+    # blocks of at most 8 values, and re-recorded when the speed moved onto
+    # the margin's tuple terms (speed and stderr columns only)
     curve_path = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "speed-curve", *argv, "--seed", "7", "--out", str(curve_path))
     assert code == 0

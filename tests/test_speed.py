@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gwspeed import (
     BetaPool,
     DegenerateTupleError,
+    TuplePool,
     UnsupportedRegimeError,
     inequality8,
     make_distribution,
@@ -22,7 +24,7 @@ from gwspeed import (
 )
 from gwspeed import speed as speed_mod
 from gwspeed.beta import MAX_FOREST_LEVEL_BYTES
-from gwspeed.speed import (_CERTIFIED_SLACK, _curve_bytes, _delta, _draw_tuples, _ratio,
+from gwspeed.speed import (_CERTIFIED_SLACK, _curve_bytes, _delta, _draw_tuples, _speed,
                            _stderr)
 
 
@@ -89,7 +91,9 @@ def test_formula_validates_inputs(mix23, leafy):
 def test_delta_stderr_is_calibrated_at_unit_bias(law):
     # at unit bias the depth-n speed is exactly sum p_k (k-1)/(k+1) at every
     # depth, so the z-scores of 200 independent estimates against it must
-    # look standard normal. Bands fixed before any run: the SD within
+    # look standard normal. There f = S/S = 1 on every tuple, so the estimate
+    # is mean((nu - 1)/(nu + 1)) and only the nu draw is measured. Bands
+    # fixed before any run: the SD within
     # +-5 standard errors of an SD over 200 values, the mean within
     # 4/sqrt(200)
     dist = parse_pmf_text(law)
@@ -104,17 +108,20 @@ def test_delta_stderr_is_calibrated_at_unit_bias(law):
 
 
 def test_delta_kernel_ratio_stderr_matches_closed_form():
-    # the delta method for a ratio of means, written out: with
-    # r = mean(num)/mean(den), var(r) ~= (var num - 2 r cov(num, den)
-    # + r^2 var den) / (M mean(den)^2)
+    # the speed (e1 - lam e3)/(e1 + lam e3) is the ratio of the means of
+    # num = p - lam q and den = p + lam q. The delta method for a ratio of
+    # means, written out: with r = mean(num)/mean(den), var(r) ~= (var num
+    # - 2 r cov(num, den) + r^2 var den) / (M mean(den)^2)
     rng = np.random.default_rng(20)
     for m in (2, 3, 50, 5000):
-        den = rng.uniform(0.5, 2.0, m)
-        num = 0.4 * den + rng.normal(0.0, 0.3, m)
-        means, r, psi = _delta(np.stack((num, den)), _ratio)
+        lam = rng.uniform(0.2, 1.5)
+        p = rng.uniform(0.5, 2.0, m)
+        q = 0.4 * p + rng.normal(0.0, 0.3, m)
+        means, r, psi = _delta(np.stack((p, q)), partial(_speed, lam))
         se = _stderr(psi)
-        assert means == [num.mean(), den.mean()]
-        assert r == num.mean() / den.mean()
+        assert means == [p.mean(), q.mean()]
+        assert r == (p.mean() - lam * q.mean()) / (p.mean() + lam * q.mean())
+        num, den = p - lam * q, p + lam * q
         c = np.cov(num, den, ddof=1)
         var = (c[0, 0] - 2 * r * c[0, 1] + r * r * c[1, 1]) / (m * den.mean() ** 2)
         assert se == pytest.approx(np.sqrt(var), rel=1e-12, abs=0.0)
@@ -145,7 +152,7 @@ def test_degenerate_denominator_raises():
     law = make_distribution({1: 0.5, 2: 0.5})
     pool = BetaPool(beta=np.linspace(0.01, 0.9, 200), dbeta=np.full(200, -0.1),
                     level=0, lam=0.1, method="tree")
-    nus, plan = _draw_tuples(law, 200, 500, 3)
+    nus, _, plan = _draw_tuples(law, 200, 500, 3)
     d = 0.1 - 1.0 + np.add.reduceat(pool.beta[plan.index], plan.off)
     j = int(np.flatnonzero(d <= 0.0)[0])
     assert j > 0
@@ -165,6 +172,10 @@ def test_tuple_pool_structure(mix23):
     assert ((0 <= index) & (index < len(pool))).all()
     assert np.array_equal(tp.beta_sums, np.add.reduceat(pool.beta[index], off))
     assert (tp.denominators > 0).all()
+    # the bias-free weights travel with the draw
+    a, b = tp.weights
+    assert np.array_equal(a, tp.nus / (tp.nus + 1.0))
+    assert np.array_equal(b, 1.0 / (tp.nus + 1.0))
 
 
 def test_tuple_denominator_floor(mix23):
@@ -200,6 +211,28 @@ def test_inequality8_exact_binary_half_bias(binary):
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(float(Fraction(36, 49)), abs=1e-12)
     assert rep.holds and rep.margin > 0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "2:0.3,5:0.7", "3:0.5,4:0.5"])
+def test_printed_speed_slope_is_the_criterion_margin(law, n):
+    # on fixed pools and tuples the speed (e1 - lam e3)/(e1 + lam e3) has
+    # derivative -2 lam margin/(e1 + lam e3)^2 exactly, since df/dlam = -g.
+    # The central difference of the printed speed at h = 1e-4 must match
+    # inequality8's prediction on the same trees and tuple draw. Gate fixed
+    # before any run: 1e-7 relative, far above the O(h^2) truncation
+    dist = parse_pmf_text(law)
+    h, samples, tuples, seed = 1e-4, 400, 20000, 7
+    draw = _draw_tuples(dist, samples, tuples, seed)
+    for frac in (0.3, 0.9, 0.999):
+        lam = frac * dist.monotonicity_threshold()
+        lo, mid, hi = speed_curve(dist, [lam - h, lam, lam + h], n, samples, tuples, seed).points
+        pool, = sample_pools_shared_trees(dist, [lam], n, samples, seed)
+        rep = inequality8(dist, lam, TuplePool(*draw, pool))
+        assert (mid.ineq8_margin, mid.ineq8_stderr) == (rep.margin, rep.mc_stderr)
+        slope = (hi.speed_formula - lo.speed_formula) / (2 * h)
+        predicted = -2.0 * lam * rep.margin / (rep.e1 + lam * rep.e3) ** 2
+        assert slope == pytest.approx(predicted, rel=1e-7, abs=0.0)
 
 
 def test_inequality8_regime_validation(mix23):
@@ -271,14 +304,6 @@ def test_curve_without_margins_keeps_speeds_pairs_and_verdict(mix23):
     assert all(p.ineq8_margin is p.ineq8_stderr is p.ineq8_holds is None for p in bare.points)
 
 
-def test_inequality8_takes_the_weights_of_its_tuples(mix23):
-    # the bias-free weights a scan hands over are the ones inequality8 computes
-    pool = sample_pool(mix23, 0.8, 5, 300, 3)
-    tp = make_tuple_pool(mix23, pool, 4000, 3)
-    assert inequality8(mix23, 0.8, tp, speed_mod._tuple_weights(tp.nus)) == inequality8(
-        mix23, 0.8, tp)
-
-
 def test_curve_crn_pairing_beats_independent_runs(mix23):
     grid = [0.5, 0.6]
     curve = speed_curve(mix23, grid, n=6, samples=2000, tuples=20000, seed=16)
@@ -313,8 +338,9 @@ def test_curve_refuses_verdict_for_small_m1():
 @pytest.mark.parametrize("pmf", ["2:1", "2:0.5,3:0.5", "1:0.5,4:0.5", "1:0.5,12:0.5",
                                  "2:0.3,3:0.3,4:0.4"])
 def test_zero_bias_speed_is_exactly_one(pmf, n):
-    # every beta is S/(0 + S) = 1, so each tuple's two terms are nu/nu = 1.0
-    # and the delta method has nothing to spread: +0.0, with no special case
+    # at zero bias the speed (e1 - 0 e3)/(e1 + 0 e3) is e1/e1 = 1.0 and its
+    # gradient is 0, so the delta method has nothing to spread: +0.0, with
+    # no special case
     dist = parse_pmf_text(pmf)
     pools = [sample_pool(dist, 0.0, n, 20, seed=n, method=method)
              for method in ("tree", "population")]
@@ -357,39 +383,46 @@ def test_delta_influences_match_the_plain_expressions(k, m):
 
 
 def test_stderr_of_one_tuple_is_zero():
-    means, _, psi = _delta(np.array([[2.0], [3.0]]), _ratio)
+    means, _, psi = _delta(np.array([[2.0], [3.0]]), partial(_speed, 0.5))
     assert means == [2.0, 3.0] and psi.tolist() == [0.0]
     assert _stderr(psi) == 0.0
 
 
-def _pair_stderr_exact(a, b):
-    """The delta-method stderr of mean(a0)/mean(a1) - mean(b0)/mean(b1) over
-    paired rows, g' Sigma g / M with the sample covariance Sigma, in exact
-    rationals from the float terms; only the final square root is in float."""
+def _pair_stderr_exact(a, b, lam):
+    """The delta-method stderr of the difference of two speeds
+    (e1 - lam e3)/(e1 + lam e3) over paired rows (e1, e3), g' Sigma g / M
+    with the sample covariance Sigma, in exact rationals from the float
+    terms; only the final square root is in float."""
     m = a.shape[1]
     rows = [[Fraction(float(v)) for v in row] for row in (*a, *b)]
     means = [sum(row) / m for row in rows]
     centred = [[v - mu for v in row] for row, mu in zip(rows, means)]
-    ra, rb = means[0] / means[1], means[2] / means[3]
-    grad = (1 / means[1], -ra / means[1], -1 / means[3], rb / means[3])
+    lam = Fraction(lam)
+
+    def grad(e1, e3):
+        den = (e1 + lam * e3) ** 2
+        return 2 * lam * e3 / den, -2 * lam * e1 / den
+
+    grad = (*grad(means[0], means[1]), *(-g for g in grad(means[2], means[3])))
     var = sum(gk * gl * sum(u * v for u, v in zip(ck, cl))
               for gk, ck in zip(grad, centred) for gl, cl in zip(grad, centred))
     return math.sqrt(var / ((m - 1) * m))
 
 
 def test_pair_stderr_matches_exact_arithmetic():
-    # two nearly equal ratio points, as on a fine bias grid: the pair's
+    # two nearly equal speed points, as on a fine bias grid: the pair's
     # variance is a tiny difference of large covariance terms, which the
     # influence difference psi_a - psi_b computes without cancellation.
     # Gate fixed before any run: relative error <= 1e-8
     rng = np.random.default_rng(30)
     m, delta = 200, 1e-7
     for _ in range(5):
-        den = rng.uniform(0.5, 2.0, m)
-        a = np.stack((0.4 * den + rng.normal(0.0, 0.3, m), den))
+        p = rng.uniform(0.5, 2.0, m)
+        a = np.stack((p, 0.4 * p + rng.normal(0.0, 0.3, m)))
         b = a * (1.0 + delta * rng.standard_normal((2, m)))
-        exact = _pair_stderr_exact(a, b)
-        psi_a, psi_b = _delta(a.copy(), _ratio)[2], _delta(b.copy(), _ratio)[2]
+        exact = _pair_stderr_exact(a, b, 0.7)
+        speed = partial(_speed, 0.7)
+        psi_a, psi_b = _delta(a.copy(), speed)[2], _delta(b.copy(), speed)[2]
         assert _stderr(psi_a - psi_b) == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
@@ -397,35 +430,41 @@ def _flat_reference_curve(dist, grid, n, samples, tuples, seed):
     """speed_curve's floats the plain way: flat member gathers, reduceat
     sums, np.stack'ed terms and each tuple's influence, a pair's being the
     difference of its points'."""
-    def delta(terms, fn):
-        x = np.stack(terms)
-        value, grad = fn(*[float(v) for v in x.mean(axis=1)])
-        return value, np.array(grad) @ (x - x.mean(axis=1)[:, None])
-
     def stderr(psi):
         m = psi.size
         return math.sqrt(float(np.sum(psi ** 2)) / ((m - 1) * m)) if m > 1 else 0.0
 
     pools = sample_pools_shared_trees(dist, grid, n, samples, seed)
-    nus, plan = _draw_tuples(dist, samples, tuples, seed)
+    nus, _, plan = _draw_tuples(dist, samples, tuples, seed)
     offsets, idx = plan.off, plan.index
+    w_nu, w_one = nus / (nus + 1.0), 1.0 / (nus + 1.0)
     points, speeds = [], []
     for pool in pools:
         lam = pool.lam
         betas, dbetas = pool.beta[idx], pool.dbeta[idx]
         sb = np.add.reduceat(betas, offsets)
         d = lam - 1.0 + sb
-        b0 = betas[offsets]
-        speed, psi = delta(((nus - lam) * b0 / d, (nus + lam) * b0 / d), _ratio)
+        f = sb / d
+        with_margin = 0.0 < lam < dist.m1 and dist.m1 >= 2
+        if with_margin:
+            g = (sb + (1.0 - lam) * np.add.reduceat(dbetas, offsets)) / (d * d)
+            x = np.stack((w_nu * f, w_one * g, w_one * f, w_nu * g))
+        else:
+            x = np.stack((w_nu * f, w_one * f))
+        means = [float(v) for v in x.mean(axis=1)]
+        x = x - x.mean(axis=1)[:, None]
+        e1, e3 = means[::2] if with_margin else means
+        den = e1 + lam * e3
+        speed = (e1 - lam * e3) / den
+        grad = (2.0 * lam * e3 / (den * den), -2.0 * lam * e1 / (den * den))
+        psi = np.array(grad) @ (x[::2] if with_margin else x)
         speeds.append((speed, psi))
         point = (1.0, 0.0) if lam == 0.0 else (speed, stderr(psi))
-        if 0.0 < lam < dist.m1 and dist.m1 >= 2:
-            sc = sb + (1.0 - lam) * np.add.reduceat(dbetas, offsets)
-            w_nu, w_one = nus / (nus + 1.0), 1.0 / (nus + 1.0)
-            f, g = sb / d, sc / (d * d)
-            margin, psi = delta((w_nu * f, w_one * g, w_one * f, w_nu * g), lambda e1, e2, e3, e4: (
-                e1 * e3 / lam - (e1 * e2 - e3 * e4), (e3 / lam - e2, -e1, e1 / lam + e4, e3)))
-            point += (margin, stderr(psi))
+        if with_margin:
+            e1, e2, e3, e4 = means
+            margin = e1 * e3 / lam - (e1 * e2 - e3 * e4)
+            grad = (e3 / lam - e2, -e1, e1 / lam + e4, e3)
+            point += (margin, stderr(np.array(grad) @ x))
         points.append(point)
     pairs = [(sa - sb, stderr(pa - pb)) for (sa, pa), (sb, pb) in zip(speeds, speeds[1:])]
     return points, pairs
@@ -494,13 +533,9 @@ def test_curve_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
 
 
 def _curve_with_speeds(dist, speeds, monkeypatch):
-    # every tuple's speed terms are (speed, 1), so each grid point's formula
-    # speed is the given one, with stderr 0
-    def fill(tp, lam, out):
-        out[0], out[1] = speeds[lam], 1.0
-        return out
-
-    monkeypatch.setattr(speed_mod, "_speed_terms", fill)
+    # the speed functional gives each grid point's formula speed the given
+    # one, with gradient 0 and so stderr 0
+    monkeypatch.setattr(speed_mod, "_speed", lambda lam, e1, e3: (speeds[lam], (0.0, 0.0)))
     return speed_curve(dist, list(speeds), 2, 16, 50, seed=1)
 
 
