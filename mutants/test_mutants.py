@@ -97,15 +97,36 @@ MUTANTS = [
            'CheckResult(True, "oracles/hitting-mc"',
            ("tests/test_cli.py::test_hitting_mc_far_from_the_recursion_is_a_failed_check",)),
     Mutant("envelope-back-to-its-limit", "src/gwspeed/beta.py",
-           "_forest_root_values(_regular_levels(m2, pool.level), None, lam, 1)[0][0]",
-           "1.0 - lam / m2",
+           "_level_pass(regular, np.ones(1), np.zeros(1), lam)[0][0]", "1.0 - lam / m2",
            ("tests/test_beta.py::test_check_bounds_regular_pools_sit_on_the_envelope",)),
     Mutant("envelope-one-level-deeper", "src/gwspeed/beta.py",
-           "_regular_levels(m2, pool.level)", "_regular_levels(m2, pool.level + 1)",
+           "make_distribution({m2: 1.0}), pool.level)",
+           "make_distribution({m2: 1.0}), pool.level + 1)",
            ("tests/test_beta.py::test_check_bounds_counts_a_sample_just_past_the_regular_envelope",)),
     Mutant("regular-levels-one-level-deeper", "src/gwspeed/beta.py",
-           "for level in range(n)]", "for level in range(n + 1)]",
+           "levels, keep, _ = _atom_table(dist, j)", "levels, keep, _ = _atom_table(dist, j + 1)",
            ("tests/test_beta.py::test_one_point_pools_equal_the_forest_path_bit_for_bit",)),
+    Mutant("envelope-floor-past-m1-below-0", "src/gwspeed/beta.py",
+           "1.0 - min(lam, m1) / m1", "1.0 - lam / m1",
+           ("tests/test_beta.py::"
+            "test_check_bounds_counts_a_sample_under_the_envelope_floor_past_m1",)),
+    Mutant("derivative-of-zero-passes", "src/gwspeed/beta.py",
+           "neg <= 0.0", "neg < 0.0",
+           ("tests/test_beta.py::test_check_bounds_counts_a_derivative_of_exactly_zero",)),
+    Mutant("shape-probability-without-the-root-pk", "src/gwspeed/beta.py",
+           "pk * prob[c].prod(axis=1)", "prob[c].prod(axis=1)",
+           ("tests/test_beta.py::test_shape_probabilities_equal_brute_force_enumeration",)),
+    Mutant("alias-scale-without-the-atom-count", "src/gwspeed/beta.py",
+           "u *= keep.size", "u *= 1",
+           ("tests/test_beta.py::test_the_alias_draw_maps_a_uniform_grid_onto_the_implied_law",)),
+    Mutant("atom-depth-one-level-past-the-width", "src/gwspeed/beta.py",
+           "trees * dist.m ** (n - j - 1)", "trees * dist.m ** (n - j)",
+           ("tests/test_beta.py::"
+            "test_atom_depth_is_the_deepest_table_within_the_width_and_the_cap",)),
+    Mutant("curve-verdict-flip-exits-0", "src/gwspeed/cli.py",
+           'print("verdict_stability=UNSTABLE")\n            return 2',
+           'print("verdict_stability=UNSTABLE")\n            return 0',
+           ("tests/test_cli.py::test_speed_curve_verdicts_that_disagree_exit_two",)),
     Mutant("derivative-upper-bound-dropped", "src/gwspeed/beta.py",
            "((neg <= 0.0) | (neg > cap))", "(neg <= 0.0)",
            ("tests/test_beta.py::test_check_bounds_counts_a_derivative_one_ulp_past_its_bound",)),

@@ -17,11 +17,10 @@ with derivative 0 on the boundary. Equivalently
 
 and one level step evaluates (beta_n, beta_n') this way for every bottom-up
 pass: ``compute_beta`` runs it over the level slices of a breadth-first tree,
-the tree-method pools over the levels of a sampled forest (on a one-point
-law, of the k-regular tree, one vertex a level), the population method over
-resampled pool members. Every child sum S, like every tuple sum of
-``speed``, goes through one ``_block_plan`` of its block layout, read through
-the index of the values below, with reduceat's bits.
+the tree-method pools over a shape table and the drawn levels above it, the
+population method over resampled pool members. Every child sum S, like every
+tuple sum of ``speed``, goes through one ``_block_plan`` of its block layout,
+read through the index of the values below, with reduceat's bits.
 ``beta_derivative_path_sum`` re-derives the root derivative by unrolling the
 A/B recursion into a sum over vertices of B times the product of A along the
 ancestor path; it is kept deliberately naive (per-vertex parent climbing,
@@ -30,19 +29,22 @@ plain reduceat) to serve as an independent check of the recursion.
 Sample pools of iid root pairs (beta, beta') come in two flavors: ``tree``
 draws genuinely independent truncated trees (unbiased), while ``population``
 iterates a fixed-size pool through the recursion by resampling members,
-which is fast but carries an O(1/pool size) dependence bias.
+which is fast but carries an O(1/pool size) dependence bias. A tree-method
+forest draws levels 0..n-j-1 as counts and one atom, an ordered depth-j shape
+from its exact law, a vertex of level n-j (``_atom_depth`` picks j).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnsupportedRegimeError, _check_bias, _check_depth
-from .offspring import OffspringDistribution
+from .offspring import OffspringDistribution, make_distribution
 from .rng import D_POOL, D_POOL_POP, substream
 from .tree import MAX_FOREST_LEVEL_BYTES, QuenchedTree, _check_budget, _sample_offspring_layers
 
@@ -50,10 +52,8 @@ from .tree import MAX_FOREST_LEVEL_BYTES, QuenchedTree, _check_budget, _sample_o
 _CHUNK_LEVEL_BUDGET = 6_000_000
 # np.add.reduceat sums a block of at most this many values left to right.
 _SEQUENTIAL_BLOCK = 8
-# Widest block whose ranks a block plan lists. _block_sums reads ranks only for
-# blocks of up to _SEQUENTIAL_BLOCK values, and _merge_level only on a level no
-# narrower than its code range, at least 2**w for a block of w values.
-_PLANNED_WIDTH = 62
+# Most shapes an atom table holds (Vose's alias table over 160,000 takes 90 ms).
+_MAX_SHAPES = 2**16
 # Bytes a forest level holds per vertex while it is drawn and stepped: the
 # uniform (8), the count (up to 8) and the (beta, beta') pair (16).
 _FOREST_BYTES_PER_VERTEX = 32
@@ -82,13 +82,13 @@ class BetaTable:
 
 class _BlockPlan(NamedTuple):
     """Bias-independent plan for summing consecutive blocks of values read
-    through ``index`` (None: in place): each block's first value, for each
-    rank 1 <= j < ``_PLANNED_WIDTH`` the blocks that have a rank-j value (a
-    slice when all do) with that value, and the block offsets into
-    ``index``."""
+    through ``index`` (None: in place): the block offsets into ``index`` and,
+    unless a block holds more than ``_SEQUENTIAL_BLOCK`` values (None: reduceat
+    sums them), each block's first value and, for each rank j >= 1, the blocks
+    that have a rank-j value (a slice when all do) with that value."""
 
-    first: np.ndarray
-    ranks: list
+    first: np.ndarray | None
+    ranks: list | None
     off: np.ndarray
     index: np.ndarray | None
 
@@ -97,9 +97,12 @@ def _block_plan(counts: np.ndarray, index: np.ndarray | None = None) -> _BlockPl
     """The ``_BlockPlan`` of blocks of ``counts`` values read through ``index``."""
     off = np.cumsum(counts, dtype=np.int64)
     off -= counts
+    width = int(counts.max())
+    if width > _SEQUENTIAL_BLOCK:
+        return _BlockPlan(None, None, off, index)
     first = off if index is None else index[off]
     ranks, lo = [], int(counts.min())
-    for j in range(1, min(int(counts.max()), _PLANNED_WIDTH)):
+    for j in range(1, width):
         has = slice(None) if j < lo else np.flatnonzero(counts > j)
         at = off[has] + j
         ranks.append((has, at if index is None else index[at]))
@@ -113,12 +116,13 @@ def _block_sums(x: np.ndarray, plan: _BlockPlan) -> np.ndarray:
     left to right from -0.0 when it has fewer than 8 values, pairwise
     otherwise. For blocks of at most ``_SEQUENTIAL_BLOCK`` values the same
     additions run as one gather from ``x`` per rank, whose cost is per value
-    rather than per block; longer blocks fall back to reduceat. A first rank
-    that every block has starts the tail as its gather, since -0.0 + y is y
-    for every y. The result is a fresh array, which callers may overwrite.
+    rather than per block; a plan with longer blocks falls back to reduceat.
+    A first rank that every block has starts the tail as its gather, since
+    -0.0 + y is y for every y. The result is a fresh array, which callers may
+    overwrite.
     """
     first, ranks, off, index = plan
-    if len(ranks) >= _SEQUENTIAL_BLOCK:
+    if ranks is None:
         return np.add.reduceat(x if index is None else x[index], off)
     if ranks and isinstance(ranks[0][0], slice):
         tail, ranks = x[ranks[0][1]], ranks[1:]
@@ -219,103 +223,98 @@ class BetaPool:
         return self.beta.size
 
 
-def _merge_level(counts: np.ndarray, plan: _BlockPlan | None, n_kid_shapes: int
-                 ) -> tuple[np.ndarray, np.ndarray, _BlockPlan | None] | None:
-    """Merge the vertices of one level by shape.
-
-    On the lowest level (``plan is None``) a vertex's shape is its offspring
-    count. Above it, the shape is the ordered sequence of the children's shape
-    ids, read through the level's ``_block_plan`` (its first values and its
-    ranks), coded exactly in base ``n_kid_shapes + 1`` with digits id + 1, and
-    relabelled through a presence table over the code range. Returns each
-    vertex's int32 shape id, and per shape its offspring count and the
-    ``_block_plan`` of its children's shape ids (None on the lowest level); or
-    None when the code range exceeds the level's width (before any code is
-    built) or the shapes number more than half of it.
-    """
-    width, base = int(counts.max()), n_kid_shapes + 1
-    code_range = width + 1 if plan is None else base ** min(width, _PLANNED_WIDTH)
-    if code_range > counts.size:
-        return None
-    if plan is None:
-        code = counts.astype(np.intp)  # indexes the presence table twice: convert once
-    else:
-        code = plan.first.astype(np.int64) + 1  # digit j: the shape of the j-th child
-        for j, (has, at) in enumerate(plan.ranks, 1):
-            code[has] += (at.astype(np.int64) + 1) * base ** j
-    present = np.zeros(code_range, dtype=bool)
-    present[code] = True
-    shapes = np.flatnonzero(present)
-    if 2 * shapes.size > counts.size:
-        return None
-    ids = (np.cumsum(present, dtype=np.int32) - 1)[code]
-    if plan is None:
-        return ids, shapes, None
-    digits = shapes[:, None] // base ** np.arange(width, dtype=np.int64) % base
-    counts = np.count_nonzero(digits, axis=1)
-    return ids, counts, _block_plan(counts, (digits[digits > 0] - 1).astype(np.int32))
+def _shape_levels(dist: OffspringDistribution, j: int) -> tuple[list[tuple], np.ndarray]:
+    """Every ordered subtree shape of depth j, bottom up as (counts, plan) for
+    ``_level_step`` (level 1 reads the boundary: plan None), and each top
+    shape's probability, the product of p_k over its internal vertices. Level
+    i lists, for each k, every sequence of k level-(i-1) shapes, the first
+    child the most significant digit; build only what ``_atom_depth`` admits."""
+    support = np.array([k for k, _ in dist.entries])
+    prob = np.array([p for _, p in dist.entries]) if j else np.ones(1)
+    levels = [(support, None)] if j else []
+    for _ in range(1, j):
+        a = prob.size
+        kids = [np.arange(a ** k)[:, None] // a ** np.arange(k - 1, -1, -1) % a
+                for k in support.tolist()]
+        counts = np.repeat(support, [len(c) for c in kids])
+        prob = np.concatenate([pk * prob[c].prod(axis=1)
+                               for (_, pk), c in zip(dist.entries, kids)])
+        levels.append((counts, _block_plan(counts, np.concatenate([c.ravel() for c in kids]))))
+    return levels, prob
 
 
-def _merge_forest(layers: list[np.ndarray]) -> tuple[list[tuple], np.ndarray | None]:
-    """Bias-independent plan of the bottom-up pass over a sampled forest.
-
-    Identical subtrees are merged level by level from the bottom, so a merged
-    level holds one entry per shape (see ``_merge_level``). A level merges when
-    its code range fits its width, so every level above an unmerged one is
-    refused by that rule: in a leafless forest its children number at least
-    its width, and its code range is at least their count + 1. (beta, beta')
-    depend only on the shape, and a shape's child sums add the same values in
-    the same order as those of each of its vertices, so the values are
-    bit-identical.
-
-    Consumes ``layers``, so that each merged level's counts are freed once it
-    is merged. Returns the levels bottom up as (counts, plan) for
-    ``_level_step``, where ``plan`` is the ``_block_plan`` of the children's
-    values on the level below (None on the bottom level, whose children are
-    all on the boundary), and the index of each root's value on the top level
-    (None when the root level was not merged).
-    """
-    levels, ids = [], None
-    while layers:
-        counts = layers.pop()
-        plan = _block_plan(counts, ids) if levels else None
-        merged = _merge_level(counts, plan, len(levels[-1][0]) if levels else 0)
-        ids, counts, plan = merged or (None, counts, plan)
-        levels.append((counts, plan))
-    return levels, ids
+@lru_cache(maxsize=8)
+def _atom_table(dist: OffspringDistribution, j: int) -> tuple:
+    """The depth-j shape levels and Walker's alias table of the top shapes'
+    law (Vose's method), built once per (law, j), not to be written to: slot
+    i of A, drawn uniformly, gives atom i with probability keep[i], else alias[i]."""
+    levels, prob = _shape_levels(dist, j)
+    keep, alias = (prob * prob.size).tolist(), list(range(prob.size))
+    small = [i for i, q in enumerate(keep) if q < 1.0]
+    large = [i for i, q in enumerate(keep) if q >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        alias[s] = big
+        keep[big] = (keep[big] + keep[s]) - 1.0  # Vose's order of the two operations
+        if keep[big] < 1.0:
+            small.append(large.pop())
+    for i in small + large:  # a scaled probability of 1 up to rounding
+        keep[i] = 1.0
+    return levels, np.array(keep), np.array(alias, dtype=np.intp)
 
 
-def _intp_plan(plan: _BlockPlan | None) -> _BlockPlan | None:
-    """``plan`` with every index it gathers through as intp, which numpy
-    would otherwise convert from int32 at each gather."""
-    if plan is None:
-        return None
-    first, ranks, off, index = plan
-    ranks = [(has, np.asarray(at, np.intp)) for has, at in ranks]
-    index = None if index is None else np.asarray(index, np.intp)
-    return _BlockPlan(np.asarray(first, np.intp), ranks, off, index)
+def _draw_atoms(keep: np.ndarray, alias: np.ndarray, rng: np.random.Generator,
+                size: int) -> np.ndarray:
+    """``size`` atoms from an alias table, one uniform each: times A, its
+    integer part is the slot and its fraction decides keep or alias. One atom
+    draws nothing."""
+    if keep.size == 1:
+        return np.zeros(size, dtype=np.intp)
+    u = rng.random(size)
+    u *= keep.size
+    atoms = u.astype(np.intp)
+    u -= atoms  # the fraction, exactly
+    step = alias[atoms]
+    step -= atoms
+    step *= u >= keep[atoms]  # cheaper than np.where
+    atoms += step
+    return atoms
 
 
-def _forest_root_values(levels: list[tuple], top: np.ndarray | None, lam: float,
-                        n_trees: int) -> tuple[np.ndarray, np.ndarray]:
-    """Root (beta, beta') for every tree of a forest planned by
-    ``_merge_forest``: one value per shape on merged levels, summed from the
-    children's values through each level's plan."""
-    if not levels:
-        return np.ones(n_trees), np.zeros(n_trees)
-    b = db = None
+def _atom_depth(dist: OffspringDistribution, n: int, trees: int) -> int:
+    """The depth j of the shapes a forest chunk of ``trees`` trees at depth n
+    draws as atoms: the largest j <= n whose shape count A_j (the sum over k
+    of A_(j-1)**k, saturated: A**64 saturates for any A >= 2) is at most
+    ``_MAX_SHAPES`` and the chunk's expected width at level n - j."""
+    shapes = 1
+    for j in range(n):
+        shapes = min(_MAX_SHAPES + 1, sum(shapes ** min(k, 64) for k, _ in dist.entries))
+        if shapes > min(_MAX_SHAPES, trees * dist.m ** (n - j - 1)):
+            return j
+    return n
+
+
+def _draw_forest(dist: OffspringDistribution, n: int, j: int, trees: int,
+                 rng: np.random.Generator) -> tuple[list[tuple], np.ndarray | None]:
+    """The counts of a forest chunk's levels 0..n-j-1 bottom up as (counts,
+    plan), the lowest reading its children's shapes through one atom per
+    level-(n-j) vertex (at j = 0 the boundary: plan None); and those atoms
+    when no level is drawn (j = n)."""
+    layers = _sample_offspring_layers(dist, n - j, trees, rng)
+    width = int(layers[-1].sum(dtype=np.int64)) if layers else trees
+    atoms = _draw_atoms(*_atom_table(dist, j)[1:], rng, width) if j else None
+    if not layers:
+        return [], atoms
+    lowest = layers[-1], _block_plan(layers[-1], atoms) if j else None
+    return [lowest] + [(c, _block_plan(c)) for c in layers[-2::-1]], None
+
+
+def _level_pass(levels: list, b: np.ndarray, db: np.ndarray, lam: float) -> tuple:
+    """(beta, beta') summed bottom up through ``levels`` from the values ``b``
+    and ``db`` below them (at depth 0, the boundary vertex: 1 and 0)."""
     for counts, plan in levels:
         b, db = _level_step(counts, plan, b, db, lam)
-    if top is not None:
-        b, db = b[top], db[top]
     return b, db
-
-
-def _regular_levels(k: int, n: int) -> list[tuple]:
-    """``_merge_forest``'s levels of the k-regular tree to depth n, one vertex a level."""
-    counts = np.array([k])
-    plan = _block_plan(counts, np.zeros(k, dtype=np.intp))
-    return [(counts, plan if level else None) for level in range(n)]
 
 
 def _trees_per_chunk(dist: OffspringDistribution, n: int) -> int:
@@ -327,8 +326,8 @@ def _trees_per_chunk(dist: OffspringDistribution, n: int) -> int:
 
 
 def forest_level_bytes(dist: OffspringDistribution, n: int) -> float:
-    """Predicted bytes of the widest level (n-1) of one forest chunk at depth
-    n, from its expected width; nothing is allocated."""
+    """Predicted bytes of level n-1 of one forest chunk at depth n, from its
+    expected width (the widest drawn before atoms); nothing is allocated."""
     try:
         return _trees_per_chunk(dist, n) * max(1.0, dist.m) ** (n - 1) * _FOREST_BYTES_PER_VERTEX
     except OverflowError:
@@ -359,13 +358,9 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
                               count: int, seed: int) -> list[BetaPool]:
     """Tree-method pools at several biases evaluated on one common set of
     trees (the i-th sample of every pool comes from the same realization),
-    so cross-bias comparisons share all structural randomness. A one-point
-    law draws nothing: each bias is evaluated once on its k-regular tree.
-
-    ``_merge_forest`` keeps its shape ids int32, half the bytes of intp. The
-    per-bias pass gathers through every plan index once a bias, so each
-    forest's plans are cast to intp once, after the merge, rather than
-    converted at every gather."""
+    so cross-bias comparisons share all structural randomness. A chunk of
+    trees draws from ``substream(seed, D_POOL, chunk)`` unless they are all
+    one shape (a one-point law, or depth 0); a bias evaluates shapes once."""
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
     if count < 1:
@@ -375,24 +370,27 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
         _check_bias(lam)
     _check_depth(n)
     _check_pool_size(dist, n, count, "tree", 16.0 * len(lams))
-    if dist.m1 == dist.m2:
-        roots = [_forest_root_values(_regular_levels(dist.m1, n), None, lam, 1) for lam in lams]
-        return [BetaPool(beta=np.full(count, b[0]), dbeta=np.full(count, db[0]), level=n,
-                         lam=lam, method="tree") for (b, db), lam in zip(roots, lams)]
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
+    tables = {}  # trees a chunk: j, the shape count, each bias's shape values
     chunk = _trees_per_chunk(dist, n)
     for ci, lo in enumerate(range(0, count, chunk)):
         hi = min(lo + chunk, count)
-        rng = substream(seed, D_POOL, ci)
-        levels, top = _merge_forest(_sample_offspring_layers(dist, n, hi - lo, rng))
-        for i, (counts, plan) in enumerate(levels):  # in place, freeing each int32 plan
-            levels[i] = counts, _intp_plan(plan)
-        top = None if top is None else top.astype(np.intp)
-        for j, lam in enumerate(lams):
-            betas[j][lo:hi], dbetas[j][lo:hi] = _forest_root_values(levels, top, lam, hi - lo)
-    return [BetaPool(beta=betas[j], dbeta=dbetas[j], level=n, lam=lam, method="tree")
-            for j, lam in enumerate(lams)]
+        if hi - lo not in tables:
+            j = _atom_depth(dist, n, hi - lo)
+            levels, keep, _ = _atom_table(dist, j)
+            tables[hi - lo] = j, keep.size, [_level_pass(levels, np.ones(1), np.zeros(1), lam)
+                                             for lam in lams]
+        j, shapes, values = tables[hi - lo]
+        if j == n and shapes == 1:  # every tree is the one depth-n shape
+            drawn, top = [], np.zeros(hi - lo, dtype=np.intp)
+        else:
+            drawn, top = _draw_forest(dist, n, j, hi - lo, substream(seed, D_POOL, ci))
+        for i, lam in enumerate(lams):
+            b, db = _level_pass(drawn, *values[i], lam)
+            betas[i][lo:hi], dbetas[i][lo:hi] = (b, db) if top is None else (b[top], db[top])
+    return [BetaPool(beta=betas[i], dbeta=dbetas[i], level=n, lam=lam, method="tree")
+            for i, lam in enumerate(lams)]
 
 
 def sample_pool(dist: OffspringDistribution, lam: float, n: int, count: int,
@@ -456,7 +454,7 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     Checks, per (beta, beta') pair:
       envelope      1 - min(lam, m1)/m1 <= beta <= beta_n of the m2-regular
                     tree at the pool's level n (beta = S/(lam + S) grows with
-                    S), from the one-vertex-a-level pass of one-point pools
+                    S), the one shape of that law's depth-n table
       derivative    0 < -beta' <= beta / (m1 - lam)          (needs lam < m1
                     and depth n >= 1: at depth 0 beta' is exactly 0)
       denominator   lam - 1 + (m1+1) * min(beta) >= m1 - lam/m1, the worst
@@ -471,7 +469,8 @@ def check_bounds(pool: BetaPool, m1: int, m2: int, lam: float) -> BoundReport:
     beta, dbeta = pool.beta, pool.dbeta
 
     report = BoundReport(lam=lam, m1=m1, m2=m2, samples=int(beta.size))
-    hi = _forest_root_values(_regular_levels(m2, pool.level), None, lam, 1)[0][0]
+    regular = _shape_levels(make_distribution({m2: 1.0}), pool.level)[0]
+    hi = _level_pass(regular, np.ones(1), np.zeros(1), lam)[0][0]
     report.envelope_violations = int(((beta < 1.0 - min(lam, m1) / m1) | (beta > hi)).sum())
     if lam >= m1:
         report.skipped["derivative"] = (

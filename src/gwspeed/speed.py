@@ -267,7 +267,7 @@ class SpeedCurve:
 def _curve_bytes(dist: OffspringDistribution, points: int, samples: int, tuples: int) -> float:
     """Predicted bytes of a curve scan's pools (beta and beta' per sample and
     grid point) and tuple stage: 16 a member and 192 a tuple, above the
-    tracemalloc peak (196 bytes a tuple on 2:0.5,3:0.5, 744 on 40:1)."""
+    tracemalloc peak's growth a tuple (172 bytes on 2:0.5,3:0.5, 760 on 40:1)."""
     return 16.0 * points * samples + tuples * (16.0 * (dist.m + 1) + 192.0)
 
 

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ from gwspeed import (
 )
 from gwspeed import beta as beta_mod
 from gwspeed import tree as tree_mod
-from gwspeed.beta import (MAX_FOREST_LEVEL_BYTES, _block_plan, _block_sums,
-                          _forest_root_values, _intp_plan, _level_step, _merge_forest,
-                          _merge_level, _trees_per_chunk, forest_level_bytes)
+from gwspeed.beta import (_MAX_SHAPES, MAX_FOREST_LEVEL_BYTES, _atom_depth, _atom_table,
+                          _block_plan, _block_sums, _draw_atoms, _draw_forest, _level_pass,
+                          _level_step, _shape_levels, _trees_per_chunk, forest_level_bytes)
 from gwspeed.offspring import parse_pmf_text
 from gwspeed.rng import D_POOL, substream
 from gwspeed.tree import QuenchedTree, _sample_offspring_layers
@@ -280,6 +283,22 @@ def test_check_bounds_counts_a_sample_just_past_the_regular_envelope(ternary):
     assert check_bounds(pool, 2, 3, lam).envelope_violations == 1
 
 
+def test_check_bounds_counts_a_sample_under_the_envelope_floor_past_m1():
+    # past lam = m1 the floor 1 - min(lam, m1)/m1 is 0, not 1 - lam/m1 < 0:
+    # a sample just below 0 is counted, under the 3-regular tree's
+    # beta_5 of about 0.251 at lam = 2.5
+    pool = BetaPool(beta=np.array([-1e-300, 0.1]), dbeta=np.full(2, -0.1), level=5,
+                    lam=2.5, method="tree")
+    assert check_bounds(pool, 2, 3, 2.5).envelope_violations == 1
+
+
+def test_check_bounds_counts_a_derivative_of_exactly_zero():
+    # -beta' must be positive at depth >= 1: a beta' of 0.0 or -0.0 is counted
+    pool = BetaPool(beta=np.full(3, 0.6), dbeta=np.array([-0.1, 0.0, -0.0]), level=3,
+                    lam=1.0, method="tree")
+    assert check_bounds(pool, 2, 3, 1.0).derivative_violations == 2
+
+
 def test_check_bounds_counts_a_derivative_one_ulp_past_its_bound():
     # -beta' may reach beta/(m1 - lam) but not pass it: the sample on the
     # bound passes, the one one ulp above it is counted
@@ -321,33 +340,76 @@ def _plain_root_values(layers, lam, n_trees):
     return b, db
 
 
+def _shape_values(levels, lam):
+    """(beta, beta') of every top shape of a shape table."""
+    return _level_pass(levels, np.ones(1), np.zeros(1), lam)
+
+
+def _expand_shapes(levels, ids):
+    """The offspring counts, top level first, of a forest whose roots have
+    the depth-j shapes ``ids`` of the shape table ``levels``."""
+    layers = []
+    for counts, plan in reversed(levels):
+        c = counts[ids]
+        layers.append(c)
+        if plan is not None:
+            ids = plan.index[np.repeat(plan.off[ids] - (np.cumsum(c) - c), c)
+                             + np.arange(int(c.sum()))]
+    return layers
+
+
+def _atom_forest(dist, n, n_trees, seed):
+    """A chunk's drawn plan, its depth j, and the same draw in full: the
+    level-by-level counts above the atoms and each atom's expanded shape."""
+    j = _atom_depth(dist, n, n_trees)
+    levels, keep, alias = _atom_table(dist, j)
+    if j == n and keep.size == 1:  # every tree is one shape: nothing is drawn
+        return j, [], np.zeros(n_trees, dtype=np.intp), _expand_shapes(levels, [0] * n_trees)
+    drawn, top = _draw_forest(dist, n, j, n_trees, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    layers = _sample_offspring_layers(dist, n - j, n_trees, rng)
+    width = int(layers[-1].sum()) if layers else n_trees
+    atoms = _draw_atoms(keep, alias, rng, width)
+    return j, drawn, top, layers + (_expand_shapes(levels, atoms) if j else [])
+
+
 @pytest.mark.parametrize("law,depths", [
-    ("2:1", (0, 1, 2, 8)),  # every level of a wide forest is one shape
+    ("2:1", (0, 1, 2, 8)),  # every level of a forest is one shape
     ("2:0.5,3:0.5", (0, 1, 2, 8)),
     ("1:0.2,4:0.8", (0, 1, 2, 8)),
     ("2:0.3,3:0.3,4:0.4", (0, 1, 2, 8)),
     ("1:0.5,12:0.5", (0, 1, 2, 4)),  # depth 8 would hold ~3e7 vertices a tree
-    ("2:0.9,20:0.1", (0, 1, 2, 5)),  # code ranges above the level widths
+    ("2:0.9,20:0.1", (0, 1, 2, 5)),
 ])
 def test_merged_forest_matches_plain_recursion(law, depths):
+    # the drawn levels and the atoms' shapes, each evaluated once, give the
+    # plain recursion's bits on the forest they stand for; the counts above
+    # the atoms are the level-by-level draw's own. A forest of one tree draws
+    # no atom (j = 0) at depth 1 on a multi-point law, and a 2:1 forest only
+    # its one shape
     dist = parse_pmf_text(law)
     for depth in depths:
         for n_trees in (1, 50):
-            layers = _sample_offspring_layers(dist, depth, n_trees,
-                                              np.random.default_rng(100 * depth + n_trees))
-            levels, top = _merge_forest(list(layers))
+            seed = 100 * depth + n_trees
+            j, drawn, top, layers = _atom_forest(dist, depth, n_trees, seed)
+            plain = _sample_offspring_layers(dist, depth - j, n_trees,
+                                             np.random.default_rng(seed))
+            assert all(np.array_equal(a, b) for a, b in zip(layers, plain, strict=False))
+            levels = _atom_table(dist, j)[0]
             for lam in (0.0, 0.3, 1.0, 2.7):
                 ref_b, ref_db = _plain_root_values(layers, lam, n_trees)
-                b, db = _forest_root_values(levels, top, lam, n_trees)
-                assert np.array_equal(b, ref_b) and np.array_equal(db, ref_db)
+                b, db = _level_pass(drawn, *_shape_values(levels, lam), lam)
+                if top is not None:
+                    b, db = b[top], db[top]
+                assert b.tobytes() == ref_b.tobytes() and db.tobytes() == ref_db.tobytes()
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_one_point_pools_equal_the_forest_path_bit_for_bit(k, monkeypatch):
-    # every tree of a one-point law is the k-regular tree, so its pools are
-    # evaluated once, one vertex a level, and draw nothing; the reference
-    # draws and merges a forest of two trees (at depth 10 on 5:1, 3.9 million
-    # vertices on its last level above the boundary)
+    # every tree of a one-point law is the k-regular tree, one shape a level,
+    # so its pools draw nothing; the reference is the plain recursion over a
+    # drawn forest of two trees (at depth 10 on 5:1, 3.9 million vertices on
+    # its last level above the boundary)
     def never(*args, **kwargs):
         raise AssertionError("a forest was drawn")
 
@@ -355,13 +417,13 @@ def test_one_point_pools_equal_the_forest_path_bit_for_bit(k, monkeypatch):
     lams = [0.0, 0.4 * k, float(k), 1.5 * k, 1e200]
     for n in range(11):
         layers = _sample_offspring_layers(dist, n, 2, np.random.default_rng(n))
-        levels, top = _merge_forest(layers)
         with monkeypatch.context() as patch:
             patch.setattr(beta_mod, "substream", never)
             patch.setattr(beta_mod, "_sample_offspring_layers", never)
             pools = sample_pools_shared_trees(dist, lams, n, 2, seed=n)
         for lam, pool in zip(lams, pools):
-            b, db = _forest_root_values(levels, top, lam, 2)
+            with np.errstate(over="ignore"):  # 1e200 squared
+                b, db = _plain_root_values(layers, lam, 2)
             assert (pool.lam, pool.level, pool.method) == (lam, n, "tree")
             # bit patterns, so that -0.0 against 0.0 counts as a difference
             assert pool.beta.tobytes() == b.tobytes() and pool.dbeta.tobytes() == db.tobytes()
@@ -372,7 +434,7 @@ def test_a_one_point_pool_past_the_forest_budget_is_refused_before_any_draw(monk
     def never(*args, **kwargs):
         raise AssertionError("a pool was built")
 
-    for name in ("substream", "_sample_offspring_layers", "_regular_levels"):
+    for name in ("substream", "_sample_offspring_layers", "_atom_table"):
         monkeypatch.setattr(beta_mod, name, never)
     five = parse_pmf_text("5:1")
     for call in (lambda: sample_pool(five, 1.0, 13, 3000, 7),
@@ -393,15 +455,16 @@ def _add_plan(h, levels, top):
         h.update(b"|")
         add(counts)
         if plan is not None:
-            for a in (plan.first, plan.off, plan.index, *(a for rank in plan.ranks for a in rank)):
+            ranks = plan.ranks or ()
+            for a in (plan.first, plan.off, plan.index, *(a for rank in ranks for a in rank)):
                 add(a)
     add(top)
 
 
 def test_merged_forest_plans_are_pinned():
-    # the levels, block plans and top ids of the forests of
-    # test_merged_forest_matches_plain_recursion and two of the bench law's;
-    # _merge_level refuses every level above an unmerged one on its own
+    # the shape tables, drawn levels, block plans and root atoms of the
+    # forests of test_merged_forest_matches_plain_recursion and two of the
+    # bench law's
     cases = [(law, depth, n_trees, 100 * depth + n_trees)
              for law, depths in (("2:1", (0, 1, 2, 8)), ("2:0.5,3:0.5", (0, 1, 2, 8)),
                                  ("1:0.2,4:0.8", (0, 1, 2, 8)),
@@ -411,39 +474,13 @@ def test_merged_forest_plans_are_pinned():
     cases += [("2:0.5,3:0.5", 8, 800, 8), ("2:0.5,3:0.5", 11, 100, 11)]
     h = hashlib.sha256()
     for law, depth, n_trees, seed in cases:
-        layers = _sample_offspring_layers(parse_pmf_text(law), depth, n_trees,
-                                          np.random.default_rng(seed))
-        widths = [c.size for c in reversed(layers)]
-        levels, top = _merge_forest(layers)
-        merged = [c.size < w for (c, _), w in zip(levels, widths)]
-        assert merged == sorted(merged, reverse=True)  # merged levels are a bottom run
-        _add_plan(h, levels, top)
-    assert h.hexdigest() == "42037ef3dcda82d60a421b44fb4a78aa52146b229b2a05f9ad62ee875a0c8df5"
-
-
-@pytest.mark.parametrize("n, count, seed", [(1, 12, 0), (2, 3, 1)])
-def test_a_narrow_level_with_more_shapes_than_half_its_width_is_not_merged(
-        monkeypatch, n, count, seed):
-    # counts 1..8 on a lowest level of 11 or 12 vertices: the code range, 9,
-    # fits the width, but 7 or 8 shapes are more than half of it
-    dist = parse_pmf_text(",".join(f"{k}:0.125" for k in range(1, 9)))
-    refused = []
-
-    def spy(counts, plan, n_kid_shapes):
-        merged = _merge_level(counts, plan, n_kid_shapes)
-        if plan is None and merged is None:
-            refused.append((counts.size, int(counts.max()) + 1, np.unique(counts).size))
-        return merged
-
-    monkeypatch.setattr(beta_mod, "_merge_level", spy)
-    lams = [0.0, 0.3, 1.0, 2.7]
-    pools = sample_pools_shared_trees(dist, lams, n, count, seed)
-    (width, code_range, shapes), = refused
-    assert code_range <= width < 2 * shapes
-    layers = _sample_offspring_layers(dist, n, count, substream(seed, D_POOL, 0))
-    for lam, pool in zip(lams, pools):
-        b, db = _plain_root_values(layers, lam, count)
-        assert pool.beta.tobytes() == b.tobytes() and pool.dbeta.tobytes() == db.tobytes()
+        dist = parse_pmf_text(law)
+        j, drawn, top, _ = _atom_forest(dist, depth, n_trees, seed)
+        levels, keep, alias = _atom_table(dist, j)
+        _add_plan(h, levels, keep)
+        h.update(alias.tobytes())
+        _add_plan(h, drawn, top)
+    assert h.hexdigest() == "30076eeb9c7638f5b185a58651effc693d47cb588d5d02c494fc0c3d81f02796"
 
 
 @pytest.mark.parametrize("call, error, says", [
@@ -462,35 +499,159 @@ def test_pool_refusals_name_what_is_wrong(mix23, call, error, says):
         call(mix23)
 
 
-def _merged_levels(law, depth, n_trees, seed):
-    layers = _sample_offspring_layers(parse_pmf_text(law), depth, n_trees,
-                                      np.random.default_rng(seed))
-    levels, top = _merge_forest(list(layers))
-    # a merged level keeps one entry per shape, at most half its width
-    return sum(c.size < raw.size for (c, *_), raw in zip(levels, reversed(layers))), top
+def _brute_shapes(entries, j):
+    """Every ordered depth-j shape as (k, children), with its exact
+    probability, enumerated with itertools in the shape table's order."""
+    if j == 0:
+        return [(None, Fraction(1))]
+    below = _brute_shapes(entries, j - 1)
+    shapes = []
+    for k, p in entries:
+        for kids in itertools.product(below, repeat=k):
+            shapes.append(((k, [s for s, _ in kids]),
+                           math.prod((q for _, q in kids), start=Fraction(p))))
+    return shapes
+
+
+def _shape_layers(shape):
+    """The offspring counts of one shape's tree, top level first."""
+    layers, level = [], [shape]
+    while level[0] is not None:
+        layers.append(np.array([k for k, _ in level]))
+        level = [kid for _, kids in level for kid in kids]
+    return layers
+
+
+_SHAPE_LAWS = [("2:0.5,3:0.5", 3), ("1:0.5,3:0.5", 3), ("2:0.2,3:0.3,7:0.5", 2)]
+
+
+@pytest.mark.parametrize("law, depth", _SHAPE_LAWS)
+def test_shape_probabilities_equal_brute_force_enumeration(law, depth):
+    # the product of p_k over each shape's internal vertices, against the
+    # same product in fractions; 2:0.2,3:0.3,7:0.5 has about 1.1e23 depth-3
+    # shapes, far past the table's cap
+    dist = parse_pmf_text(law)
+    for j in range(depth + 1):
+        brute = _brute_shapes(dist.entries, j)
+        prob = _shape_levels(dist, j)[1]
+        assert prob.size == len(brute)
+        for got, (_, exact) in zip(prob.tolist(), brute):
+            assert abs(got - exact) <= 4 * math.ulp(float(exact))
+        assert math.fsum(prob) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("law, depth", _SHAPE_LAWS)
+def test_shape_values_equal_compute_beta_on_the_explicit_tree(law, depth, monkeypatch):
+    # each table shape, built as its own breadth-first tree, evaluates to the
+    # table's (beta, beta') bit for bit
+    dist = parse_pmf_text(law)
+    levels = _shape_levels(dist, depth)[0]
+    lams = (0.0, 0.7, 2.5)
+    values = [_shape_values(levels, lam) for lam in lams]
+    for i, (shape, _) in enumerate(_brute_shapes(dist.entries, depth)):
+        monkeypatch.setattr(tree_mod, "_sample_offspring_layers",
+                            lambda *args, shape=shape: _shape_layers(shape))
+        tree = sample_truncated_tree(dist, depth, seed=0)
+        for lam, (b, db) in zip(lams, values):
+            table = compute_beta(tree, depth, lam)
+            assert (table.root_beta, table.root_dbeta) == (b[i], db[i])
+
+
+@pytest.mark.parametrize("law, depth", _SHAPE_LAWS)
+def test_alias_table_implied_probabilities_match_the_shape_law(law, depth):
+    # slot i gives atom i keep[i] and its alias 1 - keep[i], over A slots
+    dist = parse_pmf_text(law)
+    _, keep, alias = _atom_table(dist, depth)
+    prob = _shape_levels(dist, depth)[1]
+    implied = (keep + np.bincount(alias, weights=1.0 - keep, minlength=keep.size)) / keep.size
+    assert np.all(np.abs(implied - prob) <= 1e-12 * prob)
+    assert ((0.0 < keep) & (keep <= 1.0)).all()
+
+
+def test_the_alias_draw_maps_a_uniform_grid_onto_the_implied_law():
+    # K midpoints a slot: each atom's share is its probability, up to one
+    # grid step for its own slot and for each slot aliased to it
+    class Grid:
+        def random(self, size):
+            return (np.arange(size) + 0.5) / size
+
+    dist, per_slot = parse_pmf_text("2:0.5,3:0.5"), 1000
+    _, keep, alias = _atom_table(dist, 2)
+    prob = _shape_levels(dist, 2)[1]
+    size = keep.size * per_slot
+    atoms = _draw_atoms(keep, alias, Grid(), size)
+    share = np.bincount(atoms, minlength=keep.size) / size
+    assert np.all(np.abs(share - prob) <= (1 + np.bincount(alias, minlength=keep.size)) / size)
+    assert not _draw_atoms(np.ones(1), np.zeros(1, dtype=np.intp), None, 5).any()
+
+
+def _exact_atom_depth(dist, n, trees, cap):
+    # the largest j <= n whose exact shape count fits the cap and the
+    # expected width of level n - j
+    best, shapes = 0, 1
+    for j in range(1, n + 1):
+        shapes = sum(shapes ** k for k, _ in dist.entries)
+        if shapes > cap:
+            break
+        if shapes <= trees * dist.m ** (n - j):
+            best = j
+    return best
+
+
+def test_atom_depth_is_the_deepest_table_within_the_width_and_the_cap(monkeypatch):
+    for law in ("2:1", "2:0.5,3:0.5", "1:0.2,4:0.8", "1:0.5,12:0.5", "2:0.9,20:0.1"):
+        dist = parse_pmf_text(law)
+        for n in range(13):
+            for trees in (1, 7, 251, 800):
+                assert _atom_depth(dist, n, trees) == _exact_atom_depth(
+                    dist, n, trees, _MAX_SHAPES), (law, n, trees)
+    demo = parse_pmf_text("2:0.5,3:0.5")
+    # the bench curve's two chunks: 800 trees at depth 8, 251 at depth 11
+    assert _atom_depth(demo, 8, 800) == _atom_depth(demo, 11, 251) == 3
+    # the cap admits a table of exactly _MAX_SHAPES shapes
+    assert _atom_depth(demo, 20, 10**6) == 3
+    monkeypatch.setattr(beta_mod, "_MAX_SHAPES", 1872)
+    assert _atom_depth(demo, 20, 10**6) == 3
+    monkeypatch.setattr(beta_mod, "_MAX_SHAPES", 1871)
+    assert _atom_depth(demo, 20, 10**6) == 2
+
+
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "1:0.2,4:0.8", "2:0.3,3:0.3,4:0.4"])
+def test_atom_pools_match_the_level_by_level_draw_in_law(law):
+    # two independent samples of 10,000 trees: the pools' atoms against the
+    # plain recursion over every drawn level; the gate, |z| <= 4 on the mean
+    # of beta and of beta' at each depth and bias, was fixed before the run
+    dist, lams, count = parse_pmf_text(law), (0.3, 1.0, 1.9), 10_000
+    for n in (4, 6):
+        assert _atom_depth(dist, n, count) >= 2
+        pools = sample_pools_shared_trees(dist, lams, n, count, seed=n)
+        layers = _sample_offspring_layers(dist, n, count, np.random.default_rng(n))
+        for lam, pool in zip(lams, pools):
+            for got, ref in zip((pool.beta, pool.dbeta), _plain_root_values(layers, lam, count)):
+                z = (got.mean() - ref.mean()) / math.sqrt((got.var() + ref.var()) / count)
+                assert abs(z) <= 4.0, (n, lam, z)
 
 
 def test_merge_covers_whole_forest_and_stops_at_lowest_level():
-    merged, top = _merged_levels("2:1", 8, 50, 850)
-    assert merged == 8 and top is not None
-    merged, top = _merged_levels("1:0.5,12:0.5", 4, 1, 401)
-    assert merged == 1 and top is None
-    merged, top = _merged_levels("2:1", 1, 1, 101)
-    assert merged == 0 and top is None
+    # a 2:1 forest is one shape a level, so its atoms cover every level; on
+    # 1:0.5,12:0.5 the 4,098 depth-2 shapes outnumber a level of about 6.5
+    # vertices, so a lone tree's atoms stop at the lowest level
+    assert _atom_depth(parse_pmf_text("2:1"), 8, 50) == 8
+    assert _atom_depth(parse_pmf_text("2:1"), 1, 1) == 1
+    assert _atom_depth(parse_pmf_text("1:0.5,12:0.5"), 4, 1) == 1
 
 
-def test_a_level_whose_code_range_exceeds_its_width_is_refused_before_any_code():
-    # three vertices with up to 3 children over 2 child shapes code in base 3,
-    # a range of 27 codes: refused before the plan's first values or ranks
-    # are read to build a code
-    class Unread:
-        @property
-        def first(self):
-            raise AssertionError("a shape code was built")
-        ranks = first
+def test_a_level_whose_code_range_exceeds_its_width_is_refused_before_any_code(monkeypatch):
+    # the depth rule counts shapes, it builds none: the demo law's 12 depth-2
+    # shapes exceed a lone depth-3 tree's expected 2.5 vertices at level 1,
+    # and 2**40000 shapes are counted without being computed
+    def never(*args, **kwargs):
+        raise AssertionError("a shape table was built")
 
-    assert _merge_level(np.array([2, 3, 2]), Unread(), 2) is None
-    assert _merge_level(np.array([2, 40, 3]), None, 0) is None  # counts 0..40
+    monkeypatch.setattr(beta_mod, "_shape_levels", never)
+    assert _atom_depth(parse_pmf_text("2:0.5,3:0.5"), 3, 1) == 1
+    assert _atom_depth(parse_pmf_text("2:0.5,40000:0.5"), 2, 1) == 1
+    assert _atom_depth(parse_pmf_text(",".join(f"{k}:0.125" for k in range(1, 9))), 1, 7) == 0
 
 
 def _assert_block_sums_match_reduceat(x, counts, index):
@@ -539,7 +700,7 @@ def test_block_sums_keep_signed_zeros():
 
 
 def test_block_sums_match_reduceat_on_special_values():
-    # signed zeros, infinities and subnormals, through int32 and intp plans:
+    # signed zeros, infinities and subnormals, through int32 and intp indices:
     # blocks of one value (1:1), a first rank that only some blocks have
     # (1:0.5,3:0.5), one that all have (2:0.5,3:0.5), and blocks past
     # _SEQUENTIAL_BLOCK that fall back to reduceat (1:0.3,12:0.7)
@@ -553,7 +714,7 @@ def test_block_sums_match_reduceat_on_special_values():
         with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both sides
             _assert_block_sums_match_reduceat(x, counts, index)
             ref = np.add.reduceat(x[index], np.cumsum(counts) - counts)
-            plan = _intp_plan(_block_plan(counts, index.astype(np.int32)))
+            plan = _block_plan(counts, index.astype(np.int32))
             assert _block_sums(x, plan).tobytes() == ref.tobytes()
 
 
@@ -579,12 +740,8 @@ def test_level_step_equals_the_out_of_place_formula(lam):
 
 
 def test_the_per_bias_pass_reads_intp_plans(monkeypatch):
-    # _merge_forest's plans hold int32 shape ids; sample_pools_shared_trees
-    # casts them once, so no gather of the per-bias pass converts an index
-    layers = _sample_offspring_layers(parse_pmf_text("2:0.5,3:0.5"), 8, 300,
-                                      np.random.default_rng(4))
-    assert any(plan is not None and plan.first.dtype == np.int32
-               for _, plan in _merge_forest(layers)[0])
+    # shape ids and atoms are intp, so no gather of the per-bias pass
+    # converts an index
     read = []
 
     def spy(x, plan):
@@ -596,27 +753,28 @@ def test_the_per_bias_pass_reads_intp_plans(monkeypatch):
     sample_pools_shared_trees(parse_pmf_text("1:0.3,12:0.7"), [1.0], 4, 50, 4)
     assert read
     for plan in read:
-        indices = [plan.first, *(a for rank in plan.ranks for a in rank
+        indices = [plan.first, *(a for rank in plan.ranks or () for a in rank
                                  if not isinstance(a, slice))]
         assert all(a.dtype == np.intp for a in indices + [plan.index] if a is not None)
 
 
-def test_a_wide_block_lists_only_the_ranks_a_merge_can_code():
-    # a 40000-value block is summed by reduceat and its level is never
-    # merged, so its plan stops at the 61 ranks of the widest block (62
-    # values) whose shape code fits in int64
-    counts = np.array([2, 40000, 3])
-    plan = _block_plan(counts)
-    assert len(plan.ranks) == 61
-    x = np.random.default_rng(7).standard_normal(int(counts.sum()))
-    assert np.array_equal(_block_sums(x, plan), np.add.reduceat(x, plan.off))
-    assert _merge_level(counts, plan, 1) is None
+def test_a_wide_block_lists_no_ranks():
+    # a block of more than 8 values is summed by reduceat, which reads no
+    # rank: its plan lists neither first values nor ranks (40 rank arrays a
+    # tuple on 40:1 before)
+    for counts in (np.array([2, 40000, 3]), np.array([9, 1])):
+        plan = _block_plan(counts)
+        assert plan.first is None and plan.ranks is None
+        x = np.random.default_rng(7).standard_normal(int(counts.sum()))
+        assert np.array_equal(_block_sums(x, plan), np.add.reduceat(x, plan.off))
+    assert len(_block_plan(np.array([8, 1])).ranks) == 7
 
 
 def test_forest_levels_carry_their_block_plans(monkeypatch):
-    # the bias-independent plan rides on every level above the boundary and
-    # holds a rank for every child position; a law with blocks longer than 8
-    # still sums them through reduceat
+    # the bias-independent plan rides on every level above the boundary, the
+    # shape levels' and the drawn levels' alike, and holds a rank for every
+    # child position; a law with blocks longer than 8 sums them through
+    # reduceat and lists no rank
     summed = []
 
     class Add:  # np.add, with the blocks that its reduceat sums recorded
@@ -638,18 +796,20 @@ def test_forest_levels_carry_their_block_plans(monkeypatch):
 
     monkeypatch.setattr(beta_mod, "np", Numpy())
     for law in ("2:0.3,3:0.3,4:0.4", "1:0.5,12:0.5"):
-        layers = _sample_offspring_layers(parse_pmf_text(law), 3, 20,
-                                          np.random.default_rng(3))
-        levels, _ = _merge_forest(layers)
-        assert levels[0][1] is None
+        dist = parse_pmf_text(law)
+        j = _atom_depth(dist, 3, 20)
+        levels = _atom_table(dist, j)[0] + _draw_forest(dist, 3, j, 20,
+                                                         np.random.default_rng(3))[0]
+        assert j == 1 and len(levels) == 3 and levels[0][1] is None
         for (below, _), (counts, plan) in zip(levels, levels[1:]):
             assert np.array_equal(plan.off, np.cumsum(counts) - counts)
-            assert len(plan.ranks) == counts.max() - 1
+            wide = counts.max() > 8
+            assert plan.ranks is None if wide else len(plan.ranks) == counts.max() - 1
             x = np.ones(below.size)  # one value per entry of the level below
             summed.clear()
             assert np.array_equal(_block_sums(x, plan), counts)
-            assert summed == ([counts.size] if counts.max() > 8 else [])
-    assert max(len(plan.ranks) for _, plan in levels[1:]) == 11
+            assert summed == ([counts.size] if wide else [])
+    assert sum(plan.ranks is None for _, plan in levels[1:]) == 2
 
 
 def test_forest_level_prediction_is_large_only_for_wide_levels():

@@ -1162,21 +1162,23 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
     # digests recorded before identical subtrees were merged in the forest
     # recursion; the curve and the pool file are what that recursion feeds.
     # The curve's were re-recorded when the speed moved onto the margin's
-    # tuple terms: the speed and stderr columns moved, and nothing else
+    # tuple terms: the speed and stderr columns moved, and nothing else. All
+    # three were re-recorded when the bottom three levels of each forest
+    # became one atom a vertex drawn from the depth-3 shape law
     curve_path = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "speed-curve", "--depth", "6", "--samples", "300",
                        "--tuples", "5000", "--seed", "7", "--out", str(curve_path))
     assert code == 0
     assert _sha256(out.encode()) == (
-        "b454b57877eda3d244ebb2c46b8b8c4205d1b8a46c08c754d3ca3d710678c4d4")
+        "11a8e5aea6b3f74b5fa8a5293c4c570826064f627762251aa81c928dd3db0e13")
     assert _sha256(curve_path.read_bytes()) == (
-        "397ced2c1152a8068e82ae93698709a6f932954e96aa5532315b3e397e2dfbef")
+        "8b1a19a49f03eec163b2962d2a79df8fe7f8d78faeda5d4f98f66e4f74354b23")
     pool_path = tmp_path / "pool.csv"
     code, _, _ = run(capsys, "beta", "--depth", "6", "--samples", "2000",
                      "--seed", "7", "--pool-out", str(pool_path))
     assert code == 0
     assert _sha256(pool_path.read_bytes()) == (
-        "3c50f00929c07d64d7564e948633c113894d3af7a3d1f9842037605d5f740974")
+        "173d2b3e798a4786f2dcd58b05640e6dd8fbd92cc35bf4a3b1a38aec571e2d9d")
 
 
 @pytest.mark.parametrize("argv,digests", [
@@ -1187,13 +1189,16 @@ def test_pinned_pool_outputs_are_byte_identical(capsys, tmp_path):
       "109ad72830e01a65854417c939c27b59fc1b508893a47e30408152c6c2001738")),
     # blocks of 2 to 5 values in the forest and the tuples, both depths
     (("--pmf", "2:0.3,3:0.3,4:0.4", "--depth", "5", "--samples", "300", "--tuples", "5000"),
-     ("4133e346ea3667122c183a2de4696cee0d49c72826f7d829fdf13e8b30bf0aad",
-      "1164a27a511ba1c4ff2491eff0e336398ee98e9670310e01969ae2d49e478360")),
+     ("22f6d2fa9401db3930e1bb202bec6cc7f8015db3c5920e50681a549679ce4365",
+      "00731263100b41422e3a9512772979afede28b0ef1b47897ec140f4045061be8")),
 ])
 def test_pinned_curve_outputs_off_the_demo_law(capsys, tmp_path, argv, digests):
     # digests recorded before the block sums moved off np.add.reduceat for
     # blocks of at most 8 values, and re-recorded when the speed moved onto
-    # the margin's tuple terms (speed and stderr columns only)
+    # the margin's tuple terms (speed and stderr columns only). The second
+    # was re-recorded when the forest's bottom levels became atoms drawn from
+    # the depth-j shape law; the first draws its one atom level (j = 1) with
+    # the same uniforms as the two-point count draw, and did not move
     curve_path = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "speed-curve", *argv, "--seed", "7", "--out", str(curve_path))
     assert code == 0

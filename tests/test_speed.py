@@ -515,6 +515,26 @@ def test_curve_size_predictor(mix23):
     assert _curve_bytes(mix23, 10**5, 1000, 50_000) < MAX_FOREST_LEVEL_BYTES
 
 
+@pytest.mark.parametrize("law", ["40:1", "2:0.5,3:0.5"])
+def test_curve_bytes_cover_the_measured_tuple_slope(law):
+    # each tuple more raises the scan's tracemalloc peak by no more than the
+    # bytes _curve_bytes counts for it: 760 a tuple on 40:1 (1,088 while
+    # every tuple plan listed its 40 ranks) and 172 on the demo law
+    dist, grid = parse_pmf_text(law), [0.0, 0.3, 0.6, 0.9]
+
+    def peak(tuples):
+        tracemalloc.start()
+        try:
+            speed_curve(dist, grid, 2, 20, tuples, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slope = (peak(55_000) - peak(5_000)) / 50_000
+    per_tuple = (_curve_bytes(dist, 4, 20, 55_000) - _curve_bytes(dist, 4, 20, 5_000)) / 50_000
+    assert slope <= per_tuple
+
+
 def test_curve_refuses_an_over_budget_size_before_any_draw(mix23, monkeypatch):
     asked = []
 
