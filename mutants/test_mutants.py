@@ -71,6 +71,10 @@ MUTANTS = [
     Mutant("rescan-keeps-margins", "src/gwspeed/cli.py",
            "depth + 3, samples2, tuples, seed, False)", "depth + 3, samples2, tuples, seed, True)",
            ("tests/test_cli.py::test_speed_curve_rescan_evaluates_no_margins",)),
+    Mutant("threshold-is-the-larger-root", "src/gwspeed/offspring.py",
+           "return self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))",
+           "return self.m1 / (1.0 - math.sqrt(1.0 - 1.0 / self.m1))",
+           ("tests/test_speed.py::test_the_smaller_root_of_q_is_the_monotonicity_threshold",)),
     Mutant("threshold-times-0.9", "src/gwspeed/offspring.py",
            "return self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))",
            "return 0.9 * self.m1 / (1.0 + math.sqrt(1.0 - 1.0 / self.m1))",
@@ -87,11 +91,15 @@ MUTANTS = [
            "ok = all(m > 0.0 * s for _, m, s in margins)",
            ("tests/test_cli.py::test_verify_criterion_margin_under_three_stderr_fails",)),
     Mutant("chain-hits-failure-one-below", "src/gwspeed/walker.py",
-           "(path < 0)", "(path < -1)",
-           ("tests/test_walker.py::test_chain_hits_match_a_scalar_chain",)),
+           "nb[::w] = np.arange(-1, n - 1)", "nb[::w] = np.arange(-2, n - 2)",
+           ("tests/test_walker.py::test_one_point_hitting_matches_a_scalar_chain",)),
     Mutant("chain-hits-success-one-past", "src/gwspeed/walker.py",
-           "(path == n)", "(path == n + 1)",
-           ("tests/test_walker.py::test_chain_hits_match_a_scalar_chain",)),
+           "nb = np.repeat(np.arange(1, n + 1), w)", "nb = np.repeat(np.arange(2, n + 2), w)",
+           ("tests/test_walker.py::test_one_point_hitting_matches_a_scalar_chain",)),
+    Mutant("chain-table-drops-the-repeated-last-child", "src/gwspeed/walker.py",
+           "w = k + 2", "w = k + 1",
+           ("tests/test_walker.py::"
+            "test_quenched_round_lands_where_the_loop_does_at_float_boundaries",)),
     Mutant("verify-hitting-mc-gate-dropped", "src/gwspeed/verify.py",
            'CheckResult(worst_z < _MC_GATE, "oracles/hitting-mc"',
            'CheckResult(True, "oracles/hitting-mc"',
@@ -104,7 +112,7 @@ MUTANTS = [
            "make_distribution({m2: 1.0}), pool.level + 1)",
            ("tests/test_beta.py::test_check_bounds_counts_a_sample_just_past_the_regular_envelope",)),
     Mutant("regular-levels-one-level-deeper", "src/gwspeed/beta.py",
-           "levels, keep, _ = _atom_table(dist, j)", "levels, keep, _ = _atom_table(dist, j + 1)",
+           "levels = _atom_table(dist, n)[0]", "levels = _atom_table(dist, n + 1)[0]",
            ("tests/test_beta.py::test_one_point_pools_equal_the_forest_path_bit_for_bit",)),
     Mutant("envelope-floor-past-m1-below-0", "src/gwspeed/beta.py",
            "1.0 - min(lam, m1) / m1", "1.0 - lam / m1",

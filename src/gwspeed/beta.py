@@ -359,8 +359,9 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     """Tree-method pools at several biases evaluated on one common set of
     trees (the i-th sample of every pool comes from the same realization),
     so cross-bias comparisons share all structural randomness. A chunk of
-    trees draws from ``substream(seed, D_POOL, chunk)`` unless they are all
-    one shape (a one-point law, or depth 0); a bias evaluates shapes once."""
+    trees draws from ``substream(seed, D_POOL, chunk)``, and a bias evaluates
+    its shapes once. When every tree is one shape (a one-point law, or depth
+    0) nothing is drawn: each bias evaluates that shape and fills its pool."""
     if dist.has_leaves:
         raise UnsupportedRegimeError("sample pools need a leafless offspring law")
     if count < 1:
@@ -372,23 +373,26 @@ def sample_pools_shared_trees(dist: OffspringDistribution, lams, n: int,
     _check_pool_size(dist, n, count, "tree", 16.0 * len(lams))
     betas = [np.empty(count) for _ in lams]
     dbetas = [np.empty(count) for _ in lams]
-    tables = {}  # trees a chunk: j, the shape count, each bias's shape values
-    chunk = _trees_per_chunk(dist, n)
-    for ci, lo in enumerate(range(0, count, chunk)):
-        hi = min(lo + chunk, count)
-        if hi - lo not in tables:
-            j = _atom_depth(dist, n, hi - lo)
-            levels, keep, _ = _atom_table(dist, j)
-            tables[hi - lo] = j, keep.size, [_level_pass(levels, np.ones(1), np.zeros(1), lam)
-                                             for lam in lams]
-        j, shapes, values = tables[hi - lo]
-        if j == n and shapes == 1:  # every tree is the one depth-n shape
-            drawn, top = [], np.zeros(hi - lo, dtype=np.intp)
-        else:
-            drawn, top = _draw_forest(dist, n, j, hi - lo, substream(seed, D_POOL, ci))
+    if dist.m1 == dist.m2 or n == 0:  # every tree is the one depth-n shape
+        levels = _atom_table(dist, n)[0]
         for i, lam in enumerate(lams):
-            b, db = _level_pass(drawn, *values[i], lam)
-            betas[i][lo:hi], dbetas[i][lo:hi] = (b, db) if top is None else (b[top], db[top])
+            b, db = _level_pass(levels, np.ones(1), np.zeros(1), lam)
+            betas[i][:], dbetas[i][:] = b[0], db[0]
+    else:
+        tables = {}  # trees a chunk: j and each bias's shape values
+        chunk = _trees_per_chunk(dist, n)
+        for ci, lo in enumerate(range(0, count, chunk)):
+            hi = min(lo + chunk, count)
+            if hi - lo not in tables:
+                j = _atom_depth(dist, n, hi - lo)
+                levels = _atom_table(dist, j)[0]
+                tables[hi - lo] = j, [_level_pass(levels, np.ones(1), np.zeros(1), lam)
+                                      for lam in lams]
+            j, values = tables[hi - lo]
+            drawn, top = _draw_forest(dist, n, j, hi - lo, substream(seed, D_POOL, ci))
+            for i, lam in enumerate(lams):
+                b, db = _level_pass(drawn, *values[i], lam)
+                betas[i][lo:hi], dbetas[i][lo:hi] = (b, db) if top is None else (b[top], db[top])
     return [BetaPool(beta=betas[i], dbeta=dbetas[i], level=n, lam=lam, method="tree")
             for i, lam in enumerate(lams)]
 

@@ -11,13 +11,12 @@ which the estimate keeps, divided by the step count: one independent tree and
 walk per replica, with the standard error taken across replicas. Replicas are
 iid by construction, so no autocorrelation correction is needed.
 
-Speed replicas and annealed hitting trials take one of two paths, chosen by
-the offspring law alone. On a one-point law (``m1 == m2``, the regular tree)
-every vertex looks the same, so the depth is a +-1 chain and no tree is
-grown: ``_chain_final_depth`` sums a speed replica's chain in numpy blocks,
-and ``_chain_hits`` runs a batch of annealed trials' chains as the rows of
-one array until each is absorbed. On every other law the one walk loop,
-``_walk_final_depth``, walks a lazily grown tree that it keeps itself.
+Speed replicas take one of two paths, chosen by the offspring law alone. On
+a one-point law (``m1 == m2``, the regular tree) every vertex looks the
+same, so the depth is a +-1 chain and no tree is grown:
+``_chain_final_depth`` sums a replica's chain in numpy blocks. On every
+other law the one walk loop, ``_walk_final_depth``, walks a lazily grown
+tree that it keeps itself, for speed replicas and annealed hitting trials.
 For each piece of uniforms numpy first fills step tables (an int32 column per
 support count, and one for T's root) from the scalar step's float expression,
 so a step is a table read, a push or pop and an arena lookup. That costs O(S)
@@ -25,10 +24,14 @@ per uniform on a law with S support points: the tables beat a scalar float
 loop below about 20 points (0.75 of its time on 2 points, 1.09 on 25), and
 an annealed trial, which reads about two dozen uniforms of its first 64, pays
 one fill (1.3 times its time on 2). Both paths read the same uniforms in the
-same order, so the chain's depths equal the tree walk's bit for bit; the tree
-walk is the reference the chain is tested against, and ``transition_step`` on
-a lazily grown QuenchedTree, fed the same tree stream through the same
-``_count_stream``, is the scalar reference for the tree walk.
+same order, so the chain's depths equal the tree walk's bit for bit; the
+tree walk is the reference the chain is tested against, and
+``transition_step`` on a lazily grown QuenchedTree, fed the same tree stream
+through the same ``_count_stream``, is the scalar reference for the tree walk.
+
+Quenched hitting walks all trials at once through a tree's neighbour table
+(``_hit_level_vectorized``); on a one-point law, in both modes, the table is
+the k-regular tree laid out one vertex a level (``_chain_table``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -55,7 +58,6 @@ _MAX_SYNC_ROUNDS = 10_000_000
 # costs about 7 us up to 128 walkers, a scalar one about 0.2 us a walker.
 _TAIL_WALKERS = 64
 _TABLE_ENTRIES = 1 << 18  # a piece's columns times uniforms: about 4 MiB of tables
-_HIT_BATCH = 256  # annealed chain trials per batch: a first piece of 16 K uniforms
 _FRESH = array("i", [-2]) * _BLOCK  # the step column of a vertex not drawn yet
 _ZEROS = array("i", [0]) * _BLOCK  # the artificial root's: to its one child
 _ARENA_BYTES_PER_ENTRY = 16  # one pointer in each of the walk arena's two lists
@@ -237,36 +239,6 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     return h + floor
 
 
-def _chain_hits(k: int, lam: float, n: int, streams) -> int:
-    """Successes of annealed first passages on the k-regular tree with its
-    artificial root, a walk stream a trial: the depth chain from the root to
-    depth n (a success) or -1 (a failure), ``_HIT_BATCH`` trials at a time.
-    A round reads each live trial's next piece (64 uniforms, doubling up to
-    _BLOCK, rows times width at most _TABLE_ENTRIES) into a row of one array,
-    so each trial reads its stream in order and steps on the tree walk's
-    floats; one argmax over a row's depths finds its first absorption."""
-    c = lam + k
-    successes = 0
-    while batch := list(islice(streams, _HIT_BATCH)):
-        dep, block, read = np.zeros(len(batch), dtype=np.int64), 64, 0
-        while batch and read < _MAX_SYNC_ROUNDS:
-            width = min(block, _TABLE_ENTRIES // len(batch), _MAX_SYNC_ROUNDS - read)
-            us = np.empty((len(batch), width))
-            for gen, row in zip(batch, us):
-                gen.random(out=row)
-            path = dep[:, None] + np.cumsum(np.where(us * c - lam < 0.0, -1, 1), axis=1)
-            hit = (path == n) | (path < 0)
-            first = hit.argmax(axis=1)
-            done = hit[np.arange(len(batch)), first]
-            successes += int(np.count_nonzero(path[done, first[done]] > 0))
-            live = np.flatnonzero(~done)
-            batch, dep = [batch[i] for i in live.tolist()], path[live, -1]
-            read, block = read + width, min(2 * block, _BLOCK)
-        if batch:
-            raise VerificationError("hitting walk failed to absorb within the round cap")
-    return successes
-
-
 def _final_depth(dist: OffspringDistribution, lam: float, steps: int,
                  rng: np.random.Generator, star: bool, tree_stream) -> int:
     """The one choice of speed-replica kernel: the depth chain on a one-point
@@ -336,7 +308,10 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
     quenched: all trials on one fixed tree (supplied or sampled from the
     seed; it must pass ``QuenchedTree.levels(n)``). annealed: a fresh tree
-    per trial, estimating the tree-averaged probability. Both modes need a
+    per trial, estimating the tree-averaged probability. Every tree of a
+    one-point law given as a law is the k-regular tree, so there both modes
+    are one experiment: the trials walk that tree, laid out one vertex a
+    level, on the quenched stream, and no tree is sampled. Both modes need a
     leafless law, and both raise VerificationError when a walk has not
     absorbed within the round cap.
     """
@@ -355,9 +330,7 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
     if dist.has_leaves:
         raise UnsupportedRegimeError("hitting simulation needs a leafless offspring law")
 
-    if mode == "annealed" and dist.m1 == dist.m2:
-        successes = _chain_hits(dist.m1, lam, n, substreams(seed, D_HIT, count=trials))
-    elif mode == "annealed":
+    if mode == "annealed" and dist.m1 != dist.m2:
         successes = 0
         trees = partial(next, substreams(seed, D_TREE, count=trials))
         for rng in substreams(seed, D_HIT, count=trials):
@@ -367,8 +340,11 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
             successes += end == n
     else:
         _check_hitting_size(trials)
-        tree = dist_or_tree if fixed else sample_truncated_tree(dist, n, seed)
-        successes = _hit_level_vectorized(tree, lam, n, trials, substream(seed, D_HIT, 0))
+        if not fixed and dist.m1 == dist.m2:
+            table = _chain_table(dist.m1, n)
+        else:
+            table = _tree_table(dist_or_tree if fixed else sample_truncated_tree(dist, n, seed), n)
+        successes = _hit_level_vectorized(*table, lam, trials, substream(seed, D_HIT, 0))
     p = successes / trials
     return HittingEstimate(estimate=p, stderr=float(np.sqrt(p * (1 - p) / trials)),
                            trials=trials, successes=successes, lam=lam,
@@ -376,27 +352,16 @@ def hitting_beta_mc(dist_or_tree, lam: float, n: int, trials: int, seed: int,
 
 
 def _check_hitting_size(trials: int) -> None:
-    """Refuse, before any draw, quenched hitting trials over the memory budget,
-    at 64 bytes a trial (tracemalloc peak: 32, in the first round)."""
+    """Refuse, before any draw, quenched hitting trials (and a one-point
+    law's annealed ones, which run as quenched) over the memory budget, at 64
+    bytes a trial (tracemalloc peak: 32, in the first round)."""
     _check_budget(64.0 * trials, f"{trials} quenched hitting trials")
 
 
-def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
-                          rng: np.random.Generator) -> int:
-    """Successes of ``trials`` walkers from the root of a tree laid out to
-    depth n, absorbed at depth n (a success) or on a step above the root (a
-    failure, with or without the artificial root). Each round draws one
-    uniform per walker still moving and hands them out in walker order.
-
-    The walkers move from the ids below ``goal``. Each such vertex gets a row
-    ``[parent, child 0, ..., child k-1, child k-1]`` of the neighbour table
-    ``nb``, at whose child 0 ``base`` points, so a round is a few whole-array
-    calls: ``floor(u * (lam + k) - lam)``, the loop's own float, clamped at
-    -1 (up), indexes the row from child 0. The repeated last child takes the
-    rare float that rounds to k itself, as ``min(j, k - 1)`` does. Once
-    ``_TAIL_WALKERS`` or fewer are left, the same rounds read the same tables
-    one walker at a time, where numpy's fixed cost per call would outweigh
-    the work. Both phases share the round cap."""
+def _tree_table(tree: QuenchedTree, n: int) -> tuple:
+    """(nb, base, nu, goal) of a tree laid out to depth n: each vertex below
+    depth n, the ids below ``goal``, gets a row ``[parent, child 0, ...,
+    child k-1, child k-1]`` of ``nb``, at whose child 0 ``base`` points."""
     start, _ = tree.levels(n)
     goal = start[n]
     parent, _, first_child, nu = (a[:goal] for a in tree.arrays())
@@ -408,7 +373,34 @@ def _hit_level_vectorized(tree: QuenchedTree, lam: float, n: int, trials: int,
     nb[base - 1] = parent
     nb[ROOT] = -1  # a step above the root is a failure
     nb[ends - 1] -= 1
-    scale = lam + nu
+    return nb, base, nu, goal
+
+
+def _chain_table(k: int, n: int) -> tuple:
+    """``_tree_table`` of the k-regular tree laid out one vertex a level:
+    vertex d < n is depth d, with the row ``[d - 1, d + 1, ..., d + 1]``, the
+    child k + 1 times, as a tree repeats its last child. Refused, before it is
+    built, over the memory budget."""
+    w = k + 2
+    _check_budget(8.0 * n * w, f"a hitting table of {n} levels and {w} columns")
+    nb = np.repeat(np.arange(1, n + 1), w)
+    nb[::w] = np.arange(-1, n - 1)  # the root's parent, -1, is a failure
+    return nb, np.arange(1, n * w, w), np.full(n, k), n
+
+
+def _hit_level_vectorized(nb: np.ndarray, base: np.ndarray, nu: np.ndarray, goal: int,
+                          lam: float, trials: int, rng: np.random.Generator) -> int:
+    """Successes of ``trials`` walkers from the root of a ``_tree_table``,
+    absorbed at depth n, an id of ``goal`` or more (a success), or on a step
+    above the root, -1 (a failure). Each round draws one uniform per walker
+    still moving and hands them out in walker order, in a few whole-array
+    calls: ``floor(u * (lam + k) - lam)``, the loop's own float, clamped at -1
+    (up), indexes the row from child 0. The repeated last child takes the rare
+    float that rounds to k itself, as ``min(j, k - 1)`` does. Once
+    ``_TAIL_WALKERS`` or fewer are left, the same rounds read the same tables
+    one walker at a time, where numpy's fixed cost per call would outweigh
+    the work. Both phases share the round cap."""
+    scale = float(lam) + nu  # a float array for an integer bias too
     pos = np.full(trials, ROOT, dtype=np.intp)
     failures = 0
     rounds = _MAX_SYNC_ROUNDS

@@ -601,3 +601,73 @@ def test_inequality8_does_not_hold_at_equality(mix23):
 def test_a_tuple_count_below_one_is_refused(mix23):
     with pytest.raises(ValueError, match=r"^tuple count must be >= 1, got 0$"):
         make_tuple_pool(mix23, constant_pool(0.6, -0.3, 1.0), 0, seed=1)
+
+
+# The per-tuple inequality whose root is lambda* (ROADMAP item 21(a)). With
+# Q = S^2 - S - lam (1 - lam) S', f/lam - g = Q/(lam (c + S)^2), so the
+# margin is e1 E[b Q/(lam (c + S)^2)] + e3 e4. Over the bounds check_bounds
+# checks, Q/S >= q(lam, m1), which is > 0 below lambda* and 0 at it.
+
+
+def _q(lam, m1):
+    """The worst case of Q/S over the envelope's lower bound and the
+    derivative bound: for lam >= 1 the S' term at -S' = S/(m1 - lam), below 1
+    that term >= 0 and dropped."""
+    if lam >= 1.0:
+        return (m1 ** 3 - 2 * m1 ** 2 * lam + lam ** 2) / (m1 * (m1 - lam))
+    return (m1 + 1) * (1.0 - lam / m1) - 1.0
+
+
+def _per_tuple_q_terms(tp):
+    """Each tuple's Q, S, c + S and g, from the pool it reads."""
+    lam, s = tp.lam, tp.beta_sums
+    ds = tp.sums(tp.pool.dbeta)
+    d = tp.denominators
+    return s * s - s - lam * (1.0 - lam) * ds, s, d, (s + (1.0 - lam) * ds) / (d * d)
+
+
+def test_the_smaller_root_of_q_is_the_monotonicity_threshold():
+    # lam^2 - 2 m1^2 lam + m1^3 has roots m1^2 (1 -+ sqrt(1 - 1/m1)); the
+    # smaller, rationalized so that it does not cancel at large m1, must be
+    # the threshold to 1e-12 relative, a root of the numerator (its residual
+    # in exact arithmetic within 1e-12 of the slope times the root) and
+    # below m1, where the larger root is past m1^2
+    for m1 in range(2, 51):
+        root = m1 / (1.0 + math.sqrt(1.0 - 1.0 / m1))
+        thr = make_distribution({m1: 1.0}).monotonicity_threshold()
+        assert abs(root - thr) <= 1e-12 * thr
+        x = Fraction(thr)
+        residual = x * x - 2 * m1 ** 2 * x + m1 ** 3
+        assert abs(residual) <= 1e-12 * abs(2 * x - 2 * m1 ** 2) * x
+        assert 1.0 < thr < m1 < m1 ** 2 * (1.0 + math.sqrt(1.0 - 1.0 / m1))
+
+
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "2:1", "3:0.5,4:0.5", "2:0.3,5:0.7"])
+def test_criterion_margin_is_e1_times_the_mean_q_term_plus_e3_e4(law):
+    # margin = e1 (e3/lam - e2) + e3 e4, with e3/lam - e2 the mean of
+    # b Q/(lam (c + S)^2): the identity against inequality8 to 1e-12 relative
+    dist = parse_pmf_text(law)
+    lam_star = dist.monotonicity_threshold()
+    lams = [lam_star * frac for frac in (0.3, 0.6, 0.9, 0.999)] + [1.0]
+    for pool in sample_pools_shared_trees(dist, lams, 6, 400, seed=7):
+        tp = make_tuple_pool(dist, pool, 20000, seed=7)
+        rep = inequality8(dist, pool.lam, tp)
+        q, _, d, _ = _per_tuple_q_terms(tp)
+        b = tp.weights[1]
+        margin = rep.e1 * float(np.mean(b * q / (pool.lam * d * d))) + rep.e3 * rep.e4
+        assert abs(margin - rep.margin) <= 1e-12 * abs(rep.margin)
+
+
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "2:1", "3:0.5,4:0.5", "2:0.3,5:0.7"])
+def test_every_verify_tuple_clears_q_and_has_a_positive_g(law):
+    # monotonicity's pools and tuples (600 trees, 10,000 tuples, seed 7,
+    # depths 7 and 10) at each of its 13 grid biases above 0 up to lambda*:
+    # every tuple has Q/S >= q(lam, m1) and g > 0
+    dist = parse_pmf_text(law)
+    lam_star = dist.monotonicity_threshold()
+    grid = [lam_star * i / 13 for i in range(1, 14)]
+    for n in (7, 10):
+        for pool in sample_pools_shared_trees(dist, grid, n, 600, seed=7):
+            q, s, _, g = _per_tuple_q_terms(make_tuple_pool(dist, pool, 10000, seed=7))
+            assert (q / s >= _q(pool.lam, dist.m1)).all(), (n, pool.lam)
+            assert (g > 0.0).all(), (n, pool.lam)

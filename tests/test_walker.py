@@ -255,14 +255,40 @@ def _reference_annealed_successes(dist, lam, n, trials, seed):
     return successes
 
 
-@pytest.mark.parametrize("law", ["2:1", "3:1", "2:0.5,3:0.5", "1:0.2,4:0.8",
-                                 "2:0.2,3:0.3,7:0.5"])
+@pytest.mark.parametrize("law", ["2:0.5,3:0.5", "1:0.2,4:0.8", "2:0.2,3:0.3,7:0.5"])
 def test_annealed_hitting_matches_reference_loop(law):
     dist = parse_pmf_text(law)
     for lam in (0.0, 0.5, 1.0, 2.5):
         for n in (1, 3, 8):
             est = hitting_beta_mc(dist, lam, n, 150, seed=5, mode="annealed")
             assert est.successes == _reference_annealed_successes(dist, lam, n, 150, 5)
+
+
+@pytest.mark.parametrize("law", ["1:1", "2:1", "3:1", "7:1"])
+def test_one_point_hitting_walks_the_regular_tree_in_both_modes(law, monkeypatch):
+    # every tree of a one-point law is the k-regular tree, so both modes walk
+    # it, one vertex a level, on the quenched stream, and sample no tree: the
+    # successes equal the reference loop's on the sampled tree, bit for bit.
+    # Trial counts on both sides of the switch to scalar rounds; at biases
+    # above 1 a step's floor is clamped at -1. The reference on 7:1 stops at
+    # level 5: its level-8 tree has 6.7 million vertices, and its lists would
+    # take about 700 MiB (the scalar chain test walks 7:1 to level 40).
+    def never(*args):
+        raise AssertionError("a tree was sampled")
+
+    dist = parse_pmf_text(law)
+    k = dist.m1
+    tail = walker_mod._TAIL_WALKERS
+    for n in (1, 2, 5) + (8,) * (k < 7):
+        tree = sample_truncated_tree(dist, n, seed=n)
+        for lam in (0.0, 0.5, 1.0, float(k), k + 0.5, 2.5):
+            for trials in (1, tail, tail + 1, 300):
+                ref = _reference_quenched_successes(tree, lam, n, trials, substream(n, D_HIT, 0))
+                with monkeypatch.context() as patch:
+                    patch.setattr(walker_mod, "sample_truncated_tree", never)
+                    for mode in ("quenched", "annealed"):
+                        est = hitting_beta_mc(dist, lam, n, trials, seed=n, mode=mode)
+                        assert est.successes == ref, (mode, lam, n, trials)
 
 
 def test_annealed_round_cap_raises(binary, mix23, monkeypatch):
@@ -272,33 +298,37 @@ def test_annealed_round_cap_raises(binary, mix23, monkeypatch):
             hitting_beta_mc(dist, 1.0, 8, 50, seed=1, mode="annealed")
 
 
-def _scalar_chain_successes(k, lam, n, trials, seed):
-    """Annealed hitting on the k-regular tree, one uniform at a time: each
-    trial's depth chain from the root until depth n or -1, and the longest
-    trial's uniform count."""
-    successes, longest = 0, 0
-    for t in range(trials):
-        rng, dep, read = substream(seed, D_HIT, t), 0, 0
-        while 0 <= dep < n:
+def _scalar_chain_successes(k, lam, n, trials, rng):
+    """Hitting on the k-regular tree one uniform at a time: each round hands
+    one uniform of ``rng`` to each trial still moving, in trial order, and
+    steps its depth until depth n or -1. The successes and the round count."""
+    deps, successes, rounds = [0] * trials, 0, 0
+    while deps:
+        moving = []
+        for dep in deps:
             dep += -1 if rng.random() * (lam + k) - lam < 0.0 else 1
-            read += 1
-        successes += dep == n
-        longest = max(longest, read)
-    return successes, longest
+            if dep == n:
+                successes += 1
+            elif dep >= 0:
+                moving.append(dep)
+        deps, rounds = moving, rounds + 1
+    return successes, rounds
 
 
-@pytest.mark.parametrize("law", ["2:1", "3:1"])
-def test_chain_hits_match_a_scalar_chain(law):
-    # two full batches and one trial more; at biases near k and high levels
-    # the longest trials outlast the 64- and 128-uniform pieces, and at level
-    # 2 a third of the trials that reach it fail before level 3
+@pytest.mark.parametrize("law", ["2:1", "3:1", "7:1"])
+def test_one_point_hitting_matches_a_scalar_chain(law):
+    # both modes walk the one tree on the shared quenched stream. Levels 30
+    # and 40 near bias k are past any tree that can be sampled, and their
+    # longest trials outlast hundreds of rounds, so the numpy rounds and the
+    # scalar tail both run; at level 2 a third of the trials that reach it
+    # fail before level 3
     dist = parse_pmf_text(law)
     k = dist.m1
-    trials = 2 * walker_mod._HIT_BATCH + 1
     for lam, n in ((k - 0.25, 40), (float(k), 40), (k + 0.25, 30), (float(k), 2), (0.5, 6)):
-        successes, longest = _scalar_chain_successes(k, lam, n, trials, 11)
-        assert hitting_beta_mc(dist, lam, n, trials, 11, mode="annealed").successes == successes
-        assert longest > 64 + 128 or n < 30
+        successes, rounds = _scalar_chain_successes(k, lam, n, 513, substream(11, D_HIT, 0))
+        for mode in ("quenched", "annealed"):
+            assert hitting_beta_mc(dist, lam, n, 513, 11, mode=mode).successes == successes
+        assert rounds > 64 + 128 or n < 30
 
 
 @pytest.mark.parametrize("cap", [63, 64, 65])
@@ -445,6 +475,28 @@ def test_hitting_annealed_matches_tree_average(mix23):
     assert abs(est.estimate - pool.beta.mean()) < 4 * se
 
 
+def test_one_point_hitting_refuses_an_over_budget_trial_count_or_table_before_any_draw(
+        binary, monkeypatch):
+    # in both modes 1,000 trials need 64 bytes each, and 2,000 levels of the
+    # binary tree's table 8 bytes times 4 columns each: both refused one byte
+    # below that, before the stream is derived
+    def never(*args):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(walker_mod, "substream", never)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 64 * 1000 - 1)
+    for mode in ("annealed", "quenched"):
+        with pytest.raises(ValueError, match="^1000 quenched hitting trials would need"):
+            hitting_beta_mc(binary, 1.0, 2, 1000, seed=1, mode=mode)
+        with pytest.raises(ValueError, match="^a hitting table of 2000 levels and 4 columns "
+                                             "would need"):
+            hitting_beta_mc(binary, 1.0, 2000, 10, seed=1, mode=mode)
+    monkeypatch.setattr(tree_mod, "MAX_FOREST_LEVEL_BYTES", 64 * 1000)
+    for n, trials in ((2, 1000), (2000, 10)):
+        with pytest.raises(AssertionError, match="a stream was derived"):
+            hitting_beta_mc(binary, 1.0, n, trials, seed=1, mode="annealed")
+
+
 def _reference_quenched_successes(tree, lam, n, trials, rng):
     """Quenched hitting one walker at a time: each round draws one uniform per
     walker still moving and hands them out in walker order; a step above the
@@ -502,15 +554,23 @@ def test_quenched_round_lands_where_the_loop_does_at_float_boundaries(monkeypatc
     # the 1-child vertex up and one on a 3-child vertex down, and every later
     # step is up, so (successes, rounds) at level 2 tells where the first step
     # landed. At bias 0.22266235716704297 the uniform 1 - 2**-53 makes the
-    # loop's float exactly 3.0, which must still land on the last child.
+    # loop's float exactly 3.0, which must still land on the last child, and
+    # on the 3-regular tree laid out one vertex a level, on the child.
     def outcome(hit, lam, u, u2):
         rng = _Uniforms([u, u2] + [0.0] * 8)
         return hit(tree, lam, 2, 1, rng), rng.taken
 
+    def kernel(tree, lam, n, trials, rng):
+        return walker_mod._hit_level_vectorized(*walker_mod._tree_table(tree, n), lam,
+                                                trials, rng)
+
+    def chain(tree, lam, n, trials, rng):
+        return walker_mod._hit_level_vectorized(*walker_mod._chain_table(3, n), lam,
+                                                trials, rng)
+
     monkeypatch.setattr(walker_mod, "_TAIL_WALKERS", 0)
     tree = sample_truncated_tree(parse_pmf_text("1:0.5,3:0.5"), 2, seed=3)
     assert tree.nu[:4].tolist() == [3, 3, 3, 1]
-    kernel = walker_mod._hit_level_vectorized
     below_one = np.nextafter(1.0, 0.0)
     for lam in (0.0, 0.22266235716704297, 1.0, 2.5):
         bounds = [(lam + j) / (lam + 3) for j in range(4)]
@@ -522,6 +582,19 @@ def test_quenched_round_lands_where_the_loop_does_at_float_boundaries(monkeypatc
     lam = 0.22266235716704297
     assert below_one * (lam + 3) - lam == 3.0
     assert outcome(kernel, lam, below_one, 0.1) == outcome(kernel, lam, 0.99, 0.1) == (0, 3)
+    for tail in (0, 1):  # the numpy rounds and the scalar tail
+        monkeypatch.setattr(walker_mod, "_TAIL_WALKERS", tail)
+        assert outcome(chain, lam, below_one, 0.99) == outcome(chain, lam, 0.99, 0.99) == (1, 2)
+
+
+def test_an_integer_bias_hits_as_its_float_does(binary, mix23):
+    # the kernel's step scale lam + k must be a float array for an int bias
+    tree = sample_truncated_tree(mix23, 3, seed=2)
+    for target, mode in ((binary, "quenched"), (binary, "annealed"), (mix23, "quenched"),
+                         (tree, "quenched")):
+        for lam in (0, 1, 2):
+            assert hitting_beta_mc(target, lam, 3, 200, seed=4, mode=mode).successes == \
+                hitting_beta_mc(target, float(lam), 3, 200, seed=4, mode=mode).successes
 
 
 def test_fixed_tree_is_not_mutated(mix23):
