@@ -96,6 +96,13 @@ MUTANTS = [
     Mutant("chain-hits-success-one-past", "src/gwspeed/walker.py",
            "nb = np.repeat(np.arange(1, n + 1), w)", "nb = np.repeat(np.arange(2, n + 2), w)",
            ("tests/test_walker.py::test_one_point_hitting_matches_a_scalar_chain",)),
+    Mutant("chain-step-toward-parent-at-equality", "src/gwspeed/walker.py",
+           "s = np.less(us, lam)", "s = np.less_equal(us, lam)",
+           ("tests/test_walker.py::"
+            "test_speed_chain_steps_as_the_tree_walk_at_the_float_boundary",)),
+    Mutant("chain-reflection-one-low", "src/gwspeed/walker.py",
+           "(1 - h - int(free.min()))", "(2 - h - int(free.min()))",
+           ("tests/test_walker.py::test_speed_chain_matches_tree_walk_across_numpy_blocks",)),
     Mutant("chain-table-drops-the-repeated-last-child", "src/gwspeed/walker.py",
            "w = k + 2", "w = k + 1",
            ("tests/test_walker.py::"

@@ -14,9 +14,12 @@ iid by construction, so no autocorrelation correction is needed.
 Speed replicas take one of two paths, chosen by the offspring law alone. On
 a one-point law (``m1 == m2``, the regular tree) every vertex looks the
 same, so the depth is a +-1 chain and no tree is grown:
-``_chain_final_depth`` sums a replica's chain in numpy blocks. On every
-other law the one walk loop, ``_walk_final_depth``, walks a lazily grown
-tree that it keeps itself, for speed replicas and annealed hitting trials.
+``_chain_final_depth`` decides each step with one comparison,
+``u*(lam + k) < lam``, which on doubles is the tree walk's own test
+``u*(lam + k) - lam < 0.0``, and sums a replica's chain in numpy blocks of
+int8 steps, one cumulative sum a block. On every other law the one walk
+loop, ``_walk_final_depth``, walks a lazily grown tree that it keeps itself,
+for speed replicas and annealed hitting trials.
 For each piece of uniforms numpy first fills step tables (an int32 column per
 support count, and one for T's root) from the scalar step's float expression,
 so a step is a table read, a push or pop and an arena lookup. That costs O(S)
@@ -225,18 +228,27 @@ def _chain_final_depth(k: int, lam: float, steps: int, rng: np.random.Generator,
     ``star``), without the tree: the same depth from the same walk stream.
 
     Every vertex has k children, so the depth is a +-1 chain: down exactly
-    when the tree walk would step to the parent (``u*(lam + k) - lam < 0.0``),
-    except at the parentless vertex, where every step goes to a child. It
-    sums blocks of up to _BLOCK uniforms with numpy."""
-    floor = -1 if star else 0  # depth of the parentless vertex
-    c = lam + k
-    h = -floor  # height above the parentless vertex, where x <- |x + s|
+    when the tree walk would step to the parent, except at the parentless
+    vertex, where every step goes to a child. The chain steps down when
+    ``u*(lam + k) < lam``, the walk when ``u*(lam + k) - lam < 0.0``, and
+    the two tests agree on every double: the rounded difference of two finite
+    doubles x and lam is negative exactly when x < lam, because a nonzero
+    difference never rounds to zero and ``x - x`` is +0.0. After its draw a
+    block of up to _BLOCK uniforms is scaled in place and compared once, the
+    comparison is made in place into int8 steps of +-1 (two passes), and
+    one cumulative sum gives the int32 free path, whose end and minimum give
+    the reflected height in Python ints."""
+    h = int(star)  # height above the parentless vertex, where x <- |x + s|
     for done in range(0, steps, _BLOCK):
         us = rng.random(min(_BLOCK, steps - done))
-        free = h + np.cumsum(np.where(us * c - lam < 0.0, -1, 1))
+        us *= lam + k
+        s = np.less(us, lam).view(np.int8)
+        s *= -2
+        s += 1
+        free = s.cumsum(dtype=np.int32)
         # each new odd low point of the free path is a reflection, +2
-        h = int(free[-1]) + 2 * max(0, (1 - int(free.min())) // 2)
-    return h + floor
+        h += int(free[-1]) + 2 * max(0, (1 - h - int(free.min())) // 2)
+    return h - star  # T_star's parentless vertex is at depth -1
 
 
 def _final_depth(dist: OffspringDistribution, lam: float, steps: int,

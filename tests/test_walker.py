@@ -228,6 +228,28 @@ def test_speed_chain_matches_tree_walk_across_numpy_blocks(law):
                                           substream(8, D_WALK, 0), star)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_speed_chain_steps_as_the_tree_walk_at_the_float_boundary(k):
+    # the chain steps down when u*(lam + k) < lam, the tree walk when
+    # u*(lam + k) - lam < 0.0. At u = lam/(lam + k) the product rounds to lam
+    # itself, so both must step to a child; its float neighbours fall on
+    # either side, and 0.0 and 1 - 2**-53 are the ends. Depths compared after
+    # every step count, on T and T_star, with each kernel on its own stub (the
+    # chain scales its draw in place, and a stub hands out views).
+    lam = 0.5
+    edge = lam / (lam + k)
+    assert edge * (lam + k) == lam
+    firsts = (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 0.0,
+              np.nextafter(1.0, 0.0))
+    us = [u for triple in itertools.product(firsts, repeat=3) for u in triple]
+    dist = parse_pmf_text(f"{k}:1")
+    for star in (False, True):
+        for steps in range(1, len(us) + 1):
+            chain = walker_mod._chain_final_depth(k, lam, steps, _Uniforms(us), star)
+            assert chain == _walk_final_depth(dist, substream(0, D_WALK_TREE, 0), lam, steps,
+                                              _Uniforms(us), star), (star, steps)
+
+
 def test_one_point_laws_grow_no_tree(binary, mix23, monkeypatch):
     def no_tree(*args):
         raise AssertionError("grew a tree")
@@ -342,12 +364,11 @@ def test_chain_round_cap_at_a_piece_boundary(binary, monkeypatch, cap):
 
 
 def test_chain_hits_peak_is_one_batch(binary):
-    # stated before the run: a batch holds _HIT_BATCH (256) generators of
-    # about 0.5 KB (128 KB), and at this bias its largest piece is its first,
-    # 256 x 64 entries with at most four 8-byte arrays of them alive at once
-    # (uniforms, steps, sums, depths: 512 KB); with the substreams chunk,
-    # about 170 KB, that is about 810 KB, under 1 MiB whatever the trial
-    # count. 20,000 trials in one piece would hold 10 MB of uniforms alone.
+    # one-point annealed trials run as quenched ones, on the k-regular tree
+    # laid out one vertex a level, and hold O(trials): at most the 64 bytes a
+    # trial that _check_hitting_size promises, 1.28 MB at 20,000 trials. The
+    # 1 MiB bound is measured headroom under that promise (the traced peak
+    # read 803,247 bytes), not a consequence of it.
     bound = 2**20
     tracemalloc.start()
     try:
